@@ -11,10 +11,16 @@ identities hold under ``==`` with no tolerances.
 ``STORAGE_EPSILON`` is applied only when a numeric value is substituted for
 the formal ``hbar`` symbol; purely symbolic arithmetic never rounds and never
 drops a nonzero coefficient.
+
+Pointwise multiplication and every star product share one kernel,
+``_moyal_product``: the closed-form product of two monomials, whose integer
+weights come from ``_moyal_weights``.  Pointwise multiplication is its
+k = 0 layer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from types import MappingProxyType
@@ -26,7 +32,6 @@ Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 # substitution of hbar (near-zero float residue).  Never used symbolically.
 STORAGE_EPSILON = 1e-15
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -174,17 +179,10 @@ class PhasePolynomial:
                  terms: Union[Mapping, Iterable] = ()):
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-        clean: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for index, coefficient in items:
-            index = _validated_index(index, dimension)
-            coefficient = ComplexFraction.from_value(coefficient)
-            prev = clean.get(index)
-            total = coefficient if prev is None else prev + coefficient
-            if total.is_zero():
-                clean.pop(index, None)
-            else:
-                clean[index] = total
+        clean = _accumulate({}, (
+            (_validated_index(index, dimension), ComplexFraction.from_value(coefficient))
+            for index, coefficient in items))
         object.__setattr__(self, "_dimension", dimension)
         object.__setattr__(self, "_terms", clean)
 
@@ -301,15 +299,8 @@ class PhasePolynomial:
 
     def __add__(self, other) -> "PhasePolynomial":
         other = self._coerce(other)
-        out = dict(self._terms)
-        for index, coefficient in other._terms.items():
-            prev = out.get(index)
-            total = coefficient if prev is None else prev + coefficient
-            if total.is_zero():
-                out.pop(index, None)
-            else:
-                out[index] = total
-        return PhasePolynomial._from_clean(self._dimension, out)
+        return PhasePolynomial._from_clean(
+            self._dimension, _accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -330,22 +321,7 @@ class PhasePolynomial:
                 return PhasePolynomial._from_clean(self._dimension, {})
             return PhasePolynomial._from_clean(
                 self._dimension, {i: c * scale for i, c in self._terms.items()})
-        other = self._coerce(other)
-        out: dict = {}
-        for i1, c1 in self._terms.items():
-            for i2, c2 in other._terms.items():
-                index = MultiIndex(
-                    tuple(a + b for a, b in zip(i1.q_exponents, i2.q_exponents)),
-                    tuple(a + b for a, b in zip(i1.p_exponents, i2.p_exponents)),
-                    i1.hbar_power + i2.hbar_power)
-                product = c1 * c2
-                prev = out.get(index)
-                total = product if prev is None else prev + product
-                if total.is_zero():
-                    out.pop(index, None)
-                else:
-                    out[index] = total
-        return PhasePolynomial._from_clean(self._dimension, out)
+        return _moyal_product(self, self._coerce(other), (1,), graded=False)
 
     __rmul__ = __mul__
 
@@ -369,26 +345,21 @@ class PhasePolynomial:
 
     def partial_q(self, index: int) -> "PhasePolynomial":
         """Formal partial derivative with respect to q_{index+1}."""
-        self._check_variable_index(index, self._dimension)
-        out = {}
-        for i, c in self._terms.items():
-            e = i.q_exponents[index]
-            if e == 0:
-                continue
-            q = i.q_exponents[:index] + (e - 1,) + i.q_exponents[index + 1:]
-            out[MultiIndex(q, i.p_exponents, i.hbar_power)] = c * e
-        return PhasePolynomial._from_clean(self._dimension, out)
+        return self._partial("q_exponents", index)
 
     def partial_p(self, index: int) -> "PhasePolynomial":
         """Formal partial derivative with respect to p_{index+1}."""
+        return self._partial("p_exponents", index)
+
+    def _partial(self, field: str, index: int) -> "PhasePolynomial":
         self._check_variable_index(index, self._dimension)
         out = {}
         for i, c in self._terms.items():
-            e = i.p_exponents[index]
-            if e == 0:
-                continue
-            p = i.p_exponents[:index] + (e - 1,) + i.p_exponents[index + 1:]
-            out[MultiIndex(i.q_exponents, p, i.hbar_power)] = c * e
+            exponents = getattr(i, field)
+            e = exponents[index]
+            if e:
+                lowered = exponents[:index] + (e - 1,) + exponents[index + 1:]
+                out[i._replace(**{field: lowered})] = c * e
         return PhasePolynomial._from_clean(self._dimension, out)
 
     def evaluate(self, point: Sequence[float], hbar_value: float = 0.0) -> complex:
@@ -429,16 +400,74 @@ class PhasePolynomial:
         if value < 0:
             raise ValueError(f"hbar value must be non-negative, got {value!r}")
         h = exact_fraction(value)
-        out: dict = {}
-        for i, c in self._terms.items():
-            if i.hbar_power:
-                c = c * (h ** i.hbar_power)
-            index = MultiIndex(i.q_exponents, i.p_exponents, 0)
-            prev = out.get(index)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                out.pop(index, None)
-            else:
-                out[index] = total
+        out = _accumulate({}, (
+            (MultiIndex(i.q_exponents, i.p_exponents, 0),
+             c * (h ** i.hbar_power) if i.hbar_power else c)
+            for i, c in self._terms.items()))
         pruned = {i: c for i, c in out.items() if c.magnitude() >= STORAGE_EPSILON}
         return PhasePolynomial._from_clean(self._dimension, pruned)
+
+
+def _accumulate(acc: dict, items: Iterable) -> dict:
+    """Add (key, coefficient) pairs into acc, dropping every sum that is
+    exactly zero; returns acc."""
+    for key, value in items:
+        prev = acc.get(key)
+        if prev is not None:
+            value = prev + value
+        if value.is_zero():
+            acc.pop(key, None)
+        else:
+            acc[key] = value
+    return acc
+
+
+@functools.lru_cache(maxsize=4096)
+def _moyal_weights(a: int, b: int, c: int, d: int) -> tuple:
+    """Integer weights (w_0, w_1, ...) of the one-dimensional product
+
+        q^a p^b (star) q^c p^d = sum_k w_k (i*hbar/N)**k q^(a+c-k) p^(b+d-k),
+
+    w_k = sum over s + t = k of (-1)**t s! t! C(a,s) C(d,s) C(b,t) C(c,t):
+    s derivatives pair q on the left with p on the right, t pair p with q.
+    """
+    weights = [0] * (min(a, d) + min(b, c) + 1)
+    for s in range(min(a, d) + 1):
+        left = math.factorial(s) * math.comb(a, s) * math.comb(d, s)
+        for t in range(min(b, c) + 1):
+            term = left * math.factorial(t) * math.comb(b, t) * math.comb(c, t)
+            weights[s + t] += -term if t % 2 else term
+    return tuple(weights)
+
+
+def _moyal_product(f: PhasePolynomial, g: PhasePolynomial, prefactors: Sequence,
+                   graded: bool) -> PhasePolynomial:
+    """sum_k prefactors[k] * (layer k of f (star) g), for k < len(prefactors).
+
+    In d dimensions a layer-k term of two monomials is the tensor product of
+    one-dimensional layers k_1 + ... + k_d = k.  ``graded`` raises layer k by
+    k steps of the hbar grade.  Prefactors ``(1,)`` give pointwise
+    multiplication.
+    """
+    k_cap = len(prefactors) - 1
+    scales = [None if prefactor == 1 else prefactor for prefactor in prefactors]
+
+    def terms():
+        for i1, c1 in f._terms.items():
+            for i2, c2 in g._terms.items():
+                splits = [(0, (), (), 1)]  # (k, q exponents, p exponents, weight)
+                for a, b, c, d in zip(i1.q_exponents, i1.p_exponents,
+                                      i2.q_exponents, i2.p_exponents):
+                    weights = _moyal_weights(a, b, c, d)
+                    splits = [(k + j, q + (a + c - j,), p + (b + d - j,), w * wj)
+                              for k, q, p, w in splits
+                              for j, wj in enumerate(weights[:k_cap - k + 1]) if wj]
+                product = c1 * c2
+                grade = i1.hbar_power + i2.hbar_power
+                for k, q, p, w in splits:
+                    value = product if scales[k] is None else product * scales[k]
+                    if w != 1:
+                        value = ComplexFraction(value.real * w, value.imag * w)
+                    yield MultiIndex(q, p, grade + k if graded else grade), value
+
+    return PhasePolynomial._from_clean(f._dimension, _accumulate({}, terms()))

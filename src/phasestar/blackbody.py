@@ -18,12 +18,12 @@ exactly zero (underflow policy), as it is whenever it falls below 1e-300.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .units import NATURAL, UnitSystem
 
@@ -245,14 +245,24 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     return x_star * units.k_boltzmann * temperature / units.hbar
 
 
+@functools.cache
 def wien_x_constant() -> float:
     """The dimensionless root x* of 3*(1 - exp(-x)) = x, about 2.821439.
 
-    Located by bracketed root-finding (Brent) on [2, 3], where the
-    condition changes sign exactly once.
+    Located by bisection on [2, 3], where the condition changes sign exactly
+    once (positive at 2, negative at 3).  The bracket shrinks until its ends
+    are adjacent floats; the end with the smaller residual is returned.
     """
-    return float(brentq(lambda x: 3 * (1 - math.exp(-x)) - x, 2.0, 3.0,
-                        xtol=1e-14, rtol=8.9e-16))
+    def residual(x: float) -> float:
+        return 3 * (1 - math.exp(-x)) - x
+
+    low, high = 2.0, 3.0
+    while (middle := (low + high) / 2) not in (low, high):
+        if residual(middle) > 0:
+            low = middle
+        else:
+            high = middle
+    return min(low, high, key=lambda x: abs(residual(x)))
 
 
 class QuadratureError(RuntimeError):

@@ -11,7 +11,9 @@ The expression language is the small front end used to build
 Unary minus binds tighter than binary '+'/'-' but looser than '^', so
 ``-q1^2`` means ``-(q1^2)``.  Implicit multiplication is not allowed, and
 neither division nor non-integer powers are in the grammar: every valid
-expression denotes a polynomial.
+expression denotes a polynomial.  Parentheses and unary minus together nest
+at most ``MAX_NESTING`` deep; deeper input is a ParseError, not a recursion
+failure.
 
 Identifiers ``q1..qd`` and ``p1..pd`` are the phase-space variables, ``i``
 is the imaginary unit and ``hbar`` is one unit of the formal grading; these
@@ -28,6 +30,7 @@ coefficient of ``f`` is exactly representable as a float or an integer.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
@@ -46,6 +49,9 @@ Implicit multiplication, division and non-integer powers are not allowed.
 Reserved identifiers: q1..qd, p1..pd, i, hbar.  Other identifiers must be
 bound to numbers with --param name=value.
 """.format(version=GRAMMAR_VERSION)
+
+# Deepest combined nesting of parentheses and unary minus the parser accepts.
+MAX_NESTING = 100
 
 _RESERVED_PATTERN = re.compile(r"^(?:[qp][0-9]+|i|hbar)$")
 _VARIABLE_PATTERN = re.compile(r"^([qp])([0-9]+)$")
@@ -149,6 +155,7 @@ class _Parser:
         self.pos = 0
         self.dimension = dimension
         self.bindings = bindings
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -159,6 +166,15 @@ class _Parser:
             raise ParseError("unexpected end of expression", len(self.source))
         self.pos += 1
         return token
+
+    def nested(self, opener: Token, parse) -> PhasePolynomial:
+        """Run one nested parse step below ``opener``, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> PhasePolynomial:
         if not self.tokens:
@@ -188,7 +204,7 @@ class _Parser:
         token = self.peek()
         if token is not None and token.kind == "minus":
             self.advance()
-            return -self.factor()
+            return -self.nested(token, self.factor)
         base = self.atom()
         token = self.peek()
         if token is not None and token.kind == "caret":
@@ -215,7 +231,7 @@ class _Parser:
         if token.kind == "identifier":
             return self.identifier(token)
         if token.kind == "lparen":
-            inner = self.expr()
+            inner = self.nested(token, self.expr)
             closing = self.peek()
             if closing is None or closing.kind != "rparen":
                 position = len(self.source) if closing is None else closing.position
@@ -266,7 +282,12 @@ def parse_expression(source: str, dimension: int,
 def _value_text(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
-    return repr(float(value))
+    try:
+        return repr(float(value))
+    except OverflowError:
+        scientific = f"{Decimal(value.numerator) / value.denominator:.6e}"
+        raise ValueError(f"coefficient {scientific} is outside the float range "
+                         "and cannot be rendered") from None
 
 
 def _monomial_text(index) -> str:
@@ -306,7 +327,10 @@ def _term_text(coefficient: ComplexFraction, monomial: str):
 
 def format_canonical(poly: PhasePolynomial) -> str:
     """Deterministic text rendering; the inverse of parse_expression for
-    polynomials with float- or integer-representable coefficients."""
+    polynomials with float- or integer-representable coefficients.
+
+    A non-integer coefficient beyond the float range raises ValueError.
+    """
     if poly.is_zero:
         return "0"
     pieces = []

@@ -6,17 +6,18 @@ antisymmetric bidifferential operator
     sum_i ( d/dq_i acting left * d/dp_i acting right
           - d/dp_i acting left * d/dq_i acting right )
 
-scaled by i*hbar/N.  On polynomials the exponential series terminates after
-min(deg f, deg g) applications, because each application lowers both
-arguments' phase degree by one, so every result here is exact.
+scaled by i*hbar/N.  On monomials the exponential sums in closed form
+(Groenewold 1946; Zachos, Fairlie and Curtright 2005).  In one dimension
 
-The k-th series term expands multinomially over the per-dimension derivative
-splits: with q-derivative counts ``a`` (on the left factor) and p-derivative
-counts ``b``, the contribution is
+    q^a p^b (star) q^c p^d = sum_k w_k (i*hbar/N)**k q^(a+c-k) p^(b+d-k),
+    w_k = sum over s + t = k of (-1)**t s! t! C(a,s) C(d,s) C(b,t) C(c,t),
 
-    (i*hbar/N)**k * (-1)**|b| / (a! b!) * (D_q^a D_p^b f) * (D_p^a D_q^b g)
-
-summed over all splits with |a| + |b| = k.
+with integer weights and w_0 = 1, and in d dimensions the product is the
+tensor product of the one-dimensional weights.  The series stops at
+k = min(a, d) + min(b, c) per dimension, so every result here is exact.
+Pointwise multiplication is the k = 0 layer of the same kernel
+(``algebra._moyal_product``); this module only supplies the prefactors
+(i*hbar/N)**k and the cap on k.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
-from .algebra import ComplexFraction, MultiIndex, PhasePolynomial, exact_fraction
+from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial, _moyal_product,
+                      exact_fraction)
 
 # i**k for k mod 4
 _I_POWERS = (
@@ -73,101 +75,24 @@ def _check_dimensions(f: PhasePolynomial, g: PhasePolynomial) -> None:
         raise ValueError(f"dimension mismatch: {f.dimension} vs {g.dimension}")
 
 
-def _splits(total: int, parts: int) -> Iterator[tuple]:
-    """All tuples of `parts` non-negative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _splits(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _derivative_lookup(f: PhasePolynomial) -> Callable:
-    """Memoized mixed partials of f, keyed by (q-counts, p-counts)."""
-    d = f.dimension
-    zero = (0,) * d
-    cache = {(zero, zero): f}
-
-    def lookup(q_counts: tuple, p_counts: tuple) -> PhasePolynomial:
-        key = (q_counts, p_counts)
-        found = cache.get(key)
-        if found is not None:
-            return found
-        for i in range(d):
-            if q_counts[i]:
-                lower = q_counts[:i] + (q_counts[i] - 1,) + q_counts[i + 1:]
-                result = lookup(lower, p_counts).partial_q(i)
-                break
-        else:
-            for i in range(d):
-                if p_counts[i]:
-                    lower = p_counts[:i] + (p_counts[i] - 1,) + p_counts[i + 1:]
-                    result = lookup(q_counts, lower).partial_p(i)
-                    break
-        cache[key] = result
-        return result
-
-    return lookup
-
-
-def _accumulate_series(acc: dict, f: PhasePolynomial, g: PhasePolynomial,
-                       param: DeformationParameter, k_max: int) -> None:
-    """Add the series terms k = 0 .. k_max of f (star) g into acc."""
-    d = f.dimension
-    inv_n = param.inverse_n
-    hbar_frac = None if param.symbolic_hbar else exact_fraction(param.hbar_value)
-    left = _derivative_lookup(f)
-    right = _derivative_lookup(g)
-
-    for k in range(k_max + 1):
-        if k > 0 and inv_n == 0:
-            break
-        base = inv_n ** k
-        if hbar_frac is not None:
-            base *= hbar_frac ** k
-            if base == 0 and k > 0:
-                break
-        i_power = _I_POWERS[k % 4]
-        grade_shift = k if param.symbolic_hbar else 0
-        for split in _splits(k, 2 * d):
-            a, b = split[:d], split[d:]
-            f_part = left(a, b)
-            if f_part.is_zero:
-                continue
-            g_part = right(b, a)
-            if g_part.is_zero:
-                continue
-            denominator = 1
-            for e in split:
-                denominator *= math.factorial(e)
-            scale = base / denominator
-            if sum(b) % 2:
-                scale = -scale
-            prefactor = ComplexFraction(i_power.real * scale, i_power.imag * scale)
-            for i1, c1 in f_part.terms.items():
-                for i2, c2 in g_part.terms.items():
-                    index = MultiIndex(
-                        tuple(x + y for x, y in zip(i1.q_exponents, i2.q_exponents)),
-                        tuple(x + y for x, y in zip(i1.p_exponents, i2.p_exponents)),
-                        i1.hbar_power + i2.hbar_power + grade_shift)
-                    value = c1 * c2 * prefactor
-                    prev = acc.get(index)
-                    total = value if prev is None else prev + value
-                    if total.is_zero():
-                        acc.pop(index, None)
-                    else:
-                        acc[index] = total
+def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
+            k_max: int) -> PhasePolynomial:
+    """The layers k = 0 .. k_max of f (star) g; only k = 0 when 1/N or the
+    numeric hbar is zero."""
+    _check_dimensions(f, g)
+    step = param.inverse_n
+    if not param.symbolic_hbar:
+        step *= exact_fraction(param.hbar_value)
+    if step == 0:
+        k_max = 0
+    prefactors = [_I_POWERS[k % 4] * step ** k for k in range(k_max + 1)]
+    return _moyal_product(f, g, prefactors, graded=param.symbolic_hbar)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial,
                  param: DeformationParameter = DeformationParameter()) -> PhasePolynomial:
     """The full star product f (star) g, exact to all orders."""
-    _check_dimensions(f, g)
-    acc: dict = {}
-    k_max = min(f.total_degree(), g.total_degree())
-    _accumulate_series(acc, f, g, param, k_max)
-    return PhasePolynomial._from_clean(f.dimension, acc)
+    return _series(f, g, param, min(f.total_degree(), g.total_degree()))
 
 
 def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
@@ -177,11 +102,7 @@ def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
     Agrees exactly with :func:`star_product` whenever either argument has
     phase degree at most one; otherwise they differ from grade hbar**2 up.
     """
-    _check_dimensions(f, g)
-    acc: dict = {}
-    k_max = min(1, f.total_degree(), g.total_degree())
-    _accumulate_series(acc, f, g, param, k_max)
-    return PhasePolynomial._from_clean(f.dimension, acc)
+    return _series(f, g, param, 1)
 
 
 def star_commutator(f: PhasePolynomial, g: PhasePolynomial,

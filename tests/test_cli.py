@@ -67,6 +67,30 @@ class TestStarCommand:
         code, _, _ = run_cli("star", "q1", "p1", "--N", "-3")
         assert code == 1
 
+    def test_coefficient_beyond_float_range_is_domain_error(self):
+        # 1/N is about 1e320, which no float can hold
+        code, out, err = run_cli("star", "q1", "p1", "--N", "1e-320")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: coefficient 1.000011e+320 ")
+
+    def test_deep_parentheses_are_parse_errors(self):
+        code, _, err = run_cli("star", "(" * 3000 + "q1" + ")" * 3000, "p1")
+        assert code == 1
+        assert err.startswith("error: nesting deeper than")
+        assert "offset" in err
+
+    def test_long_unary_minus_chain_is_parse_error(self):
+        code, _, err = run_cli("star", "p1*" + "-" * 3000 + "q1", "p1")
+        assert code == 1
+        assert err.startswith("error: nesting deeper than")
+
+    def test_moderate_nesting_still_parses(self):
+        code, out, _ = run_cli("star", "(" * 50 + "q1" + ")" * 50,
+                               "1*" + "-" * 50 + "p1")
+        assert code == 0
+        assert out.strip() == "q1*p1 + 0.5*i*hbar"
+
 
 class TestCommutatorCommand:
     def test_canonical_pair(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from phasestar.algebra import ComplexFraction, PhasePolynomial
-from phasestar.expressions import (ParseError, format_canonical,
+from phasestar.expressions import (MAX_NESTING, ParseError, format_canonical,
                                    parse_expression, tokenize,
                                    validate_bindings)
 
@@ -144,6 +144,19 @@ class TestParse:
             with pytest.raises(ParseError) as info:
                 parse_expression(source, 1)
             assert 0 <= info.value.position <= len(source)
+
+    def test_nesting_limit_is_inclusive(self):
+        deepest = "(" * MAX_NESTING + "q1" + ")" * MAX_NESTING
+        assert parse_expression(deepest, 1) == q()
+        with pytest.raises(ParseError) as info:
+            parse_expression("(" + deepest + ")", 1)
+        assert info.value.position == MAX_NESTING
+
+    def test_parentheses_and_unary_minus_share_the_limit(self):
+        half = MAX_NESTING // 2
+        assert parse_expression("-(" * half + "q1" + ")" * half, 1) == q() * (-1) ** half
+        with pytest.raises(ParseError):
+            parse_expression("-" + "-(" * half + "q1" + ")" * half, 1)
 
 
 class TestFormatCanonical:
