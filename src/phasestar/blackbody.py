@@ -14,6 +14,8 @@ integral checks round out the module.
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
 stay accurate down to x ~ 1e-8; for x > 700 the thermal part is flushed to
 exactly zero (underflow policy), as it is whenever it falls below 1e-300.
+Omega and T must be positive and finite, and a density beyond the double
+range raises ValueError naming omega instead of returning inf.
 """
 
 from __future__ import annotations
@@ -61,17 +63,23 @@ class SpectrumPoint:
     total_density: float
 
     def __post_init__(self):
+        if not math.isfinite(self.total_density):
+            raise _overflow(self.omega)
         if self.thermal_density < 0 or self.zero_point_density < 0:
             raise ValueError("densities must be non-negative")
         if self.total_density != self.thermal_density + self.zero_point_density:
             raise ValueError("total density must equal thermal plus zero-point")
 
 
+def _overflow(omega: float) -> ValueError:
+    return ValueError(f"spectral density at omega = {omega!r} overflows a double")
+
+
 def _check_domain(omega: float, temperature: float) -> None:
-    if not omega > 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
 
 
 def _thermal_occupation_energy(x: float, quantum: float) -> float:
@@ -98,7 +106,10 @@ def mean_oscillator_energy(omega: float, temperature: float,
 
 
 def _density_prefactor(omega: float, units: UnitSystem) -> float:
-    return omega ** 2 / (math.pi ** 2 * units.c_light ** 3)
+    try:
+        return omega ** 2 / (math.pi ** 2 * units.c_light ** 3)
+    except OverflowError:
+        raise _overflow(omega) from None
 
 
 def spectral_density(omega: float, temperature: float,
@@ -228,7 +239,10 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     cures.
     """
     _check_domain(omega, temperature)
-    return _density_prefactor(omega, units) * units.k_boltzmann * temperature
+    density = _density_prefactor(omega, units) * units.k_boltzmann * temperature
+    if density == math.inf:
+        raise _overflow(omega)
+    return density
 
 
 def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:

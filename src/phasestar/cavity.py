@@ -17,6 +17,14 @@ converges much faster.  ``electromagnetic_standing_mode_count`` additionally
 reports the conducting-wall budget in which triples with exactly one zero
 component contribute a single polarization; its surface term cancels almost
 entirely.
+
+Every count is inclusive: a triple n is below omega_max exactly when its own
+``Mode.omega`` = scale*sqrt(|n|**2) is at most omega_max, i.e. |n|**2 <= m for
+one integer shell bound m shared by census, budget and enumeration.  With T
+positive triples and P positive pairs inside m, the octant count is T, the full
+lattice is 8*T + 12*P + 6*isqrt(m) (octants, quarter planes, half axes) and the
+electromagnetic budget is 2*T + 3*P.  The census is O(m) integer work, so a
+lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ PERIODIC = "periodic"
 
 # Enumeration refuses to materialize more modes than this.
 MODE_COUNT_CAP = 100_000_000
+
+# Largest lattice radius omega_max/scale counted: about ten seconds of census.
+MAX_LATTICE_RADIUS = 10_000
 
 # Column order of mode exports (CSV header and JSON keys, token for token).
 MODE_FIELDS = ("n1", "n2", "n3", "omega", "polarizations", "convention")
@@ -58,8 +69,9 @@ class CavitySpec:
     polarizations_per_mode: int = 2
 
     def __post_init__(self):
-        if not self.side_length > 0:
-            raise ValueError(f"side_length must be positive, got {self.side_length!r}")
+        if not 0 < self.side_length < math.inf:
+            raise ValueError(
+                f"side_length must be positive and finite, got {self.side_length!r}")
         if self.boundary_convention not in (STANDING, PERIODIC):
             raise ValueError(
                 f"boundary_convention must be {STANDING!r} or {PERIODIC!r}, "
@@ -94,60 +106,38 @@ def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
     return factor * units.c_light / spec.side_length
 
 
-def _lattice_radius(spec: CavitySpec, omega_max: float, units: UnitSystem) -> float:
-    # omega = scale * |n| <= omega_max
-    return omega_max / _wavenumber_scale(spec, units)
+def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
+    """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
+    is computed from: a triple n is inside exactly when |n|**2 <= m."""
+    if not omega_max > 0:
+        raise ValueError(f"omega_max must be positive, got {omega_max!r}")
+    scale = _wavenumber_scale(spec, units)
+    radius = omega_max / scale
+    if not radius <= MAX_LATTICE_RADIUS:
+        raise ValueError(f"lattice radius omega_max/scale = {radius:.6g} exceeds "
+                         f"the limit of {MAX_LATTICE_RADIUS}")
+    m = int(radius * radius)
+    while m > 0 and scale * math.sqrt(m) > omega_max:
+        m -= 1
+    while scale * math.sqrt(m + 1) <= omega_max:
+        m += 1
+    return m
 
 
-def _octant_lattice_points(radius: float) -> int:
-    """Exact count of integer triples with all components >= 1 inside radius."""
-    radius_sq = radius * radius
-    total = 0
-    for n1 in range(1, int(radius) + 1):
-        slack1 = radius_sq - n1 * n1
-        if slack1 < 1:
-            break
-        for n2 in range(1, int(radius) + 1):
-            slack2 = slack1 - n2 * n2
-            if slack2 < 1:
-                break
-            total += math.isqrt(math.floor(slack2))
-    return total
+def _positive_pairs(m: int) -> int:
+    """#{(a, b) : a, b >= 1, a*a + b*b <= m}."""
+    return sum(math.isqrt(m - a * a) for a in range(1, math.isqrt(m) + 1))
 
 
-def _full_lattice_points(radius: float) -> int:
-    """Exact count of nonzero integer triples inside radius."""
-    radius_sq = radius * radius
-    reach = int(radius)
-    total = 0
-    for n1 in range(-reach, reach + 1):
-        slack1 = radius_sq - n1 * n1
-        if slack1 < 0:
-            continue
-        for n2 in range(-reach, reach + 1):
-            slack2 = slack1 - n2 * n2
-            if slack2 < 0:
-                continue
-            total += 2 * math.isqrt(math.floor(slack2)) + 1
-    return total - 1  # remove the origin
+def _positive_triples(m: int) -> int:
+    """#{(a, b, c) : a, b, c >= 1, a*a + b*b + c*c <= m}."""
+    return sum(_positive_pairs(m - a * a) for a in range(1, math.isqrt(m) + 1))
 
 
-def _face_lattice_pairs(radius: float) -> int:
-    """Exact count of integer pairs with both components >= 1 inside radius."""
-    radius_sq = radius * radius
-    total = 0
-    for n1 in range(1, int(radius) + 1):
-        slack = radius_sq - n1 * n1
-        if slack < 1:
-            break
-        total += math.isqrt(math.floor(slack))
-    return total
-
-
-def _lattice_point_count(spec: CavitySpec, radius: float) -> int:
+def _lattice_point_count(spec: CavitySpec, m: int) -> int:
     if spec.boundary_convention == STANDING:
-        return _octant_lattice_points(radius)
-    return _full_lattice_points(radius)
+        return _positive_triples(m)
+    return 8 * _positive_triples(m) + 12 * _positive_pairs(m) + 6 * math.isqrt(m)
 
 
 def enumerate_modes(spec: CavitySpec, omega_max: float,
@@ -160,34 +150,20 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     ModeCapExceeded (reporting the required cap) rather than materializing
     more than ``cap`` modes.
     """
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max!r}")
-    radius = _lattice_radius(spec, omega_max, units)
-    count = _lattice_point_count(spec, radius)
+    m = _shell_bound(spec, omega_max, units)
+    count = _lattice_point_count(spec, m)
     if count > cap:
         raise ModeCapExceeded(count, cap)
     scale = _wavenumber_scale(spec, units)
-    radius_sq = radius * radius
-    reach = int(radius)
-    triples = []
-    if spec.boundary_convention == STANDING:
-        axis = range(1, reach + 1)
-    else:
-        axis = range(-reach, reach + 1)
-    for n1 in axis:
-        for n2 in axis:
-            for n3 in axis:
-                if n1 == 0 and n2 == 0 and n3 == 0:
-                    continue
-                norm_sq = n1 * n1 + n2 * n2 + n3 * n3
-                if norm_sq <= radius_sq:
-                    triples.append((n1, n2, n3))
+    reach = math.isqrt(m)
+    axis = range(1 if spec.boundary_convention == STANDING else -reach, reach + 1)
     modes = [
         Mode((n1, n2, n3), scale * math.sqrt(n1 * n1 + n2 * n2 + n3 * n3),
              spec.polarizations_per_mode)
-        for n1, n2, n3 in triples
+        for n1 in axis for n2 in axis for n3 in axis
+        if 0 < n1 * n1 + n2 * n2 + n3 * n3 <= m
     ]
-    modes.sort(key=lambda m: (m.omega, m.lattice_triple))
+    modes.sort(key=lambda mode: (mode.omega, mode.lattice_triple))
     return modes
 
 
@@ -198,14 +174,18 @@ def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
     The exact side counts every lattice triple of the chosen convention with
     ``polarizations_per_mode`` polarizations.  The relative error decreases
     toward zero as omega_max grows; for the octant convention it falls off
-    like the surface-to-volume ratio of the lattice region.
+    like the surface-to-volume ratio of the lattice region.  Raises
+    ValueError when the asymptote is not a positive finite number.
     """
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max!r}")
-    radius = _lattice_radius(spec, omega_max, units)
-    exact = spec.polarizations_per_mode * _lattice_point_count(spec, radius)
-    volume = spec.side_length ** 3
-    asymptotic = volume * omega_max ** 3 / (3 * math.pi ** 2 * units.c_light ** 3)
+    m = _shell_bound(spec, omega_max, units)
+    try:
+        volume = spec.side_length ** 3
+        asymptotic = volume * omega_max ** 3 / (3 * math.pi ** 2 * units.c_light ** 3)
+    except OverflowError:
+        asymptotic = math.inf
+    if not 0 < asymptotic < math.inf:
+        raise ValueError(f"asymptotic count {asymptotic!r} is not positive and finite")
+    exact = spec.polarizations_per_mode * _lattice_point_count(spec, m)
     if exact < 1000:
         warnings.warn(
             f"only {exact} modes below omega_max; the asymptotic comparison "
@@ -226,8 +206,8 @@ def electromagnetic_standing_mode_count(spec: CavitySpec, omega_max: float,
     """
     if spec.boundary_convention != STANDING:
         raise ValueError("electromagnetic budget applies to the standing convention")
-    radius = _lattice_radius(spec, omega_max, units)
-    return 2 * _octant_lattice_points(radius) + 3 * _face_lattice_pairs(radius)
+    m = _shell_bound(spec, omega_max, units)
+    return 2 * _positive_triples(m) + 3 * _positive_pairs(m)
 
 
 @dataclass(frozen=True)

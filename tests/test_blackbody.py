@@ -3,6 +3,7 @@ peak location and integral checks.  Oracles are computed independently in
 the tests (direct sums, bisection, closed-form constants)."""
 
 import math
+import re
 
 import pytest
 
@@ -42,10 +43,12 @@ class TestMeanOscillatorEnergy:
         assert value == pytest.approx(expected, rel=1e-15)
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            mean_oscillator_energy(0.0, 1.0)
-        with pytest.raises(ValueError):
-            mean_oscillator_energy(1.0, 0.0)
+        for omega, temperature in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0),
+                                   (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                mean_oscillator_energy(omega, temperature)
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                spectral_density(omega, temperature)
 
 
 class TestSpectralDensity:
@@ -75,6 +78,14 @@ class TestSpectralDensity:
         point = spectral_density(701.0, 1.0)
         assert point.thermal_density == 0.0
         assert point.zero_point_density > 0
+
+    @pytest.mark.parametrize("omega", [1e104, 1e200, 1e300])
+    def test_overflowing_density_names_omega(self, omega):
+        # omega**2 overflows at 1e300; the zero-point product already at 1e104
+        with pytest.raises(ValueError, match=re.escape(f"omega = {omega!r} overflows")):
+            spectral_density(omega, 1.0)
+        with pytest.raises(ValueError, match="overflows a double"):
+            spectral_density_ladder_sum(omega, 1.0, n_max=1)
 
     def test_si_units_magnitude(self):
         units = UnitSystem.si()
@@ -180,6 +191,12 @@ class TestClassicalLimit:
             thermal = spectral_density(1.0, temperature).thermal_density
             classical = rayleigh_jeans_density(1.0, temperature)
             assert 0 < thermal < classical
+
+    def test_overflowing_density_names_omega(self):
+        with pytest.raises(ValueError, match=re.escape("omega = 1e+300 overflows")):
+            rayleigh_jeans_density(1e300, 1.0)
+        with pytest.raises(ValueError, match=re.escape("omega = 1e+150 overflows")):
+            rayleigh_jeans_density(1e150, 1e300)
 
     def test_linear_in_temperature(self):
         assert rayleigh_jeans_density(1.0, 6.0) == pytest.approx(

@@ -1,24 +1,27 @@
 """Mode enumeration, lattice counting and field-energy tests.
 
 The counting arithmetic is cross-checked against a plain triple-loop oracle
-that shares no code with the per-plane implementation.
+that shares no code with the integer shell counters.
 """
 
 import math
+import warnings
 
 import pytest
 
-from phasestar.cavity import (CavitySpec, Mode, ModeAmplitude, ModeCapExceeded,
-                              PERIODIC, STANDING,
+from phasestar.cavity import (MAX_LATTICE_RADIUS, CavitySpec, Mode, ModeAmplitude,
+                              ModeCapExceeded, PERIODIC, STANDING,
                               electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy,
                               mode_count_vs_asymptotic)
 from phasestar.units import UnitSystem
 
 
-def triple_loop_count(radius, positive_octant):
-    """Independent brute-force lattice count."""
+def triple_loop_count(radius, positive_octant, shell=None):
+    """Independent brute-force lattice count: triples with |n| <= radius, or
+    with the integer |n|**2 <= shell when a shell is given."""
     reach = int(radius)
+    limit = radius * radius if shell is None else shell
     total = 0
     axis = range(1, reach + 1) if positive_octant else range(-reach, reach + 1)
     for a in axis:
@@ -26,9 +29,17 @@ def triple_loop_count(radius, positive_octant):
             for c in axis:
                 if not positive_octant and a == 0 and b == 0 and c == 0:
                     continue
-                if a * a + b * b + c * c <= radius * radius:
+                if a * a + b * b + c * c <= limit:
                     total += 1
     return total
+
+
+def exact_shells(positive_octant, below):
+    """Every |n|**2 < below that some lattice triple of the convention hits."""
+    reach = math.isqrt(below)
+    axis = range(1, reach + 1) if positive_octant else range(-reach, reach + 1)
+    return sorted({a * a + b * b + c * c for a in axis for b in axis for c in axis}
+                  - {0} & set(range(below)))
 
 
 class TestEnumerateModes:
@@ -40,6 +51,12 @@ class TestEnumerateModes:
         assert modes[0].lattice_triple == (1, 1, 1)
         assert modes[0].omega == pytest.approx(lowest_omega, rel=1e-15)
         assert modes[0].polarization_count == 2
+
+    def test_lowest_shell_is_inclusive(self):
+        # omega_max equal to the (1,1,1) mode's own omega lists that mode
+        modes = enumerate_modes(CavitySpec(), math.pi * math.sqrt(3))
+        assert [m.lattice_triple for m in modes] == [(1, 1, 1)]
+        assert modes[0].omega == math.pi * math.sqrt(3)
 
     def test_below_lowest_mode_is_empty(self):
         spec = CavitySpec(side_length=1.0, boundary_convention=STANDING)
@@ -84,8 +101,11 @@ class TestEnumerateModes:
         assert info.value.required_cap > 10
 
     def test_omega_max_validated(self):
-        with pytest.raises(ValueError):
-            enumerate_modes(CavitySpec(), 0.0)
+        for omega_max in (0.0, -1.0, math.nan):
+            for count in (enumerate_modes, mode_count_vs_asymptotic,
+                          electromagnetic_standing_mode_count):
+                with pytest.raises(ValueError, match="omega_max must be positive"):
+                    count(CavitySpec(), omega_max)
 
     def test_speed_of_light_enters(self):
         spec = CavitySpec(side_length=1.0)
@@ -151,6 +171,46 @@ class TestCounting:
         # and it is strictly larger than the uniform two-polarization count
         uniform = mode_count_vs_asymptotic(spec, omega_max).exact_count
         assert budget > uniform
+
+    @pytest.mark.parametrize("convention,scale", [
+        (STANDING, math.pi), (PERIODIC, 2 * math.pi),
+    ], ids=[STANDING, PERIODIC])
+    def test_exact_shells_are_inclusive(self, convention, scale):
+        spec = CavitySpec(boundary_convention=convention)
+        standing = convention == STANDING
+        for m in exact_shells(standing, 200):
+            omega_max = scale * math.sqrt(m)  # the shell's own Mode.omega
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                census = mode_count_vs_asymptotic(spec, omega_max).exact_count
+            listed = len(enumerate_modes(spec, omega_max))
+            oracle = triple_loop_count(math.isqrt(m), standing, m)
+            assert census // 2 == listed == oracle, m
+            if standing:
+                axis = range(1, math.isqrt(m) + 1)
+                pairs = sum(1 for a in axis for b in axis if a * a + b * b <= m)
+                assert electromagnetic_standing_mode_count(spec, omega_max) == \
+                    2 * oracle + 3 * pairs, m
+
+    @pytest.mark.parametrize("omega_max", [
+        math.pi * (MAX_LATTICE_RADIUS + 1), 1e12, 1e300, math.inf,
+    ])
+    def test_lattice_radius_limit(self, omega_max):
+        spec = CavitySpec()
+        for count in (mode_count_vs_asymptotic, enumerate_modes,
+                      electromagnetic_standing_mode_count):
+            with pytest.raises(ValueError, match=f"limit of {MAX_LATTICE_RADIUS}"):
+                count(spec, omega_max)
+
+    @pytest.mark.parametrize("side_length,omega_max", [
+        (1e-300, 5.0),     # the volume underflows to 0
+        (1e150, 1e-148),   # the volume overflows
+        (1e-300, 1e200),   # omega_max**3 overflows
+    ])
+    def test_asymptote_must_be_positive_and_finite(self, side_length, omega_max):
+        spec = CavitySpec(side_length=side_length)
+        with pytest.raises(ValueError, match="not positive and finite"):
+            mode_count_vs_asymptotic(spec, omega_max)
 
     def test_electromagnetic_budget_requires_standing(self):
         with pytest.raises(ValueError):
@@ -234,5 +294,6 @@ class TestSpecValidation:
             CavitySpec(boundary_convention="open")
 
     def test_side_length(self):
-        with pytest.raises(ValueError):
-            CavitySpec(side_length=0.0)
+        for side_length in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CavitySpec(side_length=side_length)

@@ -5,6 +5,9 @@ import io
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from phasestar.blackbody import SPECTRUM_FIELDS, wien_peak
 from phasestar.cavity import MODE_FIELDS
@@ -243,6 +246,23 @@ class TestModesCommand:
         code, _, _ = run_cli("modes", "--omega-max", "5",
                              "--convention", "open")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("modes", "--omega-max", "1e12"),
+    ("modes", "--omega-max", "inf"),
+    ("modes", "--omega-max", "1e300"),
+    ("modes", "--omega-max", "5", "-L", "1e-300"),
+    ("spectrum", "-T", "inf", "--omega-min", "1", "--omega-max", "2"),
+    ("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "1e300"),
+])
+def test_out_of_range_input_is_prompt_domain_error(argv):
+    started = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - started < 5.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestChecksCommand:
