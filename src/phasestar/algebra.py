@@ -15,7 +15,11 @@ drops a nonzero coefficient.
 Pointwise multiplication and every star product share one kernel,
 ``_moyal_product``: the closed-form product of two monomials, whose integer
 weights come from ``_moyal_weights``.  Pointwise multiplication is its
-k = 0 layer.
+k = 0 layer.  Inside the kernel coefficients are Gaussian integers: each
+operand is rescaled once to integer pairs (x, y) over the lcm of its
+denominators, every layer is summed on Python integers, and each surviving
+sum is divided back into a reduced ComplexFraction once, at the end.
+Polynomials themselves keep storing ComplexFraction coefficients.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 # substitution of hbar (near-zero float residue).  Never used symbolically.
 STORAGE_EPSILON = 1e-15
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -321,7 +326,7 @@ class PhasePolynomial:
                 return PhasePolynomial._from_clean(self._dimension, {})
             return PhasePolynomial._from_clean(
                 self._dimension, {i: c * scale for i, c in self._terms.items()})
-        return _moyal_product(self, self._coerce(other), (1,), graded=False)
+        return _moyal_product(self, self._coerce(other), 0, 0, graded=False)
 
     __rmul__ = __mul__
 
@@ -440,34 +445,66 @@ def _moyal_weights(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(weights)
 
 
-def _moyal_product(f: PhasePolynomial, g: PhasePolynomial, prefactors: Sequence,
+def _gaussian(poly: PhasePolynomial) -> tuple:
+    """(D, rows): every coefficient of poly as (x + i*y) / D with integers
+    x, y, D the lcm of all real and imaginary denominators; each row is
+    (q exponents, p exponents, hbar power, x, y)."""
+    den = 1
+    parts = []
+    for index, c in poly._terms.items():
+        xn, xd = c.real.as_integer_ratio()
+        yn, yd = c.imag.as_integer_ratio()
+        den = math.lcm(den, xd, yd)
+        parts.append((index, xn, xd, yn, yd))
+    return den, [(*index, xn * (den // xd), yn * (den // yd))
+                 for index, xn, xd, yn, yd in parts]
+
+
+def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
+                   step: Union[int, Fraction], k_max: int,
                    graded: bool) -> PhasePolynomial:
-    """sum_k prefactors[k] * (layer k of f (star) g), for k < len(prefactors).
+    """sum over k <= k_max of (i*step)**k * (layer k of f (star) g).
 
     In d dimensions a layer-k term of two monomials is the tensor product of
     one-dimensional layers k_1 + ... + k_d = k.  ``graded`` raises layer k by
-    k steps of the hbar grade.  Prefactors ``(1,)`` give pointwise
+    k steps of the hbar grade.  Step 0 and cap 0 give pointwise
     multiplication.
+
+    The sums run on Python integers: f and g become Gaussian-integer pairs
+    over their denominators D_f and D_g, and with step = sn/sd layer k is
+    weighted by the integer w * sn**k * sd**(k_max - k), its factor i**k
+    applied by swapping and negating the pair.  Each surviving sum is
+    divided once by D_f * D_g * sd**k_max.
     """
-    k_cap = len(prefactors) - 1
-    scales = [None if prefactor == 1 else prefactor for prefactor in prefactors]
-
-    def terms():
-        for i1, c1 in f._terms.items():
-            for i2, c2 in g._terms.items():
-                splits = [(0, (), (), 1)]  # (k, q exponents, p exponents, weight)
-                for a, b, c, d in zip(i1.q_exponents, i1.p_exponents,
-                                      i2.q_exponents, i2.p_exponents):
-                    weights = _moyal_weights(a, b, c, d)
-                    splits = [(k + j, q + (a + c - j,), p + (b + d - j,), w * wj)
-                              for k, q, p, w in splits
-                              for j, wj in enumerate(weights[:k_cap - k + 1]) if wj]
-                product = c1 * c2
-                grade = i1.hbar_power + i2.hbar_power
-                for k, q, p, w in splits:
-                    value = product if scales[k] is None else product * scales[k]
-                    if w != 1:
-                        value = ComplexFraction(value.real * w, value.imag * w)
-                    yield MultiIndex(q, p, grade + k if graded else grade), value
-
-    return PhasePolynomial._from_clean(f._dimension, _accumulate({}, terms()))
+    sn, sd = step.numerator, step.denominator
+    # sign of i**k folded in; odd layers also swap (re, im) -> (-im, re)
+    layer_scale = [(-1) ** (k // 2) * sn ** k * sd ** (k_max - k)
+                   for k in range(k_max + 1)]
+    den_f, left = _gaussian(f)
+    den_g, right = _gaussian(g)
+    acc = {}
+    for q1, p1, h1, x1, y1 in left:
+        for q2, p2, h2, x2, y2 in right:
+            splits = [(0, (), (), 1)]  # (k, q exponents, p exponents, weight)
+            for a, b, c, d in zip(q1, p1, q2, p2):
+                weights = _moyal_weights(a, b, c, d)
+                splits = [(k + j, q + (a + c - j,), p + (b + d - j,), w * wj)
+                          for k, q, p, w in splits
+                          for j, wj in enumerate(weights[:k_max - k + 1]) if wj]
+            re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+            grade = h1 + h2
+            for k, q, p, w in splits:
+                w *= layer_scale[k]
+                key = (q, p, grade + k if graded else grade)
+                u, v = (-im * w, re * w) if k & 1 else (re * w, im * w)
+                prev = acc.get(key)
+                if prev is None:
+                    acc[key] = [u, v]
+                else:
+                    prev[0] += u
+                    prev[1] += v
+    den = den_f * den_g * sd ** k_max
+    return PhasePolynomial._from_clean(f._dimension, {
+        MultiIndex._make(key): ComplexFraction(Fraction(u, den) if u else _ZERO,
+                                               Fraction(v, den) if v else _ZERO)
+        for key, (u, v) in acc.items() if u or v})

@@ -12,8 +12,10 @@ documented geometric tail bound.  Classical-limit, peak-location and
 integral checks round out the module.
 
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
-stay accurate down to x ~ 1e-8; for x > 700 the thermal part is flushed to
-exactly zero (underflow policy), as it is whenever it falls below 1e-300.
+stay accurate down to x ~ 1e-8; below the smallest normal double (x has
+underflowed, possibly to 0) the thermal energy is its x -> 0 limit k*T.
+For x > 700 the thermal part is flushed to exactly zero (underflow
+policy), as it is whenever it falls below 1e-300.
 Omega and T must be positive and finite, and a density beyond the double
 range raises ValueError naming omega instead of returning inf.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +34,9 @@ from .units import NATURAL, UnitSystem
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
 X_OVERFLOW = 700.0
+# Smallest normal double; below it x has lost bits (or is 0), and the thermal
+# energy is its x -> 0 limit k*T, equal to hbar*w/(exp(x) - 1) to a double.
+X_UNDERFLOW = sys.float_info.min
 # Thermal occupations below this are flushed to exactly zero.
 THERMAL_FLUSH = 1e-300
 # Hard cap on ladder-sum terms; beyond it the required length is reported.
@@ -42,14 +48,19 @@ SPECTRUM_FIELDS = ("omega", "temperature", "thermal_density",
 
 
 class LadderTermCapExceeded(ValueError):
-    """The tail bound demands more ladder terms than the configured cap."""
+    """The tail bound demands more ladder terms than the configured cap.
 
-    def __init__(self, required_terms: int, cap: int):
+    ``required_terms`` is a lower bound: the exact length when the tail
+    bound closes, otherwise the point where the search for it stopped.
+    """
+
+    def __init__(self, required_terms: int, cap: int, x: float):
         super().__init__(
-            f"ladder sum needs {required_terms} terms for the requested "
-            f"tolerance, above the cap of {cap}")
+            f"ladder sum at x = {x!r} needs at least {required_terms} terms "
+            f"for the requested tolerance, above the cap of {cap}")
         self.required_terms = required_terms
         self.cap = cap
+        self.x = x
 
 
 @dataclass(frozen=True)
@@ -82,11 +93,12 @@ def _check_domain(omega: float, temperature: float) -> None:
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
 
 
-def _thermal_occupation_energy(x: float, quantum: float) -> float:
-    """hbar*w / (exp(x) - 1) with the documented underflow policy."""
+def _thermal_occupation_energy(x: float, quantum: float, kt: float) -> float:
+    """hbar*w / (exp(x) - 1), with x = quantum / kt, under the documented
+    underflow policy."""
     if x > X_OVERFLOW:
         return 0.0
-    thermal = quantum / math.expm1(x)
+    thermal = kt if x < X_UNDERFLOW else quantum / math.expm1(x)
     return 0.0 if thermal < THERMAL_FLUSH else thermal
 
 
@@ -100,8 +112,9 @@ def mean_oscillator_energy(omega: float, temperature: float,
     """
     _check_domain(omega, temperature)
     quantum = units.hbar * omega
-    x = quantum / (units.k_boltzmann * temperature)
-    thermal = _thermal_occupation_energy(x, quantum)
+    kt = units.k_boltzmann * temperature
+    x = quantum / kt
+    thermal = _thermal_occupation_energy(x, quantum, kt)
     return thermal + 0.5 * quantum if include_zero_point else thermal
 
 
@@ -123,9 +136,10 @@ def spectral_density(omega: float, temperature: float,
     """
     _check_domain(omega, temperature)
     quantum = units.hbar * omega
-    x = quantum / (units.k_boltzmann * temperature)
+    kt = units.k_boltzmann * temperature
+    x = quantum / kt
     prefactor = _density_prefactor(omega, units)
-    thermal = prefactor * _thermal_occupation_energy(x, quantum)
+    thermal = prefactor * _thermal_occupation_energy(x, quantum, kt)
     zero_point = prefactor * 0.5 * quantum if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
@@ -162,7 +176,8 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
         (n_max + 2) * exp(-n_max * x) <= rel_tol * (1 - exp(-x))**2
 
     which is monotone in n_max and solved by bisection.  Raises
-    LadderTermCapExceeded (reporting the required length) past the cap.
+    LadderTermCapExceeded (reporting the required length) past the cap,
+    and also when x is so small that no n_max up to 2**60 closes the bound.
     """
     if not x > 0:
         raise ValueError(f"x must be positive, got {x!r}")
@@ -175,9 +190,9 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
 
     low, high = 0, 1
     while not satisfied(high):
-        high *= 2
         if high > 2 ** 60:
-            raise RuntimeError("tail bound did not close; x too small")
+            raise LadderTermCapExceeded(high + 1, cap, x)
+        high *= 2
     while low < high:
         mid = (low + high) // 2
         if satisfied(mid):
@@ -185,7 +200,7 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
         else:
             low = mid + 1
     if low > cap:
-        raise LadderTermCapExceeded(low, cap)
+        raise LadderTermCapExceeded(low, cap, x)
     return low
 
 

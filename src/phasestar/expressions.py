@@ -329,6 +329,10 @@ def format_canonical(poly: PhasePolynomial) -> str:
     """Deterministic text rendering; the inverse of parse_expression for
     polynomials with float- or integer-representable coefficients.
 
+    Every non-integer coefficient renders through ``repr(float)``, so a
+    non-dyadic one is rounded: 1/3 (from ``star q1 p1 --N 3``) prints as
+    ``0.3333333333333333*i*hbar`` and parses back as the nearest double, a
+    different rational.  Rendering that parse gives the same text again.
     A non-integer coefficient beyond the float range raises ValueError.
     """
     if poly.is_zero:

@@ -16,8 +16,8 @@ with integer weights and w_0 = 1, and in d dimensions the product is the
 tensor product of the one-dimensional weights.  The series stops at
 k = min(a, d) + min(b, c) per dimension, so every result here is exact.
 Pointwise multiplication is the k = 0 layer of the same kernel
-(``algebra._moyal_product``); this module only supplies the prefactors
-(i*hbar/N)**k and the cap on k.
+(``algebra._moyal_product``); this module only supplies the step of the
+series, 1/N (times hbar when hbar is numeric), and the cap on k.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ from typing import Optional
 
 from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial, _moyal_product,
                       exact_fraction)
-
-# i**k for k mod 4
-_I_POWERS = (
-    ComplexFraction(1, 0),
-    ComplexFraction(0, 1),
-    ComplexFraction(-1, 0),
-    ComplexFraction(0, -1),
-)
-
 
 @dataclass(frozen=True)
 class DeformationParameter:
@@ -83,10 +74,8 @@ def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
-    if step == 0:
-        k_max = 0
-    prefactors = [_I_POWERS[k % 4] * step ** k for k in range(k_max + 1)]
-    return _moyal_product(f, g, prefactors, graded=param.symbolic_hbar)
+    return _moyal_product(f, g, step, k_max if step else 0,
+                          graded=param.symbolic_hbar)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial,

@@ -165,6 +165,13 @@ class TestLadderSumRoute:
         assert info.value.required_terms > info.value.cap
         assert str(info.value.required_terms) in str(info.value)
 
+    def test_unclosed_tail_bound_is_a_cap_error_naming_x(self):
+        # no n_max up to 2**60 closes the bound at x = 5e-300
+        with pytest.raises(LadderTermCapExceeded, match=re.escape("x = 5e-300")) as info:
+            ladder_terms_for_tolerance(5e-300)
+        assert info.value.required_terms > 2 ** 60
+        assert info.value.x == 5e-300
+
     def test_explicit_negative_n_max_rejected(self):
         with pytest.raises(ValueError):
             spectral_density_ladder_sum(1.0, 1.0, n_max=-1)
@@ -191,6 +198,15 @@ class TestClassicalLimit:
             thermal = spectral_density(1.0, temperature).thermal_density
             classical = rayleigh_jeans_density(1.0, temperature)
             assert 0 < thermal < classical
+
+    def test_underflowed_x_takes_its_limit(self):
+        # x = hbar*w/(k*T) = 1e-450 underflows to 0; the thermal energy
+        # is then its x -> 0 limit k*T, not a division by expm1(0)
+        point = spectral_density(1e-150, 1e300)
+        assert math.isfinite(point.total_density)
+        assert point.thermal_density == pytest.approx(
+            rayleigh_jeans_density(1e-150, 1e300), rel=1e-15)
+        assert mean_oscillator_energy(1e-150, 1e300, include_zero_point=False) == 1e300
 
     def test_overflowing_density_names_omega(self):
         with pytest.raises(ValueError, match=re.escape("omega = 1e+300 overflows")):

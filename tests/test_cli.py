@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import phasestar
 from phasestar.blackbody import SPECTRUM_FIELDS, wien_peak
 from phasestar.cavity import MODE_FIELDS
 from phasestar.cli import main
@@ -18,6 +21,15 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv):
+    """``python -m phasestar argv`` importing the phasestar under test."""
+    package_root = str(Path(phasestar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "phasestar", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestStarCommand:
@@ -198,6 +210,15 @@ class TestSpectrumCommand:
         neighbors = omegas[max(0, index - 1):index + 2]
         assert min(neighbors) <= peak <= max(neighbors)
 
+    def test_underflowed_x_is_the_classical_limit(self):
+        # x = 1e-450 underflows to 0 at the first point
+        code, out, err = run_cli("spectrum", "-T", "1e300", "--omega-min", "1e-150",
+                                 "--omega-max", "1", "--format", "csv")
+        assert code == 0
+        assert err == ""
+        first = next(csv.DictReader(io.StringIO(out)))
+        assert float(first["thermal_density"]) > 0
+
     def test_domain_error_exit_code(self):
         code, _, err = run_cli("spectrum", "-T", "1", "--omega-min", "2",
                                "--omega-max", "1", "--points", "5")
@@ -255,6 +276,7 @@ class TestModesCommand:
     ("modes", "--omega-max", "5", "-L", "1e-300"),
     ("spectrum", "-T", "inf", "--omega-min", "1", "--omega-max", "2"),
     ("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "1e300"),
+    ("spectrum", "-T", "1e300", "--omega-min", "5", "--omega-max", "3e4", "--oracle"),
 ])
 def test_out_of_range_input_is_prompt_domain_error(argv):
     started = time.perf_counter()
@@ -290,9 +312,7 @@ class TestGlobalBehavior:
 
     def test_subcommand_help_contains_grammar(self):
         # argparse prints help to the process stdout, so go through a subprocess
-        completed = subprocess.run(
-            [sys.executable, "-m", "phasestar", "star", "--help"],
-            capture_output=True, text=True)
+        completed = run_module("star", "--help")
         assert completed.returncode == 0
         assert "expression grammar" in completed.stdout
 
@@ -319,8 +339,6 @@ class TestGlobalBehavior:
         assert code == 1
 
     def test_module_entry_point(self):
-        completed = subprocess.run(
-            [sys.executable, "-m", "phasestar", "commutator", "q1", "p1"],
-            capture_output=True, text=True)
+        completed = run_module("commutator", "q1", "p1")
         assert completed.returncode == 0
         assert completed.stdout.strip() == "i*hbar"

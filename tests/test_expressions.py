@@ -8,6 +8,7 @@ from phasestar.algebra import ComplexFraction, PhasePolynomial
 from phasestar.expressions import (MAX_NESTING, ParseError, format_canonical,
                                    parse_expression, tokenize,
                                    validate_bindings)
+from phasestar.star import DeformationParameter, star_product
 
 
 def q(d=1, i=0):
@@ -233,6 +234,20 @@ class TestRoundTrip:
         inv_sqrt2 = 0.7071067811865476
         poly = parse_expression("c*p1", 1, {"c": inv_sqrt2})
         assert parse_expression(format_canonical(poly), 1) == poly
+
+    @pytest.mark.parametrize("N, text, exact", [
+        (2, "q1*p1 + 0.5*i*hbar", True),
+        (3, "q1*p1 + 0.3333333333333333*i*hbar", False),
+    ])
+    def test_non_dyadic_coefficients_render_lossily(self, N, text, exact):
+        # 1/2 renders exactly; 1/3 renders through repr(float) and parses
+        # back as the nearest double, a different rational.  Either way the
+        # rendering is stable from the first render on.
+        product = star_product(q(), p(), DeformationParameter(N=N))
+        assert format_canonical(product) == text
+        again = parse_expression(text, 1)
+        assert (again == product) is exact
+        assert format_canonical(again) == text
 
     def test_large_integer_coefficients_round_trip(self):
         big = 3 ** 80

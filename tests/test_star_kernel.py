@@ -1,8 +1,10 @@
 """The closed-form monomial kernel against the derivative-split oracle.
 
 Every product is compared under ``==``: both routes are exact, so they must
-agree term for term, including complex and non-dyadic coefficients and
-inputs that already carry hbar grades.
+agree term for term, including complex and non-dyadic coefficients, coprime
+denominators, a non-dyadic numeric hbar and inputs that already carry hbar
+grades.  The kernel sums on integers over one common denominator, so these
+cases exercise its conversion in and out.
 """
 
 import math
@@ -17,7 +19,10 @@ from phasestar.star import DeformationParameter, star_first_order, star_product
 
 DIMENSIONS = (1, 2, 3)
 DEFORMATIONS = (2, 3, math.inf)
-HBAR_VALUES = (None, 0, 0.5, 1.25)
+# 0.1 is the dyadic rational 3602879701896397 / 2**55, so the step has a
+# large power of two in its denominator
+HBAR_VALUES = (None, 0, 0.5, 1.25, 0.1)
+COPRIME = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(-4, 13))
 PAIRS_PER_CASE = 8
 
 
@@ -35,10 +40,24 @@ def _random_polynomial(rng: random.Random, dimension: int) -> PhasePolynomial:
     return PhasePolynomial(dimension, terms)
 
 
-def _pairs(dimension: int, seed: int):
+def _coprime_polynomial(rng: random.Random, dimension: int) -> PhasePolynomial:
+    # the exponents of a random polynomial, with coefficients whose
+    # denominators are pairwise coprime and not powers of two; the real part
+    # may be 0, the imaginary part never is
+    terms = _random_polynomial(rng, dimension).terms
+    return PhasePolynomial(dimension, [
+        (index, ComplexFraction(rng.choice(COPRIME + (0,)), rng.choice(COPRIME)))
+        for index in terms])
+
+
+def _pairs(dimension: int, seed: int, make=_random_polynomial):
     rng = random.Random(seed)
-    return [(_random_polynomial(rng, dimension), _random_polynomial(rng, dimension))
+    return [(make(rng, dimension), make(rng, dimension))
             for _ in range(PAIRS_PER_CASE)]
+
+
+def _assert_clean(poly: PhasePolynomial):
+    assert all(not c.is_zero() for c in poly.terms.values())
 
 
 @pytest.mark.parametrize("hbar_value", HBAR_VALUES)
@@ -47,8 +66,49 @@ def _pairs(dimension: int, seed: int):
 def test_star_products_match_oracle(dimension, N, hbar_value):
     param = DeformationParameter(N=N, hbar_value=hbar_value)
     for f, g in _pairs(dimension, seed=1000 * dimension + 17):
-        assert star_product(f, g, param) == oracle_star_product(f, g, param)
+        product = star_product(f, g, param)
+        assert product == oracle_star_product(f, g, param)
         assert star_first_order(f, g, param) == oracle_star_first_order(f, g, param)
+        _assert_clean(product)
+
+
+@pytest.mark.parametrize("hbar_value", (None, 0.1))
+@pytest.mark.parametrize("dimension", DIMENSIONS)
+def test_coprime_denominators_match_oracle(dimension, hbar_value):
+    param = DeformationParameter(N=3, hbar_value=hbar_value)
+    for f, g in _pairs(dimension, seed=3000 + dimension, make=_coprime_polynomial):
+        product = star_product(f, g, param)
+        assert product == oracle_star_product(f, g, param)
+        assert star_first_order(f, g, param) == oracle_star_first_order(f, g, param)
+        assert f * g == oracle_star_product(f, g, DeformationParameter(N=math.inf))
+        _assert_clean(product)
+        _assert_clean(f * g)
+
+
+@pytest.mark.parametrize("hbar_value", (None, 0.5, 0.1))
+def test_layer_that_cancels_to_the_zero_polynomial(hbar_value):
+    # (q1 + p1) (star) (q1 + p1): the hbar/N layers of q1 (star) p1 and
+    # p1 (star) q1 are +i and -i and cancel exactly, leaving the pointwise
+    # square; a numeric hbar lands both on the constant monomial
+    f = PhasePolynomial.variable_q(1) + PhasePolynomial.variable_p(1)
+    param = DeformationParameter(N=2, hbar_value=hbar_value)
+    product = star_product(f, f, param)
+    assert product == oracle_star_product(f, f, param)
+    assert product == f * f
+    assert product.hbar_component(1).is_zero
+    _assert_clean(product)
+
+
+@pytest.mark.parametrize("N", DEFORMATIONS)
+def test_zero_factor_gives_the_zero_polynomial(N):
+    # the Weyl algebra has no zero divisors, so a product is the zero
+    # polynomial exactly when a factor is
+    f = _coprime_polynomial(random.Random(5), 2)
+    zero = PhasePolynomial.zero(2)
+    param = DeformationParameter(N=N)
+    for left, right in ((f, zero), (zero, f), (zero, zero)):
+        assert star_product(left, right, param).is_zero
+        assert (left * right).is_zero
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)
@@ -65,6 +125,11 @@ def test_inputs_carry_complex_coefficients_and_hbar_grades():
     coefficients = [c for poly in polys for c in poly.terms.values()]
     assert any(c.real and c.imag for c in coefficients)
     assert any(c.real.denominator == 3 for c in coefficients)
+    coprime = [c for d in DIMENSIONS
+               for pair in _pairs(d, seed=3000 + d, make=_coprime_polynomial)
+               for poly in pair for c in poly.terms.values()]
+    assert {c.imag.denominator for c in coprime} == {3, 7, 11, 13}
+    assert any(c.real == 0 for c in coprime)
     assert any(index.hbar_power for poly in polys for index in poly.terms)
 
 
