@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .units import NATURAL, UnitSystem
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
@@ -41,6 +39,8 @@ X_UNDERFLOW = sys.float_info.min
 THERMAL_FLUSH = 1e-300
 # Hard cap on ladder-sum terms; beyond it the required length is reported.
 LADDER_TERM_CAP = 10_000_000
+# Most points one spectrum_sweep returns (about 0.5 s and 30 MB of rows).
+MAX_SWEEP_POINTS = 100_000
 
 # Column order of spectrum sweeps (CSV header and JSON keys, token for token).
 SPECTRUM_FIELDS = ("omega", "temperature", "thermal_density",
@@ -229,6 +229,7 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
         n_max = ladder_terms_for_tolerance(x)
     elif not isinstance(n_max, int) or n_max < 0:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    import numpy as np
     levels = np.arange(n_max + 1, dtype=np.float64)
     weights = np.exp(-x * levels)
     denominator = float(np.sum(weights))
@@ -308,6 +309,7 @@ def _bose_integrand(x):
     Evaluated as x**3 * exp(-x) / (1 - exp(-x)), which neither overflows at
     large x nor loses accuracy near 0 (where it behaves as x**2).
     """
+    import numpy as np
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     positive = x > 0
@@ -319,6 +321,7 @@ def _bose_integrand(x):
 def _bose_quadrature(points: int) -> float:
     # Map (0, inf) to (0, 1) by x = t/(1-t); integrand decays fast enough
     # that Gauss-Legendre on the mapped interval converges rapidly.
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(points)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
@@ -378,11 +381,16 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
                    points: int, spacing: str = "log",
                    units: UnitSystem = NATURAL,
                    include_zero_point: bool = True) -> list:
-    """Closed-form SpectrumPoint rows over a log- or linear-spaced grid."""
+    """Closed-form SpectrumPoint rows over a log- or linear-spaced grid of
+    at most ``MAX_SWEEP_POINTS`` points."""
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
     if not isinstance(points, int) or points < 2:
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"sweep of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
+    import numpy as np
     if spacing == "log":
         grid = np.geomspace(omega_min, omega_max, points)
     elif spacing == "linear":

@@ -20,6 +20,15 @@ is the imaginary unit and ``hbar`` is one unit of the formal grading; these
 names are reserved.  Any other identifier must be supplied through a
 bindings mapping of name to real value.
 
+The parser builds each term directly.  A product of atoms (numbers, ``i``,
+``hbar``, variables and bound names, each with an optional power, under any
+unary minus) becomes one term as it is parsed: exponents add, and the
+coefficient is multiplied only by factors other than 1, powers by squaring.
+Every term of an expression is accumulated into one mapping, and the
+polynomial is made once at the end.  Only a parenthesised sum of more than
+one term goes through the multiplication kernel, when it is multiplied or
+raised to a power; a parenthesised single term folds in like an atom.
+
 ``format_canonical`` renders a polynomial deterministically (terms sorted by
 hbar grade, then total degree, then descending exponent order) using the
 shortest float representation that round-trips, at most 17 significant
@@ -34,7 +43,8 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import ComplexFraction, PhasePolynomial, exact_fraction
+from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial, _accumulate,
+                      exact_fraction)
 
 GRAMMAR_VERSION = "1.0"
 
@@ -148,6 +158,89 @@ def validate_bindings(bindings: Optional[Mapping]) -> dict:
     return clean
 
 
+class _Product:
+    """One term of an expression under construction: the product of its factors.
+
+    Atoms fold in as they are parsed.  ``exponents`` holds the q exponents,
+    the p exponents and last the hbar grade, and a power of an atom adds to
+    them.  ``coefficient`` is the pair (re, im), None while it is 1.
+    Parenthesised sums of more than one term wait in ``sums``; only they go
+    through the multiplication kernel, when the term is finished.
+    """
+
+    __slots__ = ("dimension", "coefficient", "exponents", "sums")
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.coefficient = None
+        self.exponents = [0] * (2 * dimension + 1)
+        self.sums = []
+
+    def scale(self, re, im) -> None:
+        """Multiply the coefficient by re + i*im."""
+        if self.coefficient is None:
+            self.coefficient = (re, im)
+            return
+        a, b = self.coefficient
+        if im:
+            self.coefficient = (a * re - b * im, a * im + b * re)
+        else:
+            self.coefficient = (a * re, b * re)
+
+    def include(self, base, power: int) -> None:
+        """Multiply in base**power.  ``base`` is an exponent slot, a scalar
+        (re, im), or the term mapping of a parenthesised expression."""
+        if isinstance(base, int):
+            self.exponents[base] += power
+        elif not power:
+            return
+        elif isinstance(base, tuple):
+            self.scale(*_power(*base, power))
+        elif len(base) > 1:
+            total = PhasePolynomial._from_clean(self.dimension, base)
+            self.sums.append(total if power == 1 else total ** power)
+        elif base:
+            (index, value), = base.items()
+            exponents = self.exponents
+            for slot, e in enumerate((*index.q_exponents, *index.p_exponents,
+                                      index.hbar_power)):
+                exponents[slot] += e * power
+            self.scale(*_power(value.real, value.imag, power))
+        else:
+            self.scale(0, 0)
+
+    def items(self):
+        """The (MultiIndex, ComplexFraction) terms of the finished product."""
+        d = self.dimension
+        e = self.exponents
+        index = MultiIndex(tuple(e[:d]), tuple(e[d:-1]), e[-1])
+        coefficient = ComplexFraction(*(self.coefficient or (1, 0)))
+        if not self.sums:
+            return ((index, coefficient),)
+        result = PhasePolynomial._from_clean(
+            d, {} if coefficient.is_zero() else {index: coefficient})
+        for factor in self.sums:
+            result = result * factor
+        return result.terms.items()
+
+
+def _power(re, im, n: int) -> tuple:
+    """(re + i*im)**n for n >= 1, by repeated squaring."""
+    if n == 1:
+        return re, im
+    if not im:
+        return re ** n, im
+    result_re, result_im = 1, 0
+    while True:
+        if n & 1:
+            result_re, result_im = (result_re * re - result_im * im,
+                                    result_re * im + result_im * re)
+        n >>= 1
+        if not n:
+            return result_re, result_im
+        re, im = re * re - im * im, 2 * re * im
+
+
 class _Parser:
     def __init__(self, source: str, dimension: int, bindings: dict):
         self.source = source
@@ -167,7 +260,7 @@ class _Parser:
         self.pos += 1
         return token
 
-    def nested(self, opener: Token, parse) -> PhasePolynomial:
+    def nested(self, opener: Token, parse):
         """Run one nested parse step below ``opener``, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
@@ -183,34 +276,41 @@ class _Parser:
         leftover = self.peek()
         if leftover is not None:
             raise ParseError(f"unexpected token {leftover.text!r}", leftover.position)
-        return result
+        return PhasePolynomial._from_clean(self.dimension, result)
 
-    def expr(self) -> PhasePolynomial:
-        result = self.term()
+    def expr(self) -> dict:
+        """The terms of every summand, accumulated into one mapping."""
+        terms = _accumulate({}, self.term().items())
         while (token := self.peek()) is not None and token.kind in ("plus", "minus"):
             self.advance()
-            right = self.term()
-            result = result + right if token.kind == "plus" else result - right
-        return result
+            product = self.term()
+            if token.kind == "minus":
+                product.scale(-1, 0)
+            _accumulate(terms, product.items())
+        return terms
 
-    def term(self) -> PhasePolynomial:
-        result = self.factor()
+    def term(self) -> _Product:
+        product = _Product(self.dimension)
+        self.factor(product)
         while (token := self.peek()) is not None and token.kind == "times":
             self.advance()
-            result = result * self.factor()
-        return result
+            self.factor(product)
+        return product
 
-    def factor(self) -> PhasePolynomial:
+    def factor(self, product: _Product) -> None:
         token = self.peek()
         if token is not None and token.kind == "minus":
             self.advance()
-            return -self.nested(token, self.factor)
+            self.nested(token, lambda: self.factor(product))
+            product.scale(-1, 0)
+            return
         base = self.atom()
         token = self.peek()
         if token is not None and token.kind == "caret":
             self.advance()
-            return base ** self.exponent()
-        return base
+            product.include(base, self.exponent())
+        else:
+            product.include(base, 1)
 
     def exponent(self) -> int:
         token = self.peek()
@@ -224,10 +324,11 @@ class _Parser:
                              token.position)
         return int(token.text)
 
-    def atom(self) -> PhasePolynomial:
+    def atom(self):
+        """An exponent slot, a scalar (re, im) or a parenthesised term mapping."""
         token = self.advance()
         if token.kind == "number":
-            return PhasePolynomial.constant(self.dimension, _number_value(token.text))
+            return _number_value(token.text), 0
         if token.kind == "identifier":
             return self.identifier(token)
         if token.kind == "lparen":
@@ -240,12 +341,12 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {token.text!r}", token.position)
 
-    def identifier(self, token: Token) -> PhasePolynomial:
+    def identifier(self, token: Token):
         name = token.text
         if name == "i":
-            return PhasePolynomial.constant(self.dimension, ComplexFraction(0, 1))
+            return 0, 1
         if name == "hbar":
-            return PhasePolynomial.hbar(self.dimension)
+            return 2 * self.dimension
         match = _VARIABLE_PATTERN.match(name)
         if match:
             index = int(match.group(2))
@@ -253,11 +354,9 @@ class _Parser:
                 raise ParseError(
                     f"variable index {index} exceeds dimension {self.dimension}",
                     token.position)
-            if match.group(1) == "q":
-                return PhasePolynomial.variable_q(self.dimension, index - 1)
-            return PhasePolynomial.variable_p(self.dimension, index - 1)
+            return index - 1 if match.group(1) == "q" else self.dimension + index - 1
         if name in self.bindings:
-            return PhasePolynomial.constant(self.dimension, self.bindings[name])
+            return self.bindings[name], 0
         raise ParseError(f"unknown identifier {name!r}", token.position)
 
 

@@ -7,8 +7,9 @@ import re
 
 import pytest
 
-from phasestar.blackbody import (LadderTermCapExceeded, SPECTRUM_FIELDS,
-                                 SpectrumPoint, dimensionless_x,
+from phasestar import blackbody
+from phasestar.blackbody import (MAX_SWEEP_POINTS, LadderTermCapExceeded,
+                                 SPECTRUM_FIELDS, SpectrumPoint, dimensionless_x,
                                  ladder_terms_for_tolerance,
                                  mean_oscillator_energy, rayleigh_jeans_density,
                                  spectral_density, spectral_density_ladder_sum,
@@ -347,6 +348,15 @@ class TestSweep:
             spectrum_sweep(1.0, 1.0, 2.0, 1)
         with pytest.raises(ValueError):
             spectrum_sweep(1.0, 1.0, 2.0, 5, spacing="cubic")
+
+    def test_point_limit(self, monkeypatch):
+        with pytest.raises(ValueError, match=f"10000000000000 points exceeds the "
+                                             f"limit of {MAX_SWEEP_POINTS}"):
+            spectrum_sweep(1.0, 1.0, 2.0, 10 ** 13)
+        monkeypatch.setattr(blackbody, "MAX_SWEEP_POINTS", 5)
+        assert len(spectrum_sweep(1.0, 1.0, 2.0, 5)) == 5
+        with pytest.raises(ValueError, match="6 points exceeds the limit of 5"):
+            spectrum_sweep(1.0, 1.0, 2.0, 6)
 
     def test_field_order_is_pinned(self):
         assert SPECTRUM_FIELDS == ("omega", "temperature", "thermal_density",

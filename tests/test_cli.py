@@ -23,13 +23,17 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv):
-    """``python -m phasestar argv`` importing the phasestar under test."""
+def run_python(*argv):
+    """``python argv`` in a child process importing the phasestar under test."""
     package_root = str(Path(phasestar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "phasestar", *argv],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*argv):
+    """``python -m phasestar argv`` importing the phasestar under test."""
+    return run_python("-m", "phasestar", *argv)
 
 
 class TestStarCommand:
@@ -277,6 +281,9 @@ class TestModesCommand:
     ("spectrum", "-T", "inf", "--omega-min", "1", "--omega-max", "2"),
     ("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "1e300"),
     ("spectrum", "-T", "1e300", "--omega-min", "5", "--omega-max", "3e4", "--oracle"),
+    ("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "2",
+     "--points", "10000000000000"),
+    ("oscillator", "--levels", "10000000000000"),
 ])
 def test_out_of_range_input_is_prompt_domain_error(argv):
     started = time.perf_counter()
@@ -342,3 +349,13 @@ class TestGlobalBehavior:
         completed = run_module("commutator", "q1", "p1")
         assert completed.returncode == 0
         assert completed.stdout.strip() == "i*hbar"
+
+    @pytest.mark.parametrize("statement", [
+        "import phasestar",
+        "from phasestar.cli import main; main(['star', 'q1', 'p1'])",
+    ])
+    def test_numpy_is_imported_only_by_numeric_work(self, statement):
+        completed = run_python("-c", f"{statement}\nimport sys\n"
+                                     "print('numpy' in sys.modules)")
+        assert completed.returncode == 0
+        assert completed.stdout.splitlines()[-1] == "False"

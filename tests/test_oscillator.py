@@ -7,8 +7,8 @@ import pytest
 
 from phasestar.algebra import PhasePolynomial
 from phasestar.expressions import format_canonical, parse_expression
-from phasestar.oscillator import (OscillatorSpec, energy_level, ladder,
-                                  oscillator_square_form_energy,
+from phasestar.oscillator import (MAX_LADDER_LEVEL, OscillatorSpec, energy_level,
+                                  ladder, oscillator_square_form_energy,
                                   oscillator_star_energy)
 from phasestar.star import DeformationParameter, star_product
 from phasestar.units import UnitSystem
@@ -127,6 +127,13 @@ class TestLadder:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             ladder(-1, OscillatorSpec())
+
+    def test_level_limit_is_inclusive(self):
+        assert len(ladder(MAX_LADDER_LEVEL, OscillatorSpec())) == MAX_LADDER_LEVEL + 1
+        for n_max in (MAX_LADDER_LEVEL + 1, 10 ** 13):
+            with pytest.raises(ValueError, match=f"highest level {n_max} exceeds "
+                                                 f"the limit of {MAX_LADDER_LEVEL}"):
+                ladder(n_max, OscillatorSpec())
 
 
 class TestSymbolicNumericAgreement:
