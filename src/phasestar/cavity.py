@@ -23,8 +23,11 @@ Every count is inclusive: a triple n is below omega_max exactly when its own
 one integer shell bound m shared by census, budget and enumeration.  With T
 positive triples and P positive pairs inside m, the octant count is T, the full
 lattice is 8*T + 12*P + 6*isqrt(m) (octants, quarter planes, half axes) and the
-electromagnetic budget is 2*T + 3*P.  The census is O(m) integer work, so a
-lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
+electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
+roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in blocks of a
+fixed size; the enumeration expands each (n1, n2) row into its n3 range from
+the same roots.  The census is O(m) entries, so a lattice radius
+omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .units import NATURAL, UnitSystem
@@ -39,8 +43,10 @@ from .units import NATURAL, UnitSystem
 STANDING = "standing"
 PERIODIC = "periodic"
 
-# Enumeration refuses to materialize more modes than this.
-MODE_COUNT_CAP = 100_000_000
+# Enumeration refuses to materialize more modes than this.  A listed mode
+# holds about 170 bytes, 240 at the peak while the list is built (tracemalloc,
+# 98157 modes), so the cap bounds one enumeration near 2.4 GB.
+MODE_COUNT_CAP = 10_000_000
 
 # Largest lattice radius omega_max/scale counted: about ten seconds of census.
 MAX_LATTICE_RADIUS = 10_000
@@ -124,14 +130,49 @@ def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
     return m
 
 
+def _isqrt_rows(values):
+    """Exact floor(sqrt(v)) of a numpy int64 array of values in [0, 2**53).
+
+    Such values convert to float64 exactly and the IEEE square root is
+    correctly rounded, so the truncated root is off by at most one, and one
+    integer correction each way makes it exact.
+    """
+    import numpy as np
+    root = np.sqrt(values).astype(np.int64)
+    root -= root * root > values
+    root += (root + 1) * (root + 1) <= values
+    return root
+
+
+# Entries of (a, b) per census block, so temporaries do not grow with m.
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _positive_pairs(m: int) -> int:
     """#{(a, b) : a, b >= 1, a*a + b*b <= m}."""
     return sum(math.isqrt(m - a * a) for a in range(1, math.isqrt(m) + 1))
 
 
 def _positive_triples(m: int) -> int:
-    """#{(a, b, c) : a, b, c >= 1, a*a + b*b + c*c <= m}."""
-    return sum(_positive_pairs(m - a * a) for a in range(1, math.isqrt(m) + 1))
+    """#{(a, b, c) : a, b, c >= 1, a*a + b*b + c*c <= m}.
+
+    Sums isqrt(m - a*a - b*b) over blocks of rows a, each row b = 1..width
+    with the width of the block's first (widest) row; slack below zero is
+    clipped to 0, whose root adds nothing.
+    """
+    import numpy as np
+    reach = math.isqrt(m)
+    b_squared = np.arange(1, reach + 1, dtype=np.int64) ** 2
+    total = 0
+    a = 1
+    while a * a < m:
+        width = math.isqrt(m - a * a)
+        stop = min(a + max(1, _BLOCK_ENTRIES // width), reach + 1)
+        a_squared = np.arange(a, stop, dtype=np.int64)[:, None] ** 2
+        slack = np.maximum(m - a_squared - b_squared[:width], 0)
+        total += int(_isqrt_rows(slack).sum())
+        a = stop
+    return total
 
 
 def _lattice_point_count(spec: CavitySpec, m: int) -> int:
@@ -150,21 +191,31 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     ModeCapExceeded (reporting the required cap) rather than materializing
     more than ``cap`` modes.
     """
+    import numpy as np
     m = _shell_bound(spec, omega_max, units)
     count = _lattice_point_count(spec, m)
     if count > cap:
         raise ModeCapExceeded(count, cap)
-    scale = _wavenumber_scale(spec, units)
+    standing = spec.boundary_convention == STANDING
     reach = math.isqrt(m)
-    axis = range(1 if spec.boundary_convention == STANDING else -reach, reach + 1)
-    modes = [
-        Mode((n1, n2, n3), scale * math.sqrt(n1 * n1 + n2 * n2 + n3 * n3),
-             spec.polarizations_per_mode)
-        for n1 in axis for n2 in axis for n3 in axis
-        if 0 < n1 * n1 + n2 * n2 + n3 * n3 <= m
-    ]
-    modes.sort(key=lambda mode: (mode.omega, mode.lattice_triple))
-    return modes
+    axis = np.arange(1 if standing else -reach, reach + 1, dtype=np.int64)
+    n1, n2 = (grid.ravel() for grid in np.meshgrid(axis, axis, indexing="ij"))
+    slack = m - n1 * n1 - n2 * n2
+    inside = slack >= 0
+    n1, n2 = n1[inside], n2[inside]
+    top = _isqrt_rows(slack[inside])
+    # Row (n1, n2) holds n3 = 1..top (standing) or -top..top (periodic).
+    low, length = (1, top) if standing else (-top, 2 * top + 1)
+    starts = np.cumsum(length) - length
+    n3 = np.arange(int(length.sum()), dtype=np.int64) - np.repeat(starts - low, length)
+    n1, n2 = np.repeat(n1, length), np.repeat(n2, length)
+    omega = _wavenumber_scale(spec, units) * np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
+    order = np.lexsort((n3, n2, n1, omega))
+    if not standing:
+        order = order[1:]  # the origin, the only omega of 0, sorts first
+    triples = zip(n1[order].tolist(), n2[order].tolist(), n3[order].tolist())
+    return list(map(Mode._make, zip(triples, omega[order].tolist(),
+                                    repeat(spec.polarizations_per_mode))))
 
 
 def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
@@ -244,7 +295,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     ``amplitudes[m][l]`` is the (Q, P) pair of polarization ``l`` of mode
     ``m``; every mode needs exactly ``polarization_count`` entries.  The
     zero-point parts depend only on the mode frequencies and vanish
-    identically in the commutative limit N = inf.
+    identically in the commutative limit N = inf.  Sums that are not finite
+    doubles (an overflow, or a nan or inf input) raise ValueError naming the
+    mode at which they stopped being finite.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N!r}")
@@ -253,13 +306,37 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
             f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
     classical = 0.0
     zero_point_half = 0.0
+    try:
+        for mode, rows in zip(modes, amplitudes):
+            if len(rows) != mode.polarization_count:
+                raise ValueError(
+                    f"mode {mode.lattice_triple} needs {mode.polarization_count} "
+                    f"polarization amplitudes, got {len(rows)}")
+            for amplitude in rows:
+                classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
+            if not math.isinf(N):
+                zero_point_half += mode.polarization_count * units.hbar * mode.omega / (2 * N)
+    except OverflowError:
+        raise _not_finite(mode) from None
+    if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
+        raise _not_finite(_first_nonfinite_mode(modes, amplitudes, N, units))
+    return FieldEnergy(classical, zero_point_half, 2 * zero_point_half)
+
+
+def _not_finite(mode: Mode) -> ValueError:
+    return ValueError(f"field energy of mode {mode.lattice_triple} at omega = "
+                      f"{mode.omega!r} is not a finite double")
+
+
+def _first_nonfinite_mode(modes, amplitudes, N, units) -> Mode:
+    """The mode after which ``field_energy``'s running sums, replayed in the
+    same order, first stop being finite; called only once the totals are not."""
+    classical = 0.0
+    zero_point_half = 0.0
     for mode, rows in zip(modes, amplitudes):
-        if len(rows) != mode.polarization_count:
-            raise ValueError(
-                f"mode {mode.lattice_triple} needs {mode.polarization_count} "
-                f"polarization amplitudes, got {len(rows)}")
         for amplitude in rows:
             classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
         if not math.isinf(N):
             zero_point_half += mode.polarization_count * units.hbar * mode.omega / (2 * N)
-    return FieldEnergy(classical, zero_point_half, 2 * zero_point_half)
+        if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
+            return mode

@@ -5,16 +5,19 @@ that shares no code with the integer shell counters.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
-from phasestar.cavity import (MAX_LATTICE_RADIUS, CavitySpec, Mode, ModeAmplitude,
-                              ModeCapExceeded, PERIODIC, STANDING,
+from cavity_oracle import oracle_enumerate_modes
+from phasestar import cavity
+from phasestar.cavity import (MAX_LATTICE_RADIUS, MODE_COUNT_CAP, CavitySpec, Mode,
+                              ModeAmplitude, ModeCapExceeded, PERIODIC, STANDING,
                               electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy,
                               mode_count_vs_asymptotic)
-from phasestar.units import UnitSystem
+from phasestar.units import NATURAL, UnitSystem
 
 
 def triple_loop_count(radius, positive_octant, shell=None):
@@ -40,6 +43,16 @@ def exact_shells(positive_octant, below):
     axis = range(1, reach + 1) if positive_octant else range(-reach, reach + 1)
     return sorted({a * a + b * b + c * c for a in axis for b in axis for c in axis}
                   - {0} & set(range(below)))
+
+
+def assert_same_modes(modes, oracle_modes):
+    """Equal under ==, with plain int and float entries (no numpy scalars,
+    which the CLI's JSON export could not write)."""
+    assert modes == oracle_modes
+    for mode in modes:
+        assert all(type(n) is int for n in mode.lattice_triple)
+        assert type(mode.omega) is float
+        assert type(mode.polarization_count) is int
 
 
 class TestEnumerateModes:
@@ -99,6 +112,20 @@ class TestEnumerateModes:
         with pytest.raises(ModeCapExceeded) as info:
             enumerate_modes(spec, 100.0, cap=10)
         assert info.value.required_cap > 10
+
+    def test_default_cap_refuses_before_allocating(self):
+        # 14031032 positive triples lie in the shell |n|**2 <= 300**2; listing
+        # them would hold about 2.4 GB, the refusal only the census blocks.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModeCapExceeded) as info:
+                enumerate_modes(CavitySpec(), 300 * math.pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.required_cap == 14031032
+        assert info.value.cap == MODE_COUNT_CAP == 10_000_000
+        assert peak < 16 * 2 ** 20
 
     def test_omega_max_validated(self):
         for omega_max in (0.0, -1.0, math.nan):
@@ -183,7 +210,9 @@ class TestCounting:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 census = mode_count_vs_asymptotic(spec, omega_max).exact_count
-            listed = len(enumerate_modes(spec, omega_max))
+            modes = enumerate_modes(spec, omega_max)
+            assert_same_modes(modes, oracle_enumerate_modes(spec, omega_max))
+            listed = len(modes)
             oracle = triple_loop_count(math.isqrt(m), standing, m)
             assert census // 2 == listed == oracle, m
             if standing:
@@ -191,6 +220,34 @@ class TestCounting:
                 pairs = sum(1 for a in axis for b in axis if a * a + b * b <= m)
                 assert electromagnetic_standing_mode_count(spec, omega_max) == \
                     2 * oracle + 3 * pairs, m
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    @pytest.mark.parametrize("radius", [12, 30])
+    @pytest.mark.parametrize("convention", [STANDING, PERIODIC])
+    def test_census_blocks_match_triple_loop(self, monkeypatch, convention,
+                                             radius, extra_rows):
+        """The census sums rows a = 1..isqrt(m - 1), each isqrt(m - 1) entries
+        wide at first.  A block of rows * rows entries holds exactly all of
+        them; one row less leaves the last row to a second block, and one row
+        more runs past the census."""
+        m = radius * radius
+        rows = math.isqrt(m - 1)
+        monkeypatch.setattr(cavity, "_BLOCK_ENTRIES", rows * (rows + extra_rows))
+        spec = CavitySpec(boundary_convention=convention)
+        assert cavity._lattice_point_count(spec, m) == \
+            triple_loop_count(radius, convention == STANDING)
+
+    @pytest.mark.parametrize("ratio,exact_count", [
+        (1000, 1044840698), (4000, 66982925602),
+    ])
+    def test_large_standing_census(self, ratio, exact_count):
+        # many census blocks of the default size
+        report = mode_count_vs_asymptotic(CavitySpec(), ratio * math.pi)
+        assert report.exact_count == exact_count
+
+    def test_large_electromagnetic_budget(self):
+        assert electromagnetic_standing_mode_count(CavitySpec(), 1000 * math.pi) == \
+            1047193859
 
     @pytest.mark.parametrize("omega_max", [
         math.pi * (MAX_LATTICE_RADIUS + 1), 1e12, 1e300, math.inf,
@@ -216,6 +273,32 @@ class TestCounting:
         with pytest.raises(ValueError):
             electromagnetic_standing_mode_count(
                 CavitySpec(boundary_convention=PERIODIC), 10.0)
+
+
+class TestEnumerationOracle:
+    """``enumerate_modes`` against the Python-loop enumeration it replaced."""
+
+    @staticmethod
+    def assert_matches_oracle(spec, omega_max, units=NATURAL):
+        assert_same_modes(enumerate_modes(spec, omega_max, units),
+                          oracle_enumerate_modes(spec, omega_max, units))
+
+    @pytest.mark.parametrize("side_length", [1.0, 0.37, 2.5, 1e-3])
+    @pytest.mark.parametrize("convention", [STANDING, PERIODIC])
+    def test_side_lengths(self, convention, side_length):
+        spec = CavitySpec(side_length=side_length, boundary_convention=convention)
+        scale = (math.pi if convention == STANDING else 2 * math.pi) / side_length
+        for radius in (0.5, 1.0, 2.9, 7.3, 15.5):
+            self.assert_matches_oracle(spec, scale * radius)
+
+    @pytest.mark.parametrize("convention", [STANDING, PERIODIC])
+    def test_si_units(self, convention):
+        spec = CavitySpec(side_length=0.5, boundary_convention=convention,
+                          polarizations_per_mode=3)
+        units = UnitSystem.si()
+        scale = (math.pi if convention == STANDING else 2 * math.pi) \
+            * units.c_light / spec.side_length
+        self.assert_matches_oracle(spec, scale * 9.4, units)
 
 
 class TestFieldEnergy:
@@ -279,6 +362,29 @@ class TestFieldEnergy:
         result = field_energy([mode], [[ModeAmplitude(0.0, 1.0)]], N=2.0)
         assert result.total_prefactored == result.classical + 0.25
         assert result.total_per_oscillator == result.classical + 0.5
+
+    @pytest.mark.parametrize("omega,amplitude", [
+        (1e200, ModeAmplitude(1.0, 0.0)),      # omega**2 raises OverflowError
+        (2.0, ModeAmplitude(0.0, 1e200)),      # P**2 raises OverflowError
+        (1e154, ModeAmplitude(1e154, 0.0)),    # omega**2 * Q**2 is inf
+        (2.0, ModeAmplitude(math.nan, 0.0)),
+        (2.0, ModeAmplitude(0.0, math.inf)),
+        (math.inf, ModeAmplitude(0.0, 0.0)),   # inf * 0.0 is nan, the zero point inf
+    ])
+    def test_non_finite_energy_names_the_mode(self, omega, amplitude):
+        modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), omega, 1),
+                 Mode((1, 2, 2), 3.0, 1)]
+        rows = [[ModeAmplitude(0.5, 0.5)], [amplitude], [ModeAmplitude(0.5, 0.5)]]
+        with pytest.raises(ValueError, match=r"mode \(1, 1, 2\) .* not a finite"):
+            field_energy(modes, rows)
+
+    def test_sum_overflow_names_the_mode_it_happens_at(self):
+        # every term is finite; the running sum leaves the doubles at the third
+        modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), 1.0, 1),
+                 Mode((1, 2, 2), 1.0, 1)]
+        rows = [[ModeAmplitude(0.0, 1.2e154)]] * 3
+        with pytest.raises(ValueError, match=r"mode \(1, 2, 2\)"):
+            field_energy(modes, rows)
 
     def test_conventions_differ_by_factor_two(self):
         modes = [self.one_mode(1.7)]

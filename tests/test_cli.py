@@ -353,6 +353,8 @@ class TestGlobalBehavior:
     @pytest.mark.parametrize("statement", [
         "import phasestar",
         "from phasestar.cli import main; main(['star', 'q1', 'p1'])",
+        "from phasestar.cli import main; main(['commutator', 'q1', 'p1'])",
+        "from phasestar.cli import main; main(['oscillator'])",
     ])
     def test_numpy_is_imported_only_by_numeric_work(self, statement):
         completed = run_python("-c", f"{statement}\nimport sys\n"
