@@ -18,7 +18,7 @@ from .cavity import (CavitySpec, FieldEnergy, MODE_FIELDS, Mode, ModeAmplitude,
 from .checks import CheckResult, random_phase_polynomial, run_all_checks
 from .expressions import (GRAMMAR_VERSION, ParseError, Token, format_canonical,
                           parse_expression, tokenize, validate_bindings)
-from .oscillator import (OscillatorSpec, energy_level, ladder,
+from .oscillator import (OscillatorSpec, energy_level, ground_energy, ladder,
                          oscillator_square_form_energy, oscillator_star_energy)
 from .star import (DeformationParameter, classical_limit_bracket,
                    poisson_bracket, star_commutator, star_first_order,
@@ -43,7 +43,7 @@ __all__ = [
     "CheckResult", "random_phase_polynomial", "run_all_checks",
     "GRAMMAR_VERSION", "ParseError", "Token", "format_canonical",
     "parse_expression", "tokenize", "validate_bindings",
-    "OscillatorSpec", "energy_level", "ladder",
+    "OscillatorSpec", "energy_level", "ground_energy", "ladder",
     "oscillator_square_form_energy", "oscillator_star_energy",
     "DeformationParameter", "classical_limit_bracket", "poisson_bracket",
     "star_commutator", "star_first_order", "star_product",

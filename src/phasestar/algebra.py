@@ -155,11 +155,12 @@ class MultiIndex(NamedTuple):
 
 
 def _validated_index(index, dimension: int) -> MultiIndex:
-    if not isinstance(index, MultiIndex):
-        index = MultiIndex(tuple(index[0]), tuple(index[1]), index[2])
-    else:
-        index = MultiIndex(tuple(index.q_exponents), tuple(index.p_exponents),
-                           index.hbar_power)
+    try:
+        q_exponents, p_exponents, hbar_power = index
+        index = MultiIndex(tuple(q_exponents), tuple(p_exponents), hbar_power)
+    except (TypeError, ValueError):
+        raise ValueError("a term key must be a (q_exponents, p_exponents, "
+                         f"hbar_power) triple, got {index!r}") from None
     if len(index.q_exponents) != dimension or len(index.p_exponents) != dimension:
         raise ValueError(
             f"exponent vectors must have length {dimension}, got "

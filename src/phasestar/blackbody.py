@@ -5,11 +5,13 @@ The central quantity is
     rho(w, T) = w**2 / (pi**2 c**3) * ( hbar*w / (exp(hbar*w/(k*T)) - 1)
                                         + hbar*w / 2 )
 
-split everywhere into its thermal and zero-point parts.  The closed form is
-checked against a direct Boltzmann-weighted average over the oscillator
-ladder W_n = (n + 1/2) hbar w, evaluated as a ratio of truncated sums with a
-documented geometric tail bound.  Classical-limit, peak-location and
-integral checks round out the module.
+split everywhere into its thermal and zero-point parts.  The zero-point
+term is ``oscillator.ground_energy`` at the calibrated N = 2: the ground
+level hbar*w/N that the star product adds to the oscillator energy.  The
+closed form is checked against a direct Boltzmann-weighted average over the
+oscillator ladder W_n = (n + 1/2) hbar w, evaluated as a ratio of truncated
+sums with a documented geometric tail bound.  Classical-limit,
+peak-location and integral checks round out the module.
 
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
 stay accurate down to x ~ 1e-8; below the smallest normal double (x has
@@ -28,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .oscillator import ground_energy
 from .units import NATURAL, UnitSystem
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
@@ -115,7 +118,7 @@ def mean_oscillator_energy(omega: float, temperature: float,
     kt = units.k_boltzmann * temperature
     x = quantum / kt
     thermal = _thermal_occupation_energy(x, quantum, kt)
-    return thermal + 0.5 * quantum if include_zero_point else thermal
+    return thermal + ground_energy(quantum) if include_zero_point else thermal
 
 
 def _density_prefactor(omega: float, units: UnitSystem) -> float:
@@ -140,7 +143,7 @@ def spectral_density(omega: float, temperature: float,
     x = quantum / kt
     prefactor = _density_prefactor(omega, units)
     thermal = prefactor * _thermal_occupation_energy(x, quantum, kt)
-    zero_point = prefactor * 0.5 * quantum if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -237,7 +240,7 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     thermal_mean = quantum * numerator / denominator
     prefactor = _density_prefactor(omega, units)
     thermal = prefactor * thermal_mean
-    zero_point = prefactor * 0.5 * quantum if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
+from .oscillator import ground_energy
 from .units import NATURAL, UnitSystem
 
 STANDING = "standing"
@@ -82,8 +83,10 @@ class CavitySpec:
             raise ValueError(
                 f"boundary_convention must be {STANDING!r} or {PERIODIC!r}, "
                 f"got {self.boundary_convention!r}")
-        if self.polarizations_per_mode < 1:
-            raise ValueError("polarizations_per_mode must be at least 1")
+        count = self.polarizations_per_mode
+        if not isinstance(count, int) or count < 1:
+            raise ValueError(
+                f"polarizations_per_mode must be an integer of at least 1, got {count!r}")
 
 
 class Mode(NamedTuple):
@@ -314,8 +317,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
                     f"polarization amplitudes, got {len(rows)}")
             for amplitude in rows:
                 classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
-            if not math.isinf(N):
-                zero_point_half += mode.polarization_count * units.hbar * mode.omega / (2 * N)
+            # hbar*w/(2N) per polarization is the ground energy at 2N.
+            zero_point_half += ground_energy(
+                mode.polarization_count * units.hbar * mode.omega, 2 * N)
     except OverflowError:
         raise _not_finite(mode) from None
     if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
@@ -336,7 +340,7 @@ def _first_nonfinite_mode(modes, amplitudes, N, units) -> Mode:
     for mode, rows in zip(modes, amplitudes):
         for amplitude in rows:
             classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
-        if not math.isinf(N):
-            zero_point_half += mode.polarization_count * units.hbar * mode.omega / (2 * N)
+        zero_point_half += ground_energy(
+            mode.polarization_count * units.hbar * mode.omega, 2 * N)
         if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
             return mode

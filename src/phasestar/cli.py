@@ -57,30 +57,40 @@ def _parse_binding(text: str):
         raise argparse.ArgumentTypeError(f"binding value must be a number, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=("natural", "si"), default="natural",
-                        help="unit system (default natural: hbar=k=c=1)")
-    common.add_argument("--N", type=_parse_deformation_constant, default=2.0,
-                        metavar="N", dest="deformation",
-                        help="deformation constant, a positive number or "
-                             "'infinity' for the exact commutative limit "
-                             "(default 2)")
-    common.add_argument("--dims", type=int, default=1,
-                        help="phase-space dimension d (default 1)")
-    common.add_argument("--param", type=_parse_binding, action="append",
-                        default=[], metavar="NAME=VALUE",
-                        help="bind an identifier to a number (repeatable)")
-    common.add_argument("--format", choices=("text", "csv", "json"),
-                        default="text", help="output format (default text)")
-    common.add_argument("--precision", type=int, default=12,
-                        help="significant digits for numeric output, 3..17 "
-                             "(default 12)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
+# The options several subcommands share, by flag name (``--units`` and so on).
+# Each subcommand declares only the ones its handler reads.
+_OPTIONS = {
+    "units": dict(choices=("natural", "si"), default="natural",
+                  help="unit system (default natural: hbar=k=c=1)"),
+    "N": dict(type=_parse_deformation_constant, default=2.0, metavar="N", dest="deformation",
+              help="deformation constant, a positive number or 'infinity' for "
+                   "the exact commutative limit (default 2)"),
+    "dims": dict(type=int, default=1, help="phase-space dimension d (default 1)"),
+    "param": dict(type=_parse_binding, action="append", default=[], metavar="NAME=VALUE",
+                  help="bind an identifier to a number (repeatable)"),
+    "format": dict(choices=("text", "csv", "json"), default="text",
+                   help="output format (default text)"),
+    "precision": dict(type=int, default=12,
+                      help="significant digits for numeric output, 3..17 "
+                           "(default 12)"),
+    "seed": dict(type=int, default=0, help="seed for randomized checks (default 0)"),
+}
 
-    parser = argparse.ArgumentParser(
-        prog="phasestar",
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser writing help to ``out`` and usage errors to ``err``."""
+
+    def __init__(self, *args, out, err, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out, self.err = out, err
+
+    def _print_message(self, message, file=None):
+        super()._print_message(message, self.out if file is sys.stdout else self.err)
+
+
+def _build_parser(out, err) -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="phasestar", out=out, err=err,
         description="Phase-space star products, the deformed oscillator "
                     "ladder, cavity mode counting and the radiation law "
                     "with zero-point term.",
@@ -88,8 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    star = subparsers.add_parser(
-        "star", parents=[common], epilog=GRAMMAR_HELP,
+    def subcommand(name, options, **kwargs):
+        sub = subparsers.add_parser(name, out=out, err=err, **kwargs)
+        for option in options:
+            sub.add_argument(f"--{option}", **_OPTIONS[option])
+        return sub
+
+    star = subcommand(
+        "star", ("N", "dims", "param", "format"), epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="star product of two expressions")
     star.add_argument("expr1")
@@ -97,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     star.add_argument("--first-order", action="store_true",
                       help="truncate the series at first order in hbar/N")
 
-    commutator = subparsers.add_parser(
-        "commutator", parents=[common], epilog=GRAMMAR_HELP,
+    commutator = subcommand(
+        "commutator", ("N", "dims", "param", "format"), epilog=GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         help="star commutator (or Poisson bracket) of two expressions")
     commutator.add_argument("expr1")
@@ -106,16 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     commutator.add_argument("--poisson", action="store_true",
                             help="print the Poisson bracket instead")
 
-    oscillator = subparsers.add_parser(
-        "oscillator", parents=[common],
+    oscillator = subcommand(
+        "oscillator", ("units", "N", "format", "precision"),
         help="deformed oscillator energy and ladder")
     oscillator.add_argument("--omega", type=float, default=1.0,
                             help="angular frequency (default 1)")
     oscillator.add_argument("--levels", type=int, default=3,
                             help="print levels 0..LEVELS (default 3)")
 
-    spectrum = subparsers.add_parser(
-        "spectrum", parents=[common],
+    spectrum = subcommand(
+        "spectrum", ("units", "format", "precision"),
         help="spectral energy density sweep")
     spectrum.add_argument("--temperature", "-T", type=float, required=True)
     spectrum.add_argument("--omega-min", type=float, required=True)
@@ -129,16 +145,16 @@ def _build_parser() -> argparse.ArgumentParser:
                           action="store_false",
                           help="drop the hbar*w/2 term (textbook law)")
 
-    modes = subparsers.add_parser(
-        "modes", parents=[common],
+    modes = subcommand(
+        "modes", ("units", "format", "precision"),
         help="cavity mode table and asymptotic count report")
     modes.add_argument("--side-length", "-L", type=float, default=1.0)
     modes.add_argument("--omega-max", type=float, required=True)
     modes.add_argument("--convention", choices=("standing", "periodic"),
                        default="standing")
 
-    checks = subparsers.add_parser(
-        "checks", parents=[common],
+    checks = subcommand(
+        "checks", ("units", "seed"),
         help="run the internal invariant suite")
     checks.add_argument("--inject-fault", action="store_true",
                         help=argparse.SUPPRESS)
@@ -335,9 +351,8 @@ _COMMANDS = {
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(out, err).parse_args(argv)
     except SystemExit as exit_request:
         # argparse uses status 2 for usage errors; domain errors are 1 here.
         return 0 if exit_request.code in (0, None) else 1

@@ -82,67 +82,32 @@ class Token(NamedTuple):
     position: int
 
 
-_SINGLE_CHAR_TOKENS = {
-    "+": "plus",
-    "-": "minus",
-    "*": "times",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-}
-
-
-def _is_digit(c: str) -> bool:
-    # ASCII only; unicode digit lookalikes are invalid characters
-    return "0" <= c <= "9"
-
-
-def _is_name_start(c: str) -> bool:
-    return ("a" <= c <= "z") or ("A" <= c <= "Z") or c == "_"
+# One alternative per token kind, tried in order; the group name is the kind.
+# Only ASCII digits, letters and whitespace count: anything else, unicode digit
+# lookalikes included, is an invalid character.
+_TOKEN_PATTERN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<bad_point>[0-9]+\.)(?![0-9])
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<plus>\+) | (?P<minus>-) | (?P<times>\*) | (?P<caret>\^)
+  | (?P<lparen>\() | (?P<rparen>\))
+  | (?P<invalid>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(source: str) -> list:
     """Split source text into tokens, or raise ParseError at the first bad byte."""
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if c in _SINGLE_CHAR_TOKENS:
-            tokens.append(Token(_SINGLE_CHAR_TOKENS[c], c, i))
-            i += 1
-            continue
-        if _is_digit(c):
-            start = i
-            while i < n and _is_digit(source[i]):
-                i += 1
-            if i < n and source[i] == ".":
-                if i + 1 >= n or not _is_digit(source[i + 1]):
-                    raise ParseError("digit expected after decimal point", i)
-                i += 1
-                while i < n and _is_digit(source[i]):
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and _is_digit(source[j]):
-                    i = j
-                    while i < n and _is_digit(source[i]):
-                        i += 1
-                # otherwise the 'e' starts a separate identifier token
-            tokens.append(Token("number", source[start:i], start))
-            continue
-        if _is_name_start(c):
-            start = i
-            while i < n and (_is_name_start(source[i]) or _is_digit(source[i])):
-                i += 1
-            tokens.append(Token("identifier", source[start:i], start))
-            continue
-        raise ParseError(f"invalid character {c!r}", i)
+        if kind == "bad_point":
+            raise ParseError("digit expected after decimal point", match.end() - 1)
+        if kind == "invalid":
+            raise ParseError(f"invalid character {match.group()!r}", match.start())
+        tokens.append(Token(kind, match.group(), match.start()))
     return tokens
 
 

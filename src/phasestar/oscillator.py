@@ -92,18 +92,29 @@ def oscillator_square_form_energy(spec: OscillatorSpec) -> PhasePolynomial:
         * Fraction(1, 2)
 
 
+def ground_energy(quantum: float, N: float = 2.0) -> float:
+    """The zero-point energy hbar*w/N of an oscillator of quantum hbar*w.
+
+    It is the shift of the factored star product above: hbar*w/2 at the
+    calibrated N = 2 and exactly 0.0 in the free limit N = inf.
+    """
+    if 0 < N < math.inf:
+        return quantum / N
+    if N == math.inf:
+        return 0.0
+    raise ValueError(f"N must be positive, got {N!r}")
+
+
 def energy_level(n: int, spec: OscillatorSpec) -> float:
-    """Energy of level n: n*hbar*w + hbar*w/N.
+    """Energy of level n: n*hbar*w plus the ground energy hbar*w/N.
 
     Equals (n + 1/2)*hbar*w at N = 2 and exactly n*hbar*w in the free limit
-    N = inf (computed without adding a zero, so no float noise).
+    N = inf, where the ground energy is exactly zero.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n!r}")
     quantum = spec.units.hbar * spec.omega
-    if math.isinf(spec.N):
-        return quantum * n
-    return quantum * n + quantum / spec.N
+    return quantum * n + ground_energy(quantum, spec.N)
 
 
 def ladder(n_max: int, spec: OscillatorSpec) -> list:

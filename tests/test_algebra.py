@@ -64,6 +64,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PhasePolynomial(2, [(MultiIndex((1,), (0, 0), 0), 1)])
 
+    @pytest.mark.parametrize("key", [
+        ((1,), (0,)),        # no hbar grade
+        ((1,), (0,), 0, 0),  # one entry too many
+        (1, 0, 0),           # flat exponents instead of vectors
+        5,
+    ])
+    def test_malformed_term_key_rejected(self, key):
+        with pytest.raises(ValueError, match="term key"):
+            PhasePolynomial(1, [(key, 1)])
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             PhasePolynomial(1, [(MultiIndex((-1,), (0,), 0), 1)])

@@ -403,3 +403,8 @@ class TestSpecValidation:
         for side_length in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 CavitySpec(side_length=side_length)
+
+    def test_polarizations_per_mode(self):
+        for count in (0, -1, 2.5, "2"):
+            with pytest.raises(ValueError):
+                CavitySpec(polarizations_per_mode=count)

@@ -313,15 +313,45 @@ class TestChecksCommand:
         assert "FAIL injected-fault" in out
 
 
+# Arguments each subcommand needs, and a valid value for each shared option.
+REQUIRED_ARGS = {
+    "star": ("q1", "p1"), "commutator": ("q1", "p1"), "oscillator": (),
+    "spectrum": ("-T", "1", "--omega-min", "1", "--omega-max", "2"),
+    "modes": ("--omega-max", "5"), "checks": (),
+}
+OPTION_VALUES = {"--units": "si", "--N": "3", "--dims": "2", "--param": "a=1",
+                 "--format": "json", "--precision": "5", "--seed": "4"}
+
+
+@pytest.mark.parametrize("command, option", [
+    *((command, option) for command in ("star", "commutator")
+      for option in ("--units", "--precision", "--seed")),
+    *(("oscillator", option) for option in ("--dims", "--param", "--seed")),
+    *((command, option) for command in ("spectrum", "modes")
+      for option in ("--N", "--dims", "--param", "--seed")),
+    *(("checks", option) for option in ("--N", "--dims", "--param", "--format",
+                                        "--precision")),
+])
+def test_option_the_subcommand_does_not_read_is_usage_error(command, option):
+    value = OPTION_VALUES[option]
+    code, out, err = run_cli(command, *REQUIRED_ARGS[command], option, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: phasestar")
+    assert err.endswith(f"error: unrecognized arguments: {option} {value}\n")
+
+
 class TestGlobalBehavior:
     def test_help_exits_zero(self):
-        assert run_cli("--help")[0] == 0
+        code, out, err = run_cli("--help")
+        assert code == 0
+        assert out.startswith("usage: phasestar")
+        assert err == ""
 
     def test_subcommand_help_contains_grammar(self):
-        # argparse prints help to the process stdout, so go through a subprocess
-        completed = run_module("star", "--help")
-        assert completed.returncode == 0
-        assert "expression grammar" in completed.stdout
+        code, out, _ = run_cli("star", "--help")
+        assert code == 0
+        assert "expression grammar" in out
 
     def test_missing_subcommand_is_error(self):
         assert run_cli()[0] == 1
@@ -361,3 +391,13 @@ class TestGlobalBehavior:
                                      "print('numpy' in sys.modules)")
         assert completed.returncode == 0
         assert completed.stdout.splitlines()[-1] == "False"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_cleanly(demo):
+    completed = run_python(str(demo))
+    assert completed.returncode == 0
+    assert completed.stderr == ""

@@ -28,9 +28,18 @@ class TestTokenize:
         assert [t.kind for t in tokenize("2^3")] == ["number", "caret", "number"]
 
     def test_invalid_character_position(self):
-        with pytest.raises(ParseError) as info:
-            tokenize("q1 $ p1")
-        assert info.value.position == 3
+        for source, position, character in [
+            ("q1 $ p1", 3, "$"),
+            ("1.5.3", 3, "."),
+            ("8e1.", 3, "."),
+            ("q1 +\x0b p1", 4, "\x0b"),   # whitespace other than space, tab, CR, LF
+            ("q1*\u00e9", 3, "\u00e9"),
+            ("2*\u0663", 2, "\u0663"),     # a unicode digit is not a digit here
+        ]:
+            with pytest.raises(ParseError) as info:
+                tokenize(source)
+            assert info.value.position == position
+            assert info.value.message == f"invalid character {character!r}"
 
     def test_positions_strictly_increase(self):
         tokens = tokenize("(q1 + 2.5*p2)^3 - hbar")
@@ -42,13 +51,20 @@ class TestTokenize:
         assert texts == ["0.5", "1e-05", "2.75e+10", "3E2"]
 
     def test_dangling_decimal_point_rejected(self):
-        with pytest.raises(ParseError) as info:
-            tokenize("1. + q1")
-        assert info.value.position == 1
+        for source, position in [("1. + q1", 1), ("1.e5", 1), ("q1 + 12.", 7),
+                                 ("3.5 * 40.q1", 8)]:
+            with pytest.raises(ParseError) as info:
+                tokenize(source)
+            assert info.value.position == position
+            assert info.value.message == "digit expected after decimal point"
 
     def test_e_without_digits_is_identifier(self):
         kinds = [t.kind for t in tokenize("2e")]
         assert kinds == ["number", "identifier"]
+        tokens = tokenize("1.5e+q1 8E-")
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("number", "1.5"), ("identifier", "e"), ("plus", "+"),
+            ("identifier", "q1"), ("number", "8"), ("identifier", "E"), ("minus", "-")]
 
 
 class TestParse:

@@ -8,7 +8,7 @@ import pytest
 from phasestar.algebra import PhasePolynomial
 from phasestar.expressions import format_canonical, parse_expression
 from phasestar.oscillator import (MAX_LADDER_LEVEL, OscillatorSpec, energy_level,
-                                  ladder, oscillator_square_form_energy,
+                                  ground_energy, ladder, oscillator_square_form_energy,
                                   oscillator_star_energy)
 from phasestar.star import DeformationParameter, star_product
 from phasestar.units import UnitSystem
@@ -81,6 +81,22 @@ class TestSymbolicEnergy:
         for index, coefficient in exact.terms.items():
             approx = product.terms[index]
             assert abs(complex(approx.as_complex() - coefficient.as_complex())) < 1e-15
+
+
+class TestGroundEnergy:
+    def test_half_quantum_at_default(self):
+        for quantum in (1.0, 3.0, 1e-300, 5e-324, 1e308, math.inf):
+            assert ground_energy(quantum) == 0.5 * quantum
+        assert ground_energy(3.0, 3.0) == 1.0
+
+    def test_free_limit_is_exactly_zero(self):
+        for quantum in (1.0, 1e308, math.inf):
+            assert ground_energy(quantum, math.inf) == 0.0
+
+    def test_rejects_non_positive_n(self):
+        for n_value in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ground_energy(1.0, n_value)
 
 
 class TestEnergyLevels:
