@@ -3,23 +3,33 @@
 The central quantity is
 
     rho(w, T) = w**2 / (pi**2 c**3) * ( hbar*w / (exp(hbar*w/(k*T)) - 1)
-                                        + hbar*w / 2 )
+                                        + hbar*w / N )
 
 split everywhere into its thermal and zero-point parts.  The zero-point
-term is ``oscillator.ground_energy`` at the calibrated N = 2: the ground
-level hbar*w/N that the star product adds to the oscillator energy.  The
-closed form is checked against a direct Boltzmann-weighted average over the
-oscillator ladder W_n = (n + 1/2) hbar w, evaluated as a ratio of truncated
-sums with a documented geometric tail bound.  Classical-limit,
-peak-location and integral checks round out the module.
+term is ``oscillator.ground_energy``: the ground level hbar*w/N that the
+star product adds to the oscillator energy, hbar*w/2 at the calibrated
+default N = 2 and exactly 0 at N = inf.  The closed form is checked against
+a direct Boltzmann-weighted average over the oscillator ladder
+W_n = n hbar w + hbar w/N, evaluated as a ratio of truncated sums with a
+documented geometric tail bound.  Classical-limit, peak-location and
+integral checks round out the module.
 
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
 stay accurate down to x ~ 1e-8; below the smallest normal double (x has
 underflowed, possibly to 0) the thermal energy is its x -> 0 limit k*T.
 For x > 700 the thermal part is flushed to exactly zero (underflow
 policy), as it is whenever it falls below 1e-300.
-Omega and T must be positive and finite, and a density beyond the double
-range raises ValueError naming omega instead of returning inf.
+Omega and T must be positive and finite, k*T must not underflow to 0, and
+a density beyond the double range raises ValueError naming omega instead of
+returning inf.
+
+``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
+thermal and zero-point energy, with the policy above applied as masks) and
+builds its rows from them; each row equals ``spectral_density`` at that
+point bit for bit.  Two columns stay per element: expm1 goes through
+``math.expm1`` and w**2 through ``**`` (libm pow), because ``np.expm1`` and
+numpy's w*w can differ from those in the last ulp (at x =
+0.19391198154887967 and w = 5.537602076146872e-06 respectively).
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .oscillator import ground_energy
@@ -42,8 +53,11 @@ X_UNDERFLOW = sys.float_info.min
 THERMAL_FLUSH = 1e-300
 # Hard cap on ladder-sum terms; beyond it the required length is reported.
 LADDER_TERM_CAP = 10_000_000
-# Most points one spectrum_sweep returns (about 0.5 s and 30 MB of rows).
+# Most points one spectrum_sweep returns (about 0.3 s and 30 MB of rows).
 MAX_SWEEP_POINTS = 100_000
+# Most Gauss-Legendre nodes stefan_boltzmann_integral accepts; building the
+# rule costs about O(n**3) (0.96 s at 2048 nodes).
+MAX_QUADRATURE_POINTS = 1024
 
 # Column order of spectrum sweeps (CSV header and JSON keys, token for token).
 SPECTRUM_FIELDS = ("omega", "temperature", "thermal_density",
@@ -89,11 +103,17 @@ def _overflow(omega: float) -> ValueError:
     return ValueError(f"spectral density at omega = {omega!r} overflows a double")
 
 
-def _check_domain(omega: float, temperature: float) -> None:
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+def _check_temperature(temperature: float, units: UnitSystem) -> None:
     if not 0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    if units.k_boltzmann * temperature == 0:
+        raise ValueError(f"temperature {temperature!r} is too small: k*T underflows to 0")
+
+
+def _check_domain(omega: float, temperature: float, units: UnitSystem) -> None:
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    _check_temperature(temperature, units)
 
 
 def _thermal_occupation_energy(x: float, quantum: float, kt: float) -> float:
@@ -107,43 +127,55 @@ def _thermal_occupation_energy(x: float, quantum: float, kt: float) -> float:
 
 def mean_oscillator_energy(omega: float, temperature: float,
                            units: UnitSystem = NATURAL,
-                           include_zero_point: bool = True) -> float:
-    """Mean thermal energy of one oscillator, plus hbar*w/2 when asked.
+                           include_zero_point: bool = True,
+                           N: float = 2.0) -> float:
+    """Mean thermal energy of one oscillator, plus hbar*w/N when asked.
 
     The thermal part is hbar*w/(exp(hbar*w/kT) - 1); in the strong
-    suppression limit the total tends to the bare zero point hbar*w/2.
+    suppression limit the total tends to the bare zero point hbar*w/N.
     """
-    _check_domain(omega, temperature)
+    _check_domain(omega, temperature, units)
     quantum = units.hbar * omega
     kt = units.k_boltzmann * temperature
     x = quantum / kt
     thermal = _thermal_occupation_energy(x, quantum, kt)
-    return thermal + ground_energy(quantum) if include_zero_point else thermal
+    return thermal + ground_energy(quantum, N) if include_zero_point else thermal
 
 
-def _density_prefactor(omega: float, units: UnitSystem) -> float:
+def _square(omega: float) -> float:
+    """omega ** 2 through libm pow, or inf where it overflows."""
     try:
-        return omega ** 2 / (math.pi ** 2 * units.c_light ** 3)
+        return omega ** 2
     except OverflowError:
-        raise _overflow(omega) from None
+        return math.inf
+
+
+def _density_prefactor(omega_squared, units: UnitSystem):
+    """w**2/(pi**2 c**3) from w**2, for one float or a numpy column.
+
+    An overflowed square gives an infinite prefactor, and the SpectrumPoint
+    built from it raises the overflow error naming omega.
+    """
+    return omega_squared / (math.pi ** 2 * units.c_light ** 3)
 
 
 def spectral_density(omega: float, temperature: float,
                      units: UnitSystem = NATURAL,
-                     include_zero_point: bool = True) -> SpectrumPoint:
+                     include_zero_point: bool = True,
+                     N: float = 2.0) -> SpectrumPoint:
     """Closed-form spectral energy density, split thermal vs zero point.
 
     With ``include_zero_point=False`` this is the textbook radiation law;
-    the default keeps the hbar*w/2 per-mode term in a separate field so the
+    the default keeps the hbar*w/N per-mode term in a separate field so the
     two contributions are never conflated.
     """
-    _check_domain(omega, temperature)
+    _check_domain(omega, temperature, units)
     quantum = units.hbar * omega
     kt = units.k_boltzmann * temperature
     x = quantum / kt
-    prefactor = _density_prefactor(omega, units)
+    prefactor = _density_prefactor(_square(omega), units)
     thermal = prefactor * _thermal_occupation_energy(x, quantum, kt)
-    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum, N) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -210,22 +242,24 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
 def spectral_density_ladder_sum(omega: float, temperature: float,
                                 units: UnitSystem = NATURAL,
                                 n_max: Optional[int] = None,
-                                include_zero_point: bool = True) -> SpectrumPoint:
+                                include_zero_point: bool = True,
+                                N: float = 2.0) -> SpectrumPoint:
     """Spectral density from Boltzmann-weighted sums over the ladder.
 
-    Evaluates the mean energy as the ratio of truncated sums of
-    (n + 1/2) hbar w weighted by exp(-(n + 1/2) hbar w / kT).  The common
-    factor exp(-x/2) and any overall weight scale cancel in the ratio, and
-    the half quantum separates algebraically:
+    Evaluates the mean energy as the ratio of truncated sums of the
+    oscillator levels n hbar w + hbar w/N weighted by
+    exp(-(n hbar w + hbar w/N) / kT).  The common factor exp(-x/N) and any
+    overall weight scale cancel in the ratio, and the ground energy
+    separates algebraically:
 
-        mean = hbar*w * sum(n e^(-n x)) / sum(e^(-n x))  +  hbar*w/2
+        mean = hbar*w * sum(n e^(-n x)) / sum(e^(-n x))  +  hbar*w/N
 
     which is how it is computed here, keeping the thermal part free of
     cancellation.  When n_max is None it comes from the documented tail
-    bound.  The half-quantum the sums inherently contain goes to the
+    bound.  The ground energy the sums inherently contain goes to the
     zero-point field; ``include_zero_point=False`` drops it from the total.
     """
-    _check_domain(omega, temperature)
+    _check_domain(omega, temperature, units)
     quantum = units.hbar * omega
     x = quantum / (units.k_boltzmann * temperature)
     if n_max is None:
@@ -238,9 +272,9 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     denominator = float(np.sum(weights))
     numerator = float(np.sum(levels * weights))
     thermal_mean = quantum * numerator / denominator
-    prefactor = _density_prefactor(omega, units)
+    prefactor = _density_prefactor(_square(omega), units)
     thermal = prefactor * thermal_mean
-    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum, N) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -257,8 +291,8 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     for every x > 0, which is the ultraviolet catastrophe the quantum form
     cures.
     """
-    _check_domain(omega, temperature)
-    density = _density_prefactor(omega, units) * units.k_boltzmann * temperature
+    _check_domain(omega, temperature, units)
+    density = _density_prefactor(_square(omega), units) * units.k_boltzmann * temperature
     if density == math.inf:
         raise _overflow(omega)
     return density
@@ -272,10 +306,11 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     w = x* k T / hbar and scales linearly with T.  The zero-point part is
     excluded: it grows without bound in w and has no peak.
     """
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    x_star = wien_x_constant()
-    return x_star * units.k_boltzmann * temperature / units.hbar
+    _check_temperature(temperature, units)
+    peak = wien_x_constant() * units.k_boltzmann * temperature / units.hbar
+    if peak == math.inf:
+        raise ValueError(f"Wien peak at temperature {temperature!r} overflows a double")
+    return peak
 
 
 @functools.cache
@@ -321,6 +356,7 @@ def _bose_integrand(x):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _bose_quadrature(points: int) -> float:
     # Map (0, inf) to (0, 1) by x = t/(1-t); integrand decays fast enough
     # that Gauss-Legendre on the mapped interval converges rapidly.
@@ -343,11 +379,16 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     energy density is coefficient * T**4.
 
     A self-convergence estimate against a 25% finer rule guards the result;
-    failure raises QuadratureError with the achieved estimate.
+    failure raises QuadratureError with the achieved estimate.  Each rule's
+    sum is memoised per node count (at most ``MAX_QUADRATURE_POINTS``, so
+    the cache is bounded); the check itself runs on every call.
     """
     if not isinstance(quadrature_points, int) or quadrature_points < 64:
         raise ValueError(
             f"quadrature_points must be an integer >= 64, got {quadrature_points!r}")
+    if quadrature_points > MAX_QUADRATURE_POINTS:
+        raise ValueError(f"quadrature_points {quadrature_points} exceeds the "
+                         f"limit of {MAX_QUADRATURE_POINTS}")
     integral = _bose_quadrature(quadrature_points)
     refined = _bose_quadrature(quadrature_points + quadrature_points // 4)
     estimate = abs(integral - refined) / abs(integral)
@@ -383,9 +424,15 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
 def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
                    points: int, spacing: str = "log",
                    units: UnitSystem = NATURAL,
-                   include_zero_point: bool = True) -> list:
+                   include_zero_point: bool = True,
+                   N: float = 2.0) -> list:
     """Closed-form SpectrumPoint rows over a log- or linear-spaced grid of
-    at most ``MAX_SWEEP_POINTS`` points."""
+    at most ``MAX_SWEEP_POINTS`` points.
+
+    Every row equals ``spectral_density(w, temperature, units,
+    include_zero_point, N)`` bit for bit, and the first bad row in grid
+    order raises the error that call would raise.
+    """
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
     if not isinstance(points, int) or points < 2:
@@ -394,14 +441,37 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         raise ValueError(
             f"sweep of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")
     import numpy as np
-    if spacing == "log":
-        grid = np.geomspace(omega_min, omega_max, points)
-    elif spacing == "linear":
-        grid = np.linspace(omega_min, omega_max, points)
-    else:
-        raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-    return [spectral_density(float(w), temperature, units, include_zero_point)
-            for w in grid]
+    with np.errstate(all="ignore"):
+        if spacing == "log":
+            grid = np.geomspace(omega_min, omega_max, points)
+        elif spacing == "linear":
+            grid = np.linspace(omega_min, omega_max, points)
+        else:
+            raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+        omegas = grid.tolist()
+        _check_domain(omegas[0], temperature, units)
+        quantum = units.hbar * grid
+        kt = units.k_boltzmann * temperature
+        x = quantum / kt
+        # math.expm1 and the ** square (libm pow) per element: np.expm1 and
+        # numpy's w*w can differ from them in the last ulp.
+        expm1 = np.array(list(map(math.expm1, np.clip(x, X_UNDERFLOW, X_OVERFLOW).tolist())))
+        thermal = np.where(x < X_UNDERFLOW, kt, quantum / expm1)
+        thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
+        prefactor = _density_prefactor(np.array(list(map(_square, omegas))), units)
+        thermal *= prefactor
+        zero_point = (prefactor * ground_energy(quantum, N) if include_zero_point
+                      else np.zeros(points))
+        total = thermal + zero_point
+    # Rows stop before the first omega the domain check rejects; that check
+    # raises once any overflow in the rows before it has been raised.
+    valid = (grid > 0) & (grid < math.inf)
+    stop = points if valid.all() else int(valid.argmin())
+    rows = list(map(SpectrumPoint, omegas[:stop], repeat(temperature),
+                    thermal.tolist(), zero_point.tolist(), total.tolist()))
+    if stop < points:
+        _check_domain(omegas[stop], temperature, units)
+    return rows
 
 
 def dimensionless_x(omega: float, temperature: float,

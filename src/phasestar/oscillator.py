@@ -43,8 +43,8 @@ class OscillatorSpec:
     units: UnitSystem = NATURAL
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not self.N > 0:
             raise ValueError(f"N must be positive, got {self.N!r}")
 
@@ -105,6 +105,24 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
     raise ValueError(f"N must be positive, got {N!r}")
 
 
+def _level_energies(levels: range, spec: OscillatorSpec) -> list:
+    """n*hbar*w + hbar*w/N for each n of a non-empty ascending range.
+
+    The energies rise with n, so checking the last one is enough to raise
+    ValueError if any of them overflows a double.
+    """
+    quantum = spec.units.hbar * spec.omega
+    ground = ground_energy(quantum, spec.N)
+    try:
+        energies = [quantum * n + ground for n in levels]
+    except OverflowError:  # n itself is beyond the double range
+        energies = [math.inf]
+    if not math.isfinite(energies[-1]):
+        raise ValueError(f"energy of level {levels[-1]} at omega = {spec.omega!r} "
+                         f"overflows a double")
+    return energies
+
+
 def energy_level(n: int, spec: OscillatorSpec) -> float:
     """Energy of level n: n*hbar*w plus the ground energy hbar*w/N.
 
@@ -113,8 +131,7 @@ def energy_level(n: int, spec: OscillatorSpec) -> float:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n!r}")
-    quantum = spec.units.hbar * spec.omega
-    return quantum * n + ground_energy(quantum, spec.N)
+    return _level_energies(range(n, n + 1), spec)[0]
 
 
 def ladder(n_max: int, spec: OscillatorSpec) -> list:
@@ -126,4 +143,4 @@ def ladder(n_max: int, spec: OscillatorSpec) -> list:
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     if n_max > MAX_LADDER_LEVEL:
         raise ValueError(f"highest level {n_max} exceeds the limit of {MAX_LADDER_LEVEL}")
-    return [energy_level(n, spec) for n in range(n_max + 1)]
+    return _level_energies(range(n_max + 1), spec)

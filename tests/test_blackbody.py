@@ -3,12 +3,16 @@ peak location and integral checks.  Oracles are computed independently in
 the tests (direct sums, bisection, closed-form constants)."""
 
 import math
+import random
 import re
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from phasestar import blackbody
-from phasestar.blackbody import (MAX_SWEEP_POINTS, LadderTermCapExceeded,
+from phasestar.blackbody import (MAX_QUADRATURE_POINTS, MAX_SWEEP_POINTS,
+                                 LadderTermCapExceeded,
                                  SPECTRUM_FIELDS, SpectrumPoint, dimensionless_x,
                                  ladder_terms_for_tolerance,
                                  mean_oscillator_energy, rayleigh_jeans_density,
@@ -50,6 +54,26 @@ class TestMeanOscillatorEnergy:
                 mean_oscillator_energy(omega, temperature)
             with pytest.raises(ValueError, match="must be positive and finite"):
                 spectral_density(omega, temperature)
+
+    def test_underflowed_kt_is_a_domain_error(self):
+        # k*T = 1.380649e-23 * 1e-310 underflows to 0 in SI units
+        si = UnitSystem.si()
+        message = re.escape("temperature 1e-310 is too small: k*T underflows to 0")
+        for call in (mean_oscillator_energy, spectral_density,
+                     spectral_density_ladder_sum, rayleigh_jeans_density):
+            with pytest.raises(ValueError, match=message):
+                call(1.0, 1e-310, si)
+        with pytest.raises(ValueError, match=message):
+            spectrum_sweep(1e-310, 1.0, 2.0, 3, units=si)
+        with pytest.raises(ValueError, match=message):
+            wien_peak(1e-310, si)
+
+    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
+    def test_ground_energy_follows_n(self, n_value):
+        ground = 0.0 if n_value == math.inf else 0.7 / n_value
+        value = mean_oscillator_energy(0.7, 1.0, N=n_value)
+        assert value == pytest.approx(
+            mean_oscillator_energy(0.7, 1.0, include_zero_point=False) + ground, rel=1e-15)
 
 
 class TestSpectralDensity:
@@ -97,6 +121,41 @@ class TestSpectralDensity:
         expected_thermal = (omega ** 2 / (math.pi ** 2 * units.c_light ** 3)) \
             * units.hbar * omega / math.expm1(x)
         assert point.thermal_density == pytest.approx(expected_thermal, rel=1e-12)
+
+
+class TestDeformationConstant:
+    """The zero point is the NC ground energy hbar*w/N at every N."""
+
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
+    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
+    def test_zero_point_density_is_prefactor_times_ground_energy(self, units, n_value):
+        omega = 2.5 if units is NATURAL else 3e14
+        temperature = 1.0 if units is NATURAL else 300.0
+        point = spectral_density(omega, temperature, units, N=n_value)
+        prefactor = omega ** 2 / (math.pi ** 2 * units.c_light ** 3)
+        ground = 0.0 if n_value == math.inf else units.hbar * omega / n_value
+        assert point.zero_point_density == pytest.approx(prefactor * ground, rel=1e-15)
+        assert point.thermal_density == spectral_density(
+            omega, temperature, units, include_zero_point=False).thermal_density
+
+    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
+    def test_ladder_oracle_agrees(self, n_value):
+        for x in X_GRID:
+            closed = spectral_density(1.0, temperature_for_x(x), N=n_value)
+            summed = spectral_density_ladder_sum(1.0, temperature_for_x(x), N=n_value)
+            assert summed.zero_point_density == closed.zero_point_density
+            assert summed.total_density == pytest.approx(closed.total_density, rel=1e-12)
+
+    def test_default_is_n_two(self):
+        assert spectral_density(1.3, 0.4) == spectral_density(1.3, 0.4, N=2.0)
+        assert spectrum_sweep(0.4, 0.1, 9.0, 7) == spectrum_sweep(0.4, 0.1, 9.0, 7, N=2.0)
+
+    def test_bad_n_rejected(self):
+        for n_value in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="N must be positive"):
+                spectral_density(1.0, 1.0, N=n_value)
+            with pytest.raises(ValueError, match="N must be positive"):
+                spectrum_sweep(1.0, 1.0, 2.0, 3, N=n_value)
 
 
 class TestLadderSumRoute:
@@ -254,6 +313,15 @@ class TestWienPeak:
     def test_linear_scaling_with_temperature(self):
         assert wien_peak(2.0) == pytest.approx(2 * wien_peak(1.0), rel=1e-15)
 
+    def test_peak_domain(self):
+        for temperature in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="temperature must be positive and finite"):
+                wien_peak(temperature)
+        with pytest.raises(ValueError, match=re.escape(
+                "Wien peak at temperature 1e+300 overflows a double")):
+            wien_peak(1e300, UnitSystem.si())
+        assert math.isfinite(wien_peak(1e300))
+
     def test_peak_brackets_the_thermal_maximum(self):
         # the thermal density on a fine grid peaks where the root says
         temperature = 1.0
@@ -286,6 +354,33 @@ class TestStefanBoltzmann:
     def test_node_count_validated(self):
         with pytest.raises(ValueError):
             stefan_boltzmann_integral(quadrature_points=32)
+
+    def test_node_count_limit_is_inclusive(self):
+        integral, _ = stefan_boltzmann_integral(quadrature_points=MAX_QUADRATURE_POINTS)
+        assert abs(integral - self.TARGET) / self.TARGET < 1e-8
+        limit = re.escape(f"exceeds the limit of {MAX_QUADRATURE_POINTS}")
+        with pytest.raises(ValueError, match=limit):
+            stefan_boltzmann_integral(quadrature_points=MAX_QUADRATURE_POINTS + 1)
+        with pytest.raises(ValueError, match=limit):
+            stefan_boltzmann_integral(quadrature_points=10 ** 6)
+
+    def test_memoised_rule_equals_a_fresh_one(self):
+        from phasestar.blackbody import _bose_quadrature
+        first = stefan_boltzmann_integral(quadrature_points=97)
+        assert stefan_boltzmann_integral(quadrature_points=97) == first
+        assert first[0] == _bose_quadrature.__wrapped__(97)
+        assert _bose_quadrature(121) == _bose_quadrature.__wrapped__(121)
+        for bad in (63, 97.0, MAX_QUADRATURE_POINTS + 1):
+            with pytest.raises(ValueError, match="quadrature_points"):
+                stefan_boltzmann_integral(quadrature_points=bad)
+
+    def test_self_check_runs_on_every_call(self, monkeypatch):
+        from phasestar.blackbody import QuadratureError, _bose_quadrature
+        stefan_boltzmann_integral(quadrature_points=80)
+        monkeypatch.setattr(blackbody, "_bose_quadrature",
+                            lambda points: _bose_quadrature(points) * (1.0 if points == 80 else 2.0))
+        with pytest.raises(QuadratureError):
+            stefan_boltzmann_integral(quadrature_points=80)
 
     def test_quartic_temperature_scaling(self):
         _, coefficient = stefan_boltzmann_integral()
@@ -361,6 +456,104 @@ class TestSweep:
     def test_field_order_is_pinned(self):
         assert SPECTRUM_FIELDS == ("omega", "temperature", "thermal_density",
                                    "zero_point_density", "total_density", "x")
+
+
+def scalar_sweep(temperature, omega_min, omega_max, points, spacing, units,
+                 include_zero_point, n_value=2.0):
+    """The per-point route: one spectral_density call per grid point."""
+    with np.errstate(invalid="ignore"):
+        space = np.geomspace if spacing == "log" else np.linspace
+        grid = space(omega_min, omega_max, points)
+    return [spectral_density(float(w), temperature, units, include_zero_point, n_value)
+            for w in grid]
+
+
+def bits(rows):
+    return [tuple(float(value).hex() for value in astuple(row)) for row in rows]
+
+
+def outcome(call):
+    try:
+        return bits(call())
+    except Exception as error:  # the type and message are what is compared
+        return type(error), str(error)
+
+
+class TestSweepMatchesScalarRoute:
+    """spectrum_sweep computes columns; each row must equal the scalar
+    spectral_density at its grid point, bit for bit."""
+
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("include_zero_point", [True, False])
+    def test_rows_are_bit_identical(self, units, spacing, include_zero_point):
+        rng = random.Random(f"{units.mode}-{spacing}-{include_zero_point}")
+        for _ in range(3):
+            # the benchmark's ranges: 200-5000 points, x from 1e-4 up to 50
+            points = round(10 ** rng.uniform(math.log10(200), math.log10(5000)))
+            x_low = 10 ** rng.uniform(-4, 0)
+            x_high = 10 ** rng.uniform(math.log10(10 * x_low), math.log10(50))
+            temperature = 10 ** rng.uniform(-2, 2) * (300 if units.mode == "si" else 1)
+            scale = units.k_boltzmann * temperature / units.hbar
+            n_value = rng.choice((2.0, 2.0, 1.0, 3.0, math.inf))
+            args = (temperature, x_low * scale, x_high * scale, points, spacing, units,
+                    include_zero_point, n_value)
+            rows = spectrum_sweep(*args)
+            assert len(rows) == points
+            assert bits(rows) == bits(scalar_sweep(*args))
+
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
+    def test_rows_are_bit_identical_across_the_double_range(self, units):
+        rng = random.Random(f"wide-{units.mode}")
+        for _ in range(40):
+            temperature = 10 ** rng.uniform(-300, 300)
+            omega_min = 10 ** rng.uniform(-300, 150)
+            args = (temperature, omega_min, omega_min * 10 ** rng.uniform(0.01, 12),
+                    rng.randint(2, 60), rng.choice(("log", "linear")), units,
+                    rng.random() < 0.5)
+            assert outcome(lambda: spectrum_sweep(*args)) == outcome(lambda: scalar_sweep(*args))
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 690.0, 720.0, 31, "linear", NATURAL),      # flush band and x > 700
+        (1e300, 1e-150, 1e-5, 40, "log", NATURAL),       # x underflows past 1e-308
+        (300.0, 1e-300, 1e-290, 20, "log", UnitSystem.si()),  # hbar*w underflows to 0
+    ], ids=["overflow-and-flush", "x-underflow", "quantum-underflow"])
+    def test_rows_are_bit_identical_at_the_policy_edges(self, args):
+        for include_zero_point in (True, False):
+            rows = spectrum_sweep(*args, include_zero_point)
+            assert bits(rows) == bits(scalar_sweep(*args, include_zero_point))
+
+    @pytest.mark.parametrize("omega", [
+        0.19391198154887967,  # np.expm1 and math.expm1 may differ in the last ulp here
+        5.537602076146872e-06,  # w * w and libm pow(w, 2) differ here
+    ])
+    def test_last_ulp_witnesses(self, omega):
+        for include_zero_point in (True, False):
+            rows = spectrum_sweep(1.0, omega, 2 * omega, 3, "linear",
+                                  include_zero_point=include_zero_point)
+            assert rows[0].omega == omega
+            assert bits(rows) == bits(scalar_sweep(1.0, omega, 2 * omega, 3, "linear",
+                                                   NATURAL, include_zero_point))
+
+    @pytest.mark.parametrize("temperature, omega_min, omega_max, spacing, units", [
+        (1.0, 1e300, 1e301, "log", NATURAL),            # overflow at the first row
+        (1.0, 1e150, 1e160, "log", NATURAL),            # overflow part way along
+        (1e300, 1e150, 1e160, "linear", NATURAL),
+        (1.0, 1.0, math.inf, "log", NATURAL),           # grid reaches inf
+        (1.0, 1.0, math.inf, "linear", NATURAL),        # grid starts at nan
+        (1.0, 1e300, math.inf, "log", NATURAL),         # overflow before the inf point
+        (math.nan, 1.0, 2.0, "log", NATURAL),
+        (math.inf, 1.0, 2.0, "linear", NATURAL),
+        (1e-310, 1.0, 2.0, "log", UnitSystem.si()),     # k*T underflows to 0
+    ])
+    def test_errors_are_the_first_bad_row(self, temperature, omega_min, omega_max,
+                                          spacing, units):
+        for include_zero_point in (True, False):
+            args = (temperature, omega_min, omega_max, 9, spacing, units,
+                    include_zero_point)
+            scalar = outcome(lambda: scalar_sweep(*args))
+            assert isinstance(scalar, tuple) and scalar[0] is ValueError
+            assert outcome(lambda: spectrum_sweep(*args)) == scalar
 
 
 class TestFrequencyView:

@@ -1,6 +1,7 @@
 """Deformed-oscillator energy and ladder tests."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,25 @@ class TestEnergyLevels:
         assert energy_level(0, spec) == units.hbar * 1e15 / 2
 
 
+class TestLevelOverflow:
+    def test_overflowing_level_raises(self):
+        spec = OscillatorSpec(omega=1e308)
+        assert energy_level(1, spec) == 1.5e308
+        assert ladder(1, spec) == [5e307, 1.5e308]
+        message = re.escape("energy of level 2 at omega = 1e+308 overflows a double")
+        with pytest.raises(ValueError, match=message):
+            energy_level(2, spec)
+        with pytest.raises(ValueError, match=message):
+            ladder(2, spec)
+        with pytest.raises(ValueError, match="overflows a double"):
+            energy_level(10 ** 400, OscillatorSpec())
+
+    def test_overflowing_quantum_raises_at_the_ground_level(self):
+        spec = OscillatorSpec(omega=1e300, units=UnitSystem(hbar=1e10))
+        with pytest.raises(ValueError, match=re.escape("level 0 at omega = 1e+300 overflows")):
+            energy_level(0, spec)
+
+
 class TestLadder:
     def test_values(self):
         assert ladder(2, OscillatorSpec(omega=2, N=2)) == [1.0, 3.0, 5.0]
@@ -167,6 +187,11 @@ class TestSpecValidation:
     def test_rejects_bad_omega(self):
         with pytest.raises(ValueError):
             OscillatorSpec(omega=0)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            OscillatorSpec(omega=omega)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
