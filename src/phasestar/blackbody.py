@@ -3,16 +3,15 @@
 The central quantity is
 
     rho(w, T) = w**2 / (pi**2 c**3) * ( hbar*w / (exp(hbar*w/(k*T)) - 1)
-                                        + hbar*w / N )
+                                        + hbar*w / 2 )
 
 split everywhere into its thermal and zero-point parts.  The zero-point
-term is ``oscillator.ground_energy``: the ground level hbar*w/N that the
-star product adds to the oscillator energy, hbar*w/2 at the calibrated
-default N = 2 and exactly 0 at N = inf.  The closed form is checked against
-a direct Boltzmann-weighted average over the oscillator ladder
-W_n = n hbar w + hbar w/N, evaluated as a ratio of truncated sums with a
-documented geometric tail bound.  Classical-limit, peak-location and
-integral checks round out the module.
+term is ``oscillator.ground_energy`` at the calibrated N = 2: the ground
+level hbar*w/N that the star product adds to the oscillator energy.  The
+closed form is checked against a direct Boltzmann-weighted average over the
+oscillator ladder W_n = (n + 1/2) hbar w, evaluated as a ratio of truncated
+sums with a documented geometric tail bound.  Classical-limit,
+peak-location and integral checks round out the module.
 
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
 stay accurate down to x ~ 1e-8; below the smallest normal double (x has
@@ -127,19 +126,18 @@ def _thermal_occupation_energy(x: float, quantum: float, kt: float) -> float:
 
 def mean_oscillator_energy(omega: float, temperature: float,
                            units: UnitSystem = NATURAL,
-                           include_zero_point: bool = True,
-                           N: float = 2.0) -> float:
-    """Mean thermal energy of one oscillator, plus hbar*w/N when asked.
+                           include_zero_point: bool = True) -> float:
+    """Mean thermal energy of one oscillator, plus hbar*w/2 when asked.
 
     The thermal part is hbar*w/(exp(hbar*w/kT) - 1); in the strong
-    suppression limit the total tends to the bare zero point hbar*w/N.
+    suppression limit the total tends to the bare zero point hbar*w/2.
     """
     _check_domain(omega, temperature, units)
     quantum = units.hbar * omega
     kt = units.k_boltzmann * temperature
     x = quantum / kt
     thermal = _thermal_occupation_energy(x, quantum, kt)
-    return thermal + ground_energy(quantum, N) if include_zero_point else thermal
+    return thermal + ground_energy(quantum) if include_zero_point else thermal
 
 
 def _square(omega: float) -> float:
@@ -161,12 +159,11 @@ def _density_prefactor(omega_squared, units: UnitSystem):
 
 def spectral_density(omega: float, temperature: float,
                      units: UnitSystem = NATURAL,
-                     include_zero_point: bool = True,
-                     N: float = 2.0) -> SpectrumPoint:
+                     include_zero_point: bool = True) -> SpectrumPoint:
     """Closed-form spectral energy density, split thermal vs zero point.
 
     With ``include_zero_point=False`` this is the textbook radiation law;
-    the default keeps the hbar*w/N per-mode term in a separate field so the
+    the default keeps the hbar*w/2 per-mode term in a separate field so the
     two contributions are never conflated.
     """
     _check_domain(omega, temperature, units)
@@ -175,7 +172,7 @@ def spectral_density(omega: float, temperature: float,
     x = quantum / kt
     prefactor = _density_prefactor(_square(omega), units)
     thermal = prefactor * _thermal_occupation_energy(x, quantum, kt)
-    zero_point = prefactor * ground_energy(quantum, N) if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -242,21 +239,19 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
 def spectral_density_ladder_sum(omega: float, temperature: float,
                                 units: UnitSystem = NATURAL,
                                 n_max: Optional[int] = None,
-                                include_zero_point: bool = True,
-                                N: float = 2.0) -> SpectrumPoint:
+                                include_zero_point: bool = True) -> SpectrumPoint:
     """Spectral density from Boltzmann-weighted sums over the ladder.
 
-    Evaluates the mean energy as the ratio of truncated sums of the
-    oscillator levels n hbar w + hbar w/N weighted by
-    exp(-(n hbar w + hbar w/N) / kT).  The common factor exp(-x/N) and any
-    overall weight scale cancel in the ratio, and the ground energy
-    separates algebraically:
+    Evaluates the mean energy as the ratio of truncated sums of
+    (n + 1/2) hbar w weighted by exp(-(n + 1/2) hbar w / kT).  The common
+    factor exp(-x/2) and any overall weight scale cancel in the ratio, and
+    the half quantum separates algebraically:
 
-        mean = hbar*w * sum(n e^(-n x)) / sum(e^(-n x))  +  hbar*w/N
+        mean = hbar*w * sum(n e^(-n x)) / sum(e^(-n x))  +  hbar*w/2
 
     which is how it is computed here, keeping the thermal part free of
     cancellation.  When n_max is None it comes from the documented tail
-    bound.  The ground energy the sums inherently contain goes to the
+    bound.  The half-quantum the sums inherently contain goes to the
     zero-point field; ``include_zero_point=False`` drops it from the total.
     """
     _check_domain(omega, temperature, units)
@@ -274,7 +269,7 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     thermal_mean = quantum * numerator / denominator
     prefactor = _density_prefactor(_square(omega), units)
     thermal = prefactor * thermal_mean
-    zero_point = prefactor * ground_energy(quantum, N) if include_zero_point else 0.0
+    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -356,7 +351,7 @@ def _bose_integrand(x):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _bose_quadrature(points: int) -> float:
     # Map (0, inf) to (0, 1) by x = t/(1-t); integrand decays fast enough
     # that Gauss-Legendre on the mapped interval converges rapidly.
@@ -381,7 +376,8 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     A self-convergence estimate against a 25% finer rule guards the result;
     failure raises QuadratureError with the achieved estimate.  Each rule's
     sum is memoised per node count (at most ``MAX_QUADRATURE_POINTS``, so
-    the cache is bounded); the check itself runs on every call.
+    the cache is bounded), which speeds up only a node count this process
+    has asked for before; the check itself runs on every call.
     """
     if not isinstance(quadrature_points, int) or quadrature_points < 64:
         raise ValueError(
@@ -424,13 +420,12 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
 def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
                    points: int, spacing: str = "log",
                    units: UnitSystem = NATURAL,
-                   include_zero_point: bool = True,
-                   N: float = 2.0) -> list:
+                   include_zero_point: bool = True) -> list:
     """Closed-form SpectrumPoint rows over a log- or linear-spaced grid of
     at most ``MAX_SWEEP_POINTS`` points.
 
     Every row equals ``spectral_density(w, temperature, units,
-    include_zero_point, N)`` bit for bit, and the first bad row in grid
+    include_zero_point)`` bit for bit, and the first bad row in grid
     order raises the error that call would raise.
     """
     if not 0 < omega_min < omega_max:
@@ -460,7 +455,7 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
         prefactor = _density_prefactor(np.array(list(map(_square, omegas))), units)
         thermal *= prefactor
-        zero_point = (prefactor * ground_energy(quantum, N) if include_zero_point
+        zero_point = (prefactor * ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
         total = thermal + zero_point
     # Rows stop before the first omega the domain check rejects; that check

@@ -131,7 +131,7 @@ def _build_parser(out, err) -> argparse.ArgumentParser:
                             help="print levels 0..LEVELS (default 3)")
 
     spectrum = subcommand(
-        "spectrum", ("units", "N", "format", "precision"),
+        "spectrum", ("units", "format", "precision"),
         help="spectral energy density sweep")
     spectrum.add_argument("--temperature", "-T", type=float, required=True)
     spectrum.add_argument("--omega-min", type=float, required=True)
@@ -143,7 +143,7 @@ def _build_parser(out, err) -> argparse.ArgumentParser:
                                "maximum relative deviation on stderr")
     spectrum.add_argument("--no-zero-point", dest="zero_point",
                           action="store_false",
-                          help="drop the hbar*w/N term (textbook law)")
+                          help="drop the hbar*w/2 term (textbook law)")
 
     modes = subcommand(
         "modes", ("units", "format", "precision"),
@@ -265,8 +265,7 @@ def _cmd_spectrum(args, out, err) -> int:
     units = _units_from_args(args)
     render = _number_formatter(args.precision)
     points = spectrum_sweep(args.temperature, args.omega_min, args.omega_max,
-                            args.points, args.spacing, units, args.zero_point,
-                            args.deformation)
+                            args.points, args.spacing, units, args.zero_point)
     fields = SPECTRUM_FIELDS
     rows = []
     worst = 0.0
@@ -282,7 +281,7 @@ def _cmd_spectrum(args, out, err) -> int:
         if args.oracle:
             summed = spectral_density_ladder_sum(
                 point.omega, point.temperature, units,
-                include_zero_point=args.zero_point, N=args.deformation)
+                include_zero_point=args.zero_point)
             scale = point.total_density or 1.0
             deviation = abs(summed.total_density - point.total_density) / scale
             worst = max(worst, deviation)

@@ -68,13 +68,6 @@ class TestMeanOscillatorEnergy:
         with pytest.raises(ValueError, match=message):
             wien_peak(1e-310, si)
 
-    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
-    def test_ground_energy_follows_n(self, n_value):
-        ground = 0.0 if n_value == math.inf else 0.7 / n_value
-        value = mean_oscillator_energy(0.7, 1.0, N=n_value)
-        assert value == pytest.approx(
-            mean_oscillator_energy(0.7, 1.0, include_zero_point=False) + ground, rel=1e-15)
-
 
 class TestSpectralDensity:
     def test_unit_point_composition(self):
@@ -121,41 +114,6 @@ class TestSpectralDensity:
         expected_thermal = (omega ** 2 / (math.pi ** 2 * units.c_light ** 3)) \
             * units.hbar * omega / math.expm1(x)
         assert point.thermal_density == pytest.approx(expected_thermal, rel=1e-12)
-
-
-class TestDeformationConstant:
-    """The zero point is the NC ground energy hbar*w/N at every N."""
-
-    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
-    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
-    def test_zero_point_density_is_prefactor_times_ground_energy(self, units, n_value):
-        omega = 2.5 if units is NATURAL else 3e14
-        temperature = 1.0 if units is NATURAL else 300.0
-        point = spectral_density(omega, temperature, units, N=n_value)
-        prefactor = omega ** 2 / (math.pi ** 2 * units.c_light ** 3)
-        ground = 0.0 if n_value == math.inf else units.hbar * omega / n_value
-        assert point.zero_point_density == pytest.approx(prefactor * ground, rel=1e-15)
-        assert point.thermal_density == spectral_density(
-            omega, temperature, units, include_zero_point=False).thermal_density
-
-    @pytest.mark.parametrize("n_value", [1.0, 3.0, math.inf])
-    def test_ladder_oracle_agrees(self, n_value):
-        for x in X_GRID:
-            closed = spectral_density(1.0, temperature_for_x(x), N=n_value)
-            summed = spectral_density_ladder_sum(1.0, temperature_for_x(x), N=n_value)
-            assert summed.zero_point_density == closed.zero_point_density
-            assert summed.total_density == pytest.approx(closed.total_density, rel=1e-12)
-
-    def test_default_is_n_two(self):
-        assert spectral_density(1.3, 0.4) == spectral_density(1.3, 0.4, N=2.0)
-        assert spectrum_sweep(0.4, 0.1, 9.0, 7) == spectrum_sweep(0.4, 0.1, 9.0, 7, N=2.0)
-
-    def test_bad_n_rejected(self):
-        for n_value in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="N must be positive"):
-                spectral_density(1.0, 1.0, N=n_value)
-            with pytest.raises(ValueError, match="N must be positive"):
-                spectrum_sweep(1.0, 1.0, 2.0, 3, N=n_value)
 
 
 class TestLadderSumRoute:
@@ -459,12 +417,12 @@ class TestSweep:
 
 
 def scalar_sweep(temperature, omega_min, omega_max, points, spacing, units,
-                 include_zero_point, n_value=2.0):
+                 include_zero_point):
     """The per-point route: one spectral_density call per grid point."""
     with np.errstate(invalid="ignore"):
         space = np.geomspace if spacing == "log" else np.linspace
         grid = space(omega_min, omega_max, points)
-    return [spectral_density(float(w), temperature, units, include_zero_point, n_value)
+    return [spectral_density(float(w), temperature, units, include_zero_point)
             for w in grid]
 
 
@@ -495,9 +453,8 @@ class TestSweepMatchesScalarRoute:
             x_high = 10 ** rng.uniform(math.log10(10 * x_low), math.log10(50))
             temperature = 10 ** rng.uniform(-2, 2) * (300 if units.mode == "si" else 1)
             scale = units.k_boltzmann * temperature / units.hbar
-            n_value = rng.choice((2.0, 2.0, 1.0, 3.0, math.inf))
             args = (temperature, x_low * scale, x_high * scale, points, spacing, units,
-                    include_zero_point, n_value)
+                    include_zero_point)
             rows = spectrum_sweep(*args)
             assert len(rows) == points
             assert bits(rows) == bits(scalar_sweep(*args))

@@ -189,23 +189,6 @@ class TestSpectrumCommand:
         for line in out.splitlines()[1:]:
             assert line.split(",")[3] == "0"
 
-    def test_deformation_constant_sets_the_zero_point(self):
-        base = ("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "2",
-                "--points", "3", "--format", "csv", "--oracle", "--precision", "17")
-        default = run_cli(*base)
-        assert run_cli(*base, "--N", "2") == default
-        rows = {n: list(csv.DictReader(io.StringIO(run_cli(*base, "--N", n)[1])))
-                for n in ("1", "2", "3", "infinity")}
-        for k, row in enumerate(rows["2"]):
-            half = float(row["zero_point_density"])
-            assert float(rows["1"][k]["zero_point_density"]) == 2 * half
-            assert float(rows["3"][k]["zero_point_density"]) == pytest.approx(
-                2 * half / 3, rel=1e-15)
-            assert float(rows["infinity"][k]["zero_point_density"]) == 0.0
-            assert rows["3"][k]["thermal_density"] == row["thermal_density"]
-            for n in rows:
-                assert float(rows[n][k]["oracle_rel_error"]) < 1e-10
-
     def test_json_keys(self):
         code, out, _ = run_cli("spectrum", "-T", "1", "--omega-min", "1",
                                "--omega-max", "2", "--points", "2",
@@ -347,8 +330,8 @@ OPTION_VALUES = {"--units": "si", "--N": "3", "--dims": "2", "--param": "a=1",
     *((command, option) for command in ("star", "commutator")
       for option in ("--units", "--precision", "--seed")),
     *(("oscillator", option) for option in ("--dims", "--param", "--seed")),
-    *(("spectrum", option) for option in ("--dims", "--param", "--seed")),
-    *(("modes", option) for option in ("--N", "--dims", "--param", "--seed")),
+    *((command, option) for command in ("spectrum", "modes")
+      for option in ("--N", "--dims", "--param", "--seed")),
     *(("checks", option) for option in ("--N", "--dims", "--param", "--format",
                                         "--precision")),
 ])
