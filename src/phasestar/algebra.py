@@ -2,30 +2,31 @@
 
 A polynomial lives over ``d`` position variables (rendered ``q1 .. qd``),
 ``d`` conjugate momenta (``p1 .. pd``) and a formal grading symbol ``hbar``.
-Terms are stored sparsely as a mapping from exponent multi-indices to complex
-coefficients whose real and imaginary parts are exact
-:class:`fractions.Fraction` values.  Floats entering through the public
-constructors are converted to the dyadic rational they denote, so algebraic
-identities hold under ``==`` with no tolerances.
+Floats entering through the public constructors are converted to the dyadic
+rational they denote, so identities hold under ``==`` with no tolerances.
 
-``STORAGE_EPSILON`` is applied only when a numeric value is substituted for
-the formal ``hbar`` symbol; purely symbolic arithmetic never rounds and never
-drops a nonzero coefficient.
+A polynomial stores one integer D > 0 and, per term, a Gaussian-integer pair
+(x, y) for the coefficient (x + i*y) / D, keyed by a plain (q, p, hbar power)
+tuple that compares and hashes like ``MultiIndex``.  The form is canonical,
+gcd(D, every x, every y) = 1 and no pair is (0, 0), so ``==`` is a
+structural test.  The public ``terms`` mapping is built on first access and
+cached; only it turns a polynomial's pairs into ComplexFraction values.
+``STORAGE_EPSILON`` applies only when a number is substituted for ``hbar``.
 
-Pointwise multiplication and every star product share one kernel,
-``_moyal_product``: the closed-form product of two monomials, whose integer
-weights come from ``_moyal_weights``.  Pointwise multiplication is its
-k = 0 layer.  Inside the kernel coefficients are Gaussian integers: each
-operand is rescaled once to integer pairs (x, y) over the lcm of its
-denominators, every layer is summed on Python integers, and each surviving
-sum is divided back into a reduced ComplexFraction once, at the end.
-Polynomials themselves keep storing ComplexFraction coefficients.
+Pointwise multiplication and every star-product route are one kernel,
+``_moyal_product``: the closed-form product of two monomials with integer
+weights from ``_moyal_weights``, summed on integers and made canonical by
+one gcd pass.  A range of layers selects what it computes: layer 0 is
+pointwise multiplication, the odd layers doubled the star commutator and
+layer 1 the Poisson bracket.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -35,10 +36,6 @@ Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 # Coefficients smaller than this in magnitude are dropped after numeric
 # substitution of hbar (near-zero float residue).  Never used symbolically.
 STORAGE_EPSILON = 1e-15
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
     """Convert a real number to the exact Fraction it denotes.
@@ -85,8 +82,7 @@ class ComplexFraction:
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "ComplexFraction":
-        other = ComplexFraction.from_value(other)
-        return ComplexFraction(self.real - other.real, self.imag - other.imag)
+        return self + -ComplexFraction.from_value(other)
 
     def __rsub__(self, other: Scalar) -> "ComplexFraction":
         return ComplexFraction.from_value(other) - self
@@ -116,7 +112,11 @@ class ComplexFraction:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.real, self.imag))
+        # CPython's complex hash, so equal int, float, Fraction and complex
+        # values hash alike; hash() itself turns -1 into -2, as complex does
+        m = 1 << sys.hash_info.width
+        h = (hash(self.real) + sys.hash_info.imag * hash(self.imag)) % m
+        return h - m if h >= m >> 1 else h
 
     def is_zero(self) -> bool:
         return not self.real and not self.imag
@@ -136,6 +136,7 @@ class MultiIndex(NamedTuple):
 
     ``q_exponents`` and ``p_exponents`` have one entry per phase-space
     dimension; ``hbar_power`` is the grade of the term in the formal hbar.
+    Both methods also accept a plain (q, p, hbar) tuple, the internal key.
     """
 
     q_exponents: tuple
@@ -144,14 +145,15 @@ class MultiIndex(NamedTuple):
 
     def phase_degree(self) -> int:
         """Total degree in the q and p variables; the hbar grade is separate."""
-        return sum(self.q_exponents) + sum(self.p_exponents)
+        return sum(self[0]) + sum(self[1])
 
     def sort_key(self):
         """Canonical term ordering: hbar grade, then total degree, then
         descending lexicographic on the concatenated exponent vector (so
         q-heavy monomials print first)."""
-        exps = self.q_exponents + self.p_exponents
-        return (self.hbar_power, self.phase_degree(), tuple(-e for e in exps))
+        q, p, hbar_power = self
+        exps = q + p
+        return (hbar_power, sum(exps), tuple(-e for e in exps))
 
 
 def _validated_index(index, dimension: int) -> MultiIndex:
@@ -175,37 +177,45 @@ class PhasePolynomial:
     """Sparse polynomial in q-variables, p-variables and the hbar grading.
 
     Instances are immutable; all arithmetic returns new polynomials.  The
-    zero polynomial has an empty term mapping, and no stored coefficient is
-    ever exactly zero.
+    zero polynomial has no terms, and no stored coefficient is ever exactly
+    zero.
     """
 
-    __slots__ = ("_dimension", "_terms")
+    __slots__ = ("_dimension", "_den", "_terms", "_view")
 
     def __init__(self, dimension: int,
                  terms: Union[Mapping, Iterable] = ()):
         if not isinstance(dimension, int) or dimension < 1:
             raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean = _accumulate({}, (
-            (_validated_index(index, dimension), ComplexFraction.from_value(coefficient))
-            for index, coefficient in items))
+        coefficients = {}
+        for index, coefficient in items:
+            index = _validated_index(index, dimension)
+            value = ComplexFraction.from_value(coefficient)
+            prev = coefficients.get(index)
+            coefficients[index] = value if prev is None else prev + value
+        self._init(dimension, *_integer_rows(coefficients))
+
+    def _init(self, dimension: int, den: int, rows: dict) -> None:
         object.__setattr__(self, "_dimension", dimension)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_terms", rows)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePolynomial is immutable")
 
     @classmethod
-    def _from_clean(cls, dimension: int, terms: dict) -> "PhasePolynomial":
-        # Internal fast path: terms must already be validated, coefficient
-        # types exact, and zero coefficients dropped.
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_dimension", dimension)
-        object.__setattr__(poly, "_terms", terms)
-        return poly
+    def _from_clean(cls, dimension: int, terms: Mapping) -> "PhasePolynomial":
+        # keys must already be validated, and values be ComplexFraction
+        return cls._from_rows(dimension, *_integer_rows(terms))
 
-    # ------------------------------------------------------------------
-    # constructors
+    @classmethod
+    def _from_rows(cls, dimension: int, den: int, rows: dict) -> "PhasePolynomial":
+        # den and the {key: (x, y)} rows must already be canonical
+        poly = object.__new__(cls)
+        poly._init(dimension, den, rows)
+        return poly
 
     @classmethod
     def zero(cls, dimension: int) -> "PhasePolynomial":
@@ -213,22 +223,21 @@ class PhasePolynomial:
 
     @classmethod
     def constant(cls, dimension: int, value: Scalar) -> "PhasePolynomial":
-        zero_exp = (0,) * dimension
-        return cls(dimension, [(MultiIndex(zero_exp, zero_exp, 0), value)])
+        return cls.hbar(dimension, 0, value)
 
     @classmethod
     def variable_q(cls, dimension: int, index: int = 0) -> "PhasePolynomial":
         """The monomial q_{index+1} (0-based index, rendered 1-based)."""
         cls._check_variable_index(index, dimension)
-        q = tuple(1 if i == index else 0 for i in range(dimension))
-        return cls(dimension, [(MultiIndex(q, (0,) * dimension, 0), 1)])
+        unit = tuple(int(i == index) for i in range(dimension))
+        return cls.monomial(dimension, unit, (0,) * dimension)
 
     @classmethod
     def variable_p(cls, dimension: int, index: int = 0) -> "PhasePolynomial":
         """The monomial p_{index+1} (0-based index, rendered 1-based)."""
         cls._check_variable_index(index, dimension)
-        p = tuple(1 if i == index else 0 for i in range(dimension))
-        return cls(dimension, [(MultiIndex((0,) * dimension, p, 0), 1)])
+        unit = tuple(int(i == index) for i in range(dimension))
+        return cls.monomial(dimension, (0,) * dimension, unit)
 
     @classmethod
     def hbar(cls, dimension: int, power: int = 1, coefficient: Scalar = 1) -> "PhasePolynomial":
@@ -248,17 +257,22 @@ class PhasePolynomial:
             raise ValueError(
                 f"variable index {index} out of range for dimension {dimension}")
 
-    # ------------------------------------------------------------------
-    # basic queries
-
     @property
     def dimension(self) -> int:
         return self._dimension
 
     @property
     def terms(self) -> Mapping:
-        """Read-only view of the term mapping (MultiIndex -> ComplexFraction)."""
-        return MappingProxyType(self._terms)
+        """Read-only mapping MultiIndex -> ComplexFraction, cached on first
+        access (threads racing on it build equal mappings; one is kept)."""
+        view = self._view
+        if view is None:
+            den = self._den
+            view = MappingProxyType({
+                MultiIndex._make(key): ComplexFraction(Fraction(x, den), Fraction(y, den))
+                for key, (x, y) in self._terms.items()})
+            object.__setattr__(self, "_view", view)
+        return view
 
     @property
     def is_zero(self) -> bool:
@@ -266,24 +280,22 @@ class PhasePolynomial:
 
     def total_degree(self) -> int:
         """Largest q-plus-p degree over all terms (0 for the zero polynomial)."""
-        return max((index.phase_degree() for index in self._terms), default=0)
+        return max(map(MultiIndex.phase_degree, self._terms), default=0)
 
     def min_hbar_power(self):
         """Smallest hbar grade present, or None for the zero polynomial."""
-        return min((index.hbar_power for index in self._terms), default=None)
+        return min((key[2] for key in self._terms), default=None)
 
     def hbar_component(self, power: int) -> "PhasePolynomial":
         """The coefficient polynomial of hbar**power (its grade reset to 0)."""
-        picked = {
-            MultiIndex(i.q_exponents, i.p_exponents, 0): c
-            for i, c in self._terms.items() if i.hbar_power == power
-        }
-        return PhasePolynomial._from_clean(self._dimension, picked)
+        return _reduced(self._dimension, self._den, {
+            (q, p, 0): pair for (q, p, h), pair in self._terms.items() if h == power})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasePolynomial):
             return NotImplemented
-        return self._dimension == other._dimension and self._terms == other._terms
+        return (self._dimension == other._dimension and self._den == other._den
+                and self._terms == other._terms)
 
     def __repr__(self):
         return f"PhasePolynomial(d={self._dimension}, terms={len(self._terms)})"
@@ -291,9 +303,6 @@ class PhasePolynomial:
     def __str__(self):
         from .expressions import format_canonical
         return format_canonical(self)
-
-    # ------------------------------------------------------------------
-    # arithmetic
 
     def _coerce(self, other) -> "PhasePolynomial":
         if isinstance(other, PhasePolynomial):
@@ -305,8 +314,7 @@ class PhasePolynomial:
 
     def __add__(self, other) -> "PhasePolynomial":
         other = self._coerce(other)
-        return PhasePolynomial._from_clean(
-            self._dimension, _accumulate(dict(self._terms), other._terms.items()))
+        return _sum(self._dimension, ((self._den, self._terms), (other._den, other._terms)))
 
     __radd__ = __add__
 
@@ -317,17 +325,16 @@ class PhasePolynomial:
         return self._coerce(other) - self
 
     def __neg__(self) -> "PhasePolynomial":
-        return PhasePolynomial._from_clean(
-            self._dimension, {i: -c for i, c in self._terms.items()})
+        return PhasePolynomial._from_rows(
+            self._dimension, self._den, {k: (-x, -y) for k, (x, y) in self._terms.items()})
 
     def __mul__(self, other) -> "PhasePolynomial":
-        if not isinstance(other, PhasePolynomial):
-            scale = ComplexFraction.from_value(other)
-            if scale.is_zero():
-                return PhasePolynomial._from_clean(self._dimension, {})
-            return PhasePolynomial._from_clean(
-                self._dimension, {i: c * scale for i, c in self._terms.items()})
-        return _moyal_product(self, self._coerce(other), 0, 0, graded=False)
+        if isinstance(other, PhasePolynomial):
+            return _moyal_product(self, self._coerce(other), 0, range(1), graded=False)
+        den, rows = _integer_rows({(): ComplexFraction.from_value(other)})
+        a, b = rows.get((), (0, 0))
+        return _reduced(self._dimension, self._den * den, {
+            k: (x * a - y * b, x * b + y * a) for k, (x, y) in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -346,27 +353,25 @@ class PhasePolynomial:
         squared = half * half
         return squared * self if exponent % 2 else squared
 
-    # ------------------------------------------------------------------
-    # calculus and substitution
-
     def partial_q(self, index: int) -> "PhasePolynomial":
         """Formal partial derivative with respect to q_{index+1}."""
-        return self._partial("q_exponents", index)
+        return self._partial(0, index)
 
     def partial_p(self, index: int) -> "PhasePolynomial":
         """Formal partial derivative with respect to p_{index+1}."""
-        return self._partial("p_exponents", index)
+        return self._partial(1, index)
 
-    def _partial(self, field: str, index: int) -> "PhasePolynomial":
+    def _partial(self, slot: int, index: int) -> "PhasePolynomial":
         self._check_variable_index(index, self._dimension)
         out = {}
-        for i, c in self._terms.items():
-            exponents = getattr(i, field)
+        for key, (x, y) in self._terms.items():
+            exponents = key[slot]
             e = exponents[index]
             if e:
-                lowered = exponents[:index] + (e - 1,) + exponents[index + 1:]
-                out[i._replace(**{field: lowered})] = c * e
-        return PhasePolynomial._from_clean(self._dimension, out)
+                lowered = list(key)
+                lowered[slot] = exponents[:index] + (e - 1,) + exponents[index + 1:]
+                out[tuple(lowered)] = (x * e, y * e)
+        return _reduced(self._dimension, self._den, out)
 
     def evaluate(self, point: Sequence[float], hbar_value: float = 0.0) -> complex:
         """Substitute numbers for (q1..qd, p1..pd) and hbar.
@@ -380,22 +385,13 @@ class PhasePolynomial:
             raise ValueError(f"point must have length {2 * d}, got {len(point)}")
         if hbar_value < 0:
             raise ValueError(f"hbar_value must be non-negative, got {hbar_value!r}")
-        q_values = [exact_fraction(v) for v in point[:d]]
-        p_values = [exact_fraction(v) for v in point[d:]]
-        h_value = exact_fraction(hbar_value)
-        total = ComplexFraction(0)
-        for index, coefficient in self._terms.items():
-            factor = _ONE
-            for value, exponent in zip(q_values, index.q_exponents):
-                if exponent:
-                    factor *= value ** exponent
-            for value, exponent in zip(p_values, index.p_exponents):
-                if exponent:
-                    factor *= value ** exponent
-            if index.hbar_power:
-                factor *= h_value ** index.hbar_power
-            total = total + coefficient * factor
-        return total.as_complex()
+        values = [exact_fraction(v) for v in (*point, hbar_value)]
+        real = imag = 0
+        for (q, p, hbar_power), (x, y) in self._terms.items():
+            factor = math.prod(v ** e for v, e in zip(values, (*q, *p, hbar_power)) if e)
+            real += x * factor
+            imag += y * factor
+        return complex(float(Fraction(real, self._den)), float(Fraction(imag, self._den)))
 
     def substitute_hbar(self, value: float) -> "PhasePolynomial":
         """Collapse the hbar grading by substituting a numeric value.
@@ -406,26 +402,49 @@ class PhasePolynomial:
         if value < 0:
             raise ValueError(f"hbar value must be non-negative, got {value!r}")
         h = exact_fraction(value)
-        out = _accumulate({}, (
-            (MultiIndex(i.q_exponents, i.p_exponents, 0),
-             c * (h ** i.hbar_power) if i.hbar_power else c)
-            for i, c in self._terms.items()))
-        pruned = {i: c for i, c in out.items() if c.magnitude() >= STORAGE_EPSILON}
-        return PhasePolynomial._from_clean(self._dimension, pruned)
+        top = max((key[2] for key in self._terms), default=0)
+        out = {}
+        for (q, p, hbar_power), (x, y) in self._terms.items():
+            w = h.numerator ** hbar_power * h.denominator ** (top - hbar_power)
+            u, v = out.get((q, p, 0), (0, 0))
+            out[q, p, 0] = (u + x * w, v + y * w)
+        den = self._den * h.denominator ** top
+        return _reduced(self._dimension, den, {
+            key: (x, y) for key, (x, y) in out.items()
+            if math.hypot(x / den, y / den) >= STORAGE_EPSILON})
 
 
-def _accumulate(acc: dict, items: Iterable) -> dict:
-    """Add (key, coefficient) pairs into acc, dropping every sum that is
-    exactly zero; returns acc."""
-    for key, value in items:
-        prev = acc.get(key)
-        if prev is not None:
-            value = prev + value
-        if value.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = value
-    return acc
+def _integer_rows(coefficients: Mapping) -> tuple:
+    """(D, rows): a {key: ComplexFraction} mapping in canonical integer form,
+    D the lcm of every reduced denominator; zero coefficients are dropped."""
+    den = math.lcm(1, *(part.denominator for c in coefficients.values()
+                        for part in (c.real, c.imag)))
+    return den, {key: (c.real.numerator * (den // c.real.denominator),
+                       c.imag.numerator * (den // c.imag.denominator))
+                 for key, c in coefficients.items() if c.real or c.imag}
+
+
+def _reduced(dimension: int, den: int, pairs: dict) -> PhasePolynomial:
+    """The polynomial with {key: (x, y)} pairs over den, put in canonical
+    form: zero pairs are dropped and gcd(den, every x, every y) divided out."""
+    rows = {key: (x, y) for key, (x, y) in pairs.items() if x or y}
+    common = math.gcd(den, *itertools.chain.from_iterable(rows.values())) if den > 1 else 1
+    if common != 1:
+        den //= common
+        rows = {key: (x // common, y // common) for key, (x, y) in rows.items()}
+    return PhasePolynomial._from_rows(dimension, den, rows)
+
+
+def _sum(dimension: int, parts: Sequence) -> PhasePolynomial:
+    """The canonical sum of parts (D, {key: (x, y)}), each pairs over D."""
+    den = math.lcm(*(part_den for part_den, _ in parts))
+    acc = {}
+    for part_den, rows in parts:
+        m = den // part_den
+        for key, (x, y) in rows.items():
+            u, v = acc.get(key, (0, 0))
+            acc[key] = (u + x * m, v + y * m)
+    return _reduced(dimension, den, acc)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -446,66 +465,48 @@ def _moyal_weights(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(weights)
 
 
-def _gaussian(poly: PhasePolynomial) -> tuple:
-    """(D, rows): every coefficient of poly as (x + i*y) / D with integers
-    x, y, D the lcm of all real and imaginary denominators; each row is
-    (q exponents, p exponents, hbar power, x, y)."""
-    den = 1
-    parts = []
-    for index, c in poly._terms.items():
-        xn, xd = c.real.as_integer_ratio()
-        yn, yd = c.imag.as_integer_ratio()
-        den = math.lcm(den, xd, yd)
-        parts.append((index, xn, xd, yn, yd))
-    return den, [(*index, xn * (den // xd), yn * (den // yd))
-                 for index, xn, xd, yn, yd in parts]
-
-
 def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
-                   step: Union[int, Fraction], k_max: int,
-                   graded: bool) -> PhasePolynomial:
-    """sum over k <= k_max of (i*step)**k * (layer k of f (star) g).
+                   step: Union[int, Fraction], layers: range, graded: bool,
+                   lower: int = 0, factor: int = 1) -> PhasePolynomial:
+    """factor * sum over k in layers of (i*step)**(k - lower) * (layer k of f (star) g).
 
     In d dimensions a layer-k term of two monomials is the tensor product of
     one-dimensional layers k_1 + ... + k_d = k.  ``graded`` raises layer k by
-    k steps of the hbar grade.  Step 0 and cap 0 give pointwise
-    multiplication.
+    k - lower steps of the hbar grade.  ``star`` lists the selections.
 
-    The sums run on Python integers: f and g become Gaussian-integer pairs
-    over their denominators D_f and D_g, and with step = sn/sd layer k is
-    weighted by the integer w * sn**k * sd**(k_max - k), its factor i**k
-    applied by swapping and negating the pair.  Each surviving sum is
-    divided once by D_f * D_g * sd**k_max.
+    With step = sn/sd and e = k - lower, layer k is weighted by the integer
+    factor * w * sn**e * sd**(top - k), top the last layer, its factor i**e
+    applied by swapping and negating the pair; the integer sums stand over
+    D_f * D_g * sd**(top - lower).
     """
     sn, sd = step.numerator, step.denominator
-    # sign of i**k folded in; odd layers also swap (re, im) -> (-im, re)
-    layer_scale = [(-1) ** (k // 2) * sn ** k * sd ** (k_max - k)
-                   for k in range(k_max + 1)]
-    den_f, left = _gaussian(f)
-    den_g, right = _gaussian(g)
+    if not sn:  # a zero step leaves only the layer k = lower
+        layers = range(lower, lower + 1) if lower in layers else range(0)
+    if not layers:
+        return PhasePolynomial._from_rows(f._dimension, 1, {})
+    top = layers[-1]
+    # sign of i**e folded in; odd e also swaps (re, im) -> (-im, re)
+    layer_scale = [factor * (-1) ** ((k - lower) // 2) * sn ** (k - lower) * sd ** (top - k)
+                   if k in layers else 0 for k in range(top + 1)]
     acc = {}
-    for q1, p1, h1, x1, y1 in left:
-        for q2, p2, h2, x2, y2 in right:
+    for (q1, p1, h1), (x1, y1) in f._terms.items():
+        for (q2, p2, h2), (x2, y2) in g._terms.items():
             splits = [(0, (), (), 1)]  # (k, q exponents, p exponents, weight)
             for a, b, c, d in zip(q1, p1, q2, p2):
                 weights = _moyal_weights(a, b, c, d)
                 splits = [(k + j, q + (a + c - j,), p + (b + d - j,), w * wj)
                           for k, q, p, w in splits
-                          for j, wj in enumerate(weights[:k_max - k + 1]) if wj]
+                          for j, wj in enumerate(weights[:top - k + 1]) if wj]
             re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
             grade = h1 + h2
             for k, q, p, w in splits:
                 w *= layer_scale[k]
-                key = (q, p, grade + k if graded else grade)
-                u, v = (-im * w, re * w) if k & 1 else (re * w, im * w)
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = [u, v]
-                else:
-                    prev[0] += u
-                    prev[1] += v
-    den = den_f * den_g * sd ** k_max
-    return PhasePolynomial._from_clean(f._dimension, {
-        MultiIndex._make(key): ComplexFraction(Fraction(u, den) if u else _ZERO,
-                                               Fraction(v, den) if v else _ZERO)
-        for key, (u, v) in acc.items() if u or v})
+                if not w:
+                    continue
+                e = k - lower
+                key = (q, p, grade + e if graded else grade)
+                u, v = (-im * w, re * w) if e & 1 else (re * w, im * w)
+                prev = acc.setdefault(key, [0, 0])
+                prev[0] += u
+                prev[1] += v
+    return _reduced(f._dimension, f._den * g._den * sd ** (top - lower), acc)

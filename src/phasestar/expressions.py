@@ -20,14 +20,16 @@ is the imaginary unit and ``hbar`` is one unit of the formal grading; these
 names are reserved.  Any other identifier must be supplied through a
 bindings mapping of name to real value.
 
-The parser builds each term directly.  A product of atoms (numbers, ``i``,
-``hbar``, variables and bound names, each with an optional power, under any
-unary minus) becomes one term as it is parsed: exponents add, and the
-coefficient is multiplied only by factors other than 1, powers by squaring.
-Every term of an expression is accumulated into one mapping, and the
-polynomial is made once at the end.  Only a parenthesised sum of more than
-one term goes through the multiplication kernel, when it is multiplied or
-raised to a power; a parenthesised single term folds in like an atom.
+The parser builds each term directly, on the integer storage of
+``algebra``.  A product of atoms (numbers, ``i``, ``hbar``, variables and
+bound names, each with an optional power, under any unary minus) becomes one
+term as it is parsed: exponents add, and the coefficient, a Gaussian integer
+over a positive integer denominator, is multiplied only by factors other
+than 1, powers by squaring.  The terms of an expression are summed over the
+lcm of their denominators and made canonical once, at the end.  Only a
+parenthesised sum of more than one term goes through the multiplication
+kernel, when it is multiplied or raised to a power; a parenthesised single
+term folds in like an atom.  ``format_canonical`` reads the same pairs.
 
 ``format_canonical`` renders a polynomial deterministically (terms sorted by
 hbar grade, then total degree, then descending exponent order) using the
@@ -43,8 +45,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial, _accumulate,
-                      exact_fraction)
+from .algebra import MultiIndex, PhasePolynomial, _reduced, _sum, exact_fraction
 
 GRAMMAR_VERSION = "1.0"
 
@@ -128,9 +129,10 @@ class _Product:
 
     Atoms fold in as they are parsed.  ``exponents`` holds the q exponents,
     the p exponents and last the hbar grade, and a power of an atom adds to
-    them.  ``coefficient`` is the pair (re, im), None while it is 1.
-    Parenthesised sums of more than one term wait in ``sums``; only they go
-    through the multiplication kernel, when the term is finished.
+    them.  ``coefficient`` is the Gaussian-integer triple (x, y, D) standing
+    for (x + i*y)/D, None while it is 1.  Parenthesised sums of more than one
+    term wait in ``sums``; only they go through the multiplication kernel,
+    when the term is finished.
     """
 
     __slots__ = ("dimension", "coefficient", "exponents", "sums")
@@ -141,52 +143,50 @@ class _Product:
         self.exponents = [0] * (2 * dimension + 1)
         self.sums = []
 
-    def scale(self, re, im) -> None:
-        """Multiply the coefficient by re + i*im."""
+    def scale(self, x: int, y: int, den: int = 1) -> None:
+        """Multiply the coefficient by (x + i*y)/den."""
         if self.coefficient is None:
-            self.coefficient = (re, im)
+            self.coefficient = (x, y, den)
             return
-        a, b = self.coefficient
-        if im:
-            self.coefficient = (a * re - b * im, a * im + b * re)
+        a, b, d = self.coefficient
+        if y:
+            self.coefficient = (a * x - b * y, a * y + b * x, d * den)
         else:
-            self.coefficient = (a * re, b * re)
+            self.coefficient = (a * x, b * x, d * den)
 
     def include(self, base, power: int) -> None:
         """Multiply in base**power.  ``base`` is an exponent slot, a scalar
-        (re, im), or the term mapping of a parenthesised expression."""
+        (x, y, D), or the polynomial of a parenthesised expression."""
         if isinstance(base, int):
             self.exponents[base] += power
         elif not power:
             return
         elif isinstance(base, tuple):
-            self.scale(*_power(*base, power))
-        elif len(base) > 1:
-            total = PhasePolynomial._from_clean(self.dimension, base)
-            self.sums.append(total if power == 1 else total ** power)
-        elif base:
-            (index, value), = base.items()
+            x, y, den = base
+            self.scale(*_power(x, y, power), den ** power)
+        elif len(base._terms) > 1:
+            self.sums.append(base if power == 1 else base ** power)
+        elif base._terms:
+            ((q, p, hbar_power), (x, y)), = base._terms.items()
             exponents = self.exponents
-            for slot, e in enumerate((*index.q_exponents, *index.p_exponents,
-                                      index.hbar_power)):
+            for slot, e in enumerate((*q, *p, hbar_power)):
                 exponents[slot] += e * power
-            self.scale(*_power(value.real, value.imag, power))
+            self.scale(*_power(x, y, power), base._den ** power)
         else:
             self.scale(0, 0)
 
-    def items(self):
-        """The (MultiIndex, ComplexFraction) terms of the finished product."""
+    def rows(self) -> tuple:
+        """The finished product as (D, {key: (x, y)}), its pairs over D."""
         d = self.dimension
         e = self.exponents
-        index = MultiIndex(tuple(e[:d]), tuple(e[d:-1]), e[-1])
-        coefficient = ComplexFraction(*(self.coefficient or (1, 0)))
+        key = (tuple(e[:d]), tuple(e[d:-1]), e[-1])
+        x, y, den = self.coefficient or (1, 0, 1)
         if not self.sums:
-            return ((index, coefficient),)
-        result = PhasePolynomial._from_clean(
-            d, {} if coefficient.is_zero() else {index: coefficient})
+            return den, {key: (x, y)}
+        result = _reduced(d, den, {key: (x, y)})
         for factor in self.sums:
             result = result * factor
-        return result.terms.items()
+        return result._den, result._terms
 
 
 def _power(re, im, n: int) -> tuple:
@@ -241,18 +241,18 @@ class _Parser:
         leftover = self.peek()
         if leftover is not None:
             raise ParseError(f"unexpected token {leftover.text!r}", leftover.position)
-        return PhasePolynomial._from_clean(self.dimension, result)
+        return result
 
-    def expr(self) -> dict:
-        """The terms of every summand, accumulated into one mapping."""
-        terms = _accumulate({}, self.term().items())
+    def expr(self) -> PhasePolynomial:
+        """The sum of every summand, made canonical once."""
+        parts = [self.term().rows()]
         while (token := self.peek()) is not None and token.kind in ("plus", "minus"):
             self.advance()
             product = self.term()
             if token.kind == "minus":
                 product.scale(-1, 0)
-            _accumulate(terms, product.items())
-        return terms
+            parts.append(product.rows())
+        return _sum(self.dimension, parts)
 
     def term(self) -> _Product:
         product = _Product(self.dimension)
@@ -290,10 +290,10 @@ class _Parser:
         return int(token.text)
 
     def atom(self):
-        """An exponent slot, a scalar (re, im) or a parenthesised term mapping."""
+        """An exponent slot, a scalar (x, y, D) or a parenthesised polynomial."""
         token = self.advance()
         if token.kind == "number":
-            return _number_value(token.text), 0
+            return _scalar(_number_value(token.text))
         if token.kind == "identifier":
             return self.identifier(token)
         if token.kind == "lparen":
@@ -309,7 +309,7 @@ class _Parser:
     def identifier(self, token: Token):
         name = token.text
         if name == "i":
-            return 0, 1
+            return 0, 1, 1
         if name == "hbar":
             return 2 * self.dimension
         match = _VARIABLE_PATTERN.match(name)
@@ -321,8 +321,12 @@ class _Parser:
                     token.position)
             return index - 1 if match.group(1) == "q" else self.dimension + index - 1
         if name in self.bindings:
-            return self.bindings[name], 0
+            return _scalar(self.bindings[name])
         raise ParseError(f"unknown identifier {name!r}", token.position)
+
+
+def _scalar(value: Fraction) -> tuple:
+    return value.numerator, 0, value.denominator
 
 
 def _number_value(text: str) -> Fraction:
@@ -343,49 +347,52 @@ def parse_expression(source: str, dimension: int,
 # canonical rendering
 
 
-def _value_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
+def _value_text(x: int, den: int) -> str:
+    """The rational x/den as an integer, or else as the shortest round-trip
+    float."""
+    if not x % den:
+        return str(x // den)
     try:
-        return repr(float(value))
+        return repr(x / den)
     except OverflowError:
-        scientific = f"{Decimal(value.numerator) / value.denominator:.6e}"
+        scientific = f"{Decimal(x) / den:.6e}"
         raise ValueError(f"coefficient {scientific} is outside the float range "
                          "and cannot be rendered") from None
 
 
-def _monomial_text(index) -> str:
+def _monomial_text(key) -> str:
+    q, p, hbar_power = key
     parts = []
-    for prefix, exponents in (("q", index.q_exponents), ("p", index.p_exponents)):
+    for prefix, exponents in (("q", q), ("p", p)):
         for position, exponent in enumerate(exponents, start=1):
             if exponent == 1:
                 parts.append(f"{prefix}{position}")
             elif exponent > 1:
                 parts.append(f"{prefix}{position}^{exponent}")
-    if index.hbar_power == 1:
+    if hbar_power == 1:
         parts.append("hbar")
-    elif index.hbar_power > 1:
-        parts.append(f"hbar^{index.hbar_power}")
+    elif hbar_power > 1:
+        parts.append(f"hbar^{hbar_power}")
     return "*".join(parts)
 
 
-def _term_text(coefficient: ComplexFraction, monomial: str):
-    """Return (negative, body) for one term; sign handled by the joiner."""
-    real, imag = coefficient.real, coefficient.imag
-    if imag == 0:
-        negative = real < 0
-        magnitude = -real if negative else real
-        if monomial and magnitude == 1:
+def _term_text(x: int, y: int, den: int, monomial: str):
+    """Return (negative, body) for the term (x + i*y)/den * monomial; the
+    sign is handled by the joiner."""
+    if y == 0:
+        negative = x < 0
+        magnitude = -x if negative else x
+        if monomial and magnitude == den:
             return negative, monomial
-        body = _value_text(magnitude)
+        body = _value_text(magnitude, den)
         return negative, f"{body}*{monomial}" if monomial else body
-    if real == 0:
-        negative = imag < 0
-        magnitude = -imag if negative else imag
-        body = "i" if magnitude == 1 else f"{_value_text(magnitude)}*i"
+    if x == 0:
+        negative = y < 0
+        magnitude = -y if negative else y
+        body = "i" if magnitude == den else f"{_value_text(magnitude, den)}*i"
         return negative, f"{body}*{monomial}" if monomial else body
-    joiner = "-" if imag < 0 else "+"
-    body = f"({_value_text(real)} {joiner} {_value_text(abs(imag))}*i)"
+    joiner = "-" if y < 0 else "+"
+    body = f"({_value_text(x, den)} {joiner} {_value_text(abs(y), den)}*i)"
     return False, f"{body}*{monomial}" if monomial else body
 
 
@@ -402,8 +409,9 @@ def format_canonical(poly: PhasePolynomial) -> str:
     if poly.is_zero:
         return "0"
     pieces = []
-    for index in sorted(poly.terms, key=lambda i: i.sort_key()):
-        negative, body = _term_text(poly.terms[index], _monomial_text(index))
+    rows, den = poly._terms, poly._den
+    for key in sorted(rows, key=MultiIndex.sort_key):
+        negative, body = _term_text(*rows[key], den, _monomial_text(key))
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

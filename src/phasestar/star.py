@@ -15,20 +15,24 @@ scaled by i*hbar/N.  On monomials the exponential sums in closed form
 with integer weights and w_0 = 1, and in d dimensions the product is the
 tensor product of the one-dimensional weights.  The series stops at
 k = min(a, d) + min(b, c) per dimension, so every result here is exact.
-Pointwise multiplication is the k = 0 layer of the same kernel
-(``algebra._moyal_product``); this module only supplies the step of the
-series, 1/N (times hbar when hbar is numeric), and the cap on k.
+Each function here is one pass of the kernel ``algebra._moyal_product`` over
+some of its layers k, with the step 1/N (times hbar when hbar is numeric):
+all layers for the star product, the odd layers doubled for the commutator
+(layer k of g (star) f is (-1)**k times layer k of f (star) g, so the even
+ones cancel), that pass over 2i*hbar/N for the classical-limit bracket, and
+layer 1 without its factor i*hbar/N for the Poisson bracket.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial, _moyal_product,
-                      exact_fraction)
+from .algebra import PhasePolynomial, _moyal_product, exact_fraction
+
 
 @dataclass(frozen=True)
 class DeformationParameter:
@@ -44,10 +48,11 @@ class DeformationParameter:
     hbar_value: Optional[float] = None
 
     def __post_init__(self):
-        if not self.N > 0:
-            raise ValueError(f"N must be positive, got {self.N!r}")
-        if self.hbar_value is not None and self.hbar_value < 0:
-            raise ValueError(f"hbar_value must be non-negative, got {self.hbar_value!r}")
+        if not isinstance(self.N, numbers.Real) or not self.N > 0:
+            raise ValueError(f"N must be a positive number, got {self.N!r}")
+        h = self.hbar_value
+        if h is not None and not (isinstance(h, numbers.Real) and 0 <= h < math.inf):
+            raise ValueError(f"hbar_value must be a finite non-negative number, got {h!r}")
 
     @property
     def symbolic_hbar(self) -> bool:
@@ -67,21 +72,23 @@ def _check_dimensions(f: PhasePolynomial, g: PhasePolynomial) -> None:
 
 
 def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
-            k_max: int) -> PhasePolynomial:
-    """The layers k = 0 .. k_max of f (star) g; only k = 0 when 1/N or the
-    numeric hbar is zero."""
+            layers: range, **selection) -> PhasePolynomial:
+    """One kernel pass over the selected layers of f (star) g."""
     _check_dimensions(f, g)
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
-    return _moyal_product(f, g, step, k_max if step else 0,
-                          graded=param.symbolic_hbar)
+    return _moyal_product(f, g, step, layers, param.symbolic_hbar, **selection)
+
+
+def _odd_layers(f: PhasePolynomial, g: PhasePolynomial) -> range:
+    return range(1, min(f.total_degree(), g.total_degree()) + 1, 2)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial,
                  param: DeformationParameter = DeformationParameter()) -> PhasePolynomial:
     """The full star product f (star) g, exact to all orders."""
-    return _series(f, g, param, min(f.total_degree(), g.total_degree()))
+    return _series(f, g, param, range(min(f.total_degree(), g.total_degree()) + 1))
 
 
 def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
@@ -91,26 +98,26 @@ def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
     Agrees exactly with :func:`star_product` whenever either argument has
     phase degree at most one; otherwise they differ from grade hbar**2 up.
     """
-    return _series(f, g, param, 1)
+    return _series(f, g, param, range(2))
 
 
 def star_commutator(f: PhasePolynomial, g: PhasePolynomial,
                     param: DeformationParameter = DeformationParameter()) -> PhasePolynomial:
-    """f (star) g - g (star) f.
+    """f (star) g - g (star) f, computed as twice the odd layers of f (star) g.
 
     For canonical pairs this is i*hbar*(2/N)*delta_ij, which reduces to the
     canonical commutation value i*hbar*delta_ij exactly when N = 2.
     """
-    return star_product(f, g, param) - star_product(g, f, param)
+    return _series(f, g, param, _odd_layers(f, g), factor=2)
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
-    """Classical Poisson bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
+    """Classical Poisson bracket {f, g} = sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
+
+    It is layer 1 of the star-product kernel without its factor i*hbar/N.
+    """
     _check_dimensions(f, g)
-    total = PhasePolynomial.zero(f.dimension)
-    for i in range(f.dimension):
-        total = total + f.partial_q(i) * g.partial_p(i) - f.partial_p(i) * g.partial_q(i)
-    return total
+    return _moyal_product(f, g, 1, range(1, 2), graded=False, lower=1)
 
 
 def classical_limit_bracket(f: PhasePolynomial, g: PhasePolynomial,
@@ -125,13 +132,4 @@ def classical_limit_bracket(f: PhasePolynomial, g: PhasePolynomial,
         raise ValueError("classical_limit_bracket requires symbolic hbar treatment")
     if math.isinf(param.N):
         raise ValueError("classical_limit_bracket requires finite N")
-    commutator = star_commutator(f, g, param)
-    # 1 / (2i/N) = -i N / 2; every commutator term carries hbar_power >= 1
-    # because the grade-0 layers of f*g and g*f coincide.
-    scale = ComplexFraction(0, -exact_fraction(param.N) / 2)
-    out = {}
-    for index, coefficient in commutator.terms.items():
-        lowered = MultiIndex(index.q_exponents, index.p_exponents,
-                             index.hbar_power - 1)
-        out[lowered] = coefficient * scale
-    return PhasePolynomial._from_clean(f.dimension, out)
+    return _series(f, g, param, _odd_layers(f, g), lower=1)

@@ -49,6 +49,20 @@ class TestComplexFraction:
     def test_as_complex(self):
         assert ComplexFraction(1, -2).as_complex() == 1 - 2j
 
+    @pytest.mark.parametrize("value", (
+        0, 1, -1, -2, 7, 2 ** 70, 0.5, -0.25, 1e300, Fraction(1, 3), Fraction(-5, 7),
+        complex(1, 2), complex(0, -1), complex(-0.5, 0.25), complex(1e300, -3),
+        complex(-1000004, 1)))  # the last one sums to hash -1, which becomes -2
+    def test_hash_agrees_with_equal_numbers(self, value):
+        c = ComplexFraction.from_value(value)
+        assert c == value
+        assert hash(c) == hash(value)
+
+    def test_equal_values_share_a_set_slot(self):
+        assert len({ComplexFraction(1), 1}) == 1
+        assert len({ComplexFraction(1, 2), complex(1, 2)}) == 1
+        assert len({ComplexFraction(Fraction(1, 3)), Fraction(1, 3), ComplexFraction(0.5)}) == 2
+
 
 class TestConstruction:
     def test_zero_polynomial_has_no_terms(self):

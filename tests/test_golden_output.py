@@ -1,0 +1,44 @@
+"""Byte-identical output gate for canonical rendering.
+
+``tests/golden/cli_stdout.json`` holds the stdout of a fixed set of
+``star``, ``commutator`` and ``oscillator`` argv: complex coefficients,
+``--N 3`` (non-dyadic coefficients), ``--N 0.7``, ``--N infinity``,
+``--first-order``, ``--poisson`` and every output format.  The two
+``demo_*.txt`` files hold the stdout of the deterministic demos 01 and 02.
+The texts were recorded from the implementation that stored
+ComplexFraction coefficients; any change of rendered output fails here.
+"""
+
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phasestar
+from phasestar.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+CASES = json.loads((GOLDEN / "cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{case['argv'][0]}-{n}"
+                                             for n, case in enumerate(CASES)])
+def test_cli_stdout_is_unchanged(case):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(list(case["argv"]), out=out, err=err) == 0, err.getvalue()
+    assert out.getvalue() == case["stdout"]
+
+
+@pytest.mark.parametrize("demo", ("01_star_product_tour", "02_oscillator_zero_point"))
+def test_demo_stdout_is_unchanged(demo):
+    package_root = str(Path(phasestar.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"demo_{demo}.txt").read_text()

@@ -40,6 +40,19 @@ class TestDeformationParameter:
         with pytest.raises(ValueError):
             DeformationParameter(N=-2)
 
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf, "2"))
+    def test_rejects_non_finite_or_non_numeric_hbar_value(self, value):
+        with pytest.raises(ValueError, match="hbar_value"):
+            DeformationParameter(hbar_value=value)
+
+    @pytest.mark.parametrize("value", (math.nan, "2", None, 2j))
+    def test_rejects_non_numeric_n(self, value):
+        with pytest.raises(ValueError, match="N must be"):
+            DeformationParameter(N=value)
+
+    def test_accepts_exact_and_zero_values(self):
+        assert DeformationParameter(N=Fraction(7, 3), hbar_value=0).hbar_value == 0
+
     def test_commutative_limit_is_exact(self):
         assert DeformationParameter(N=math.inf).inverse_n == 0
 
