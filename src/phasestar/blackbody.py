@@ -18,9 +18,8 @@ stay accurate down to x ~ 1e-8; below the smallest normal double (x has
 underflowed, possibly to 0) the thermal energy is its x -> 0 limit k*T.
 For x > 700 the thermal part is flushed to exactly zero (underflow
 policy), as it is whenever it falls below 1e-300.
-Omega and T must be positive and finite, k*T must not underflow to 0, and
-a density beyond the double range raises ValueError naming omega instead of
-returning inf.
+Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
+density beyond the double range raises ValueError naming omega, not inf.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks) and
@@ -41,7 +40,7 @@ from itertools import repeat
 from typing import Optional
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem
+from .units import NATURAL, UnitSystem, positive
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
 X_OVERFLOW = 700.0
@@ -103,25 +102,20 @@ def _overflow(omega: float) -> ValueError:
 
 
 def _check_temperature(temperature: float, units: UnitSystem) -> None:
-    if not 0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    if units.k_boltzmann * temperature == 0:
+    if units.k_boltzmann * positive("temperature", temperature) == 0:
         raise ValueError(f"temperature {temperature!r} is too small: k*T underflows to 0")
 
 
 def _check_domain(omega: float, temperature: float, units: UnitSystem) -> None:
-    if not 0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    positive("omega", omega)
     _check_temperature(temperature, units)
 
 
-def _thermal_occupation_energy(x: float, quantum: float, kt: float) -> float:
-    """hbar*w / (exp(x) - 1), with x = quantum / kt, under the documented
-    underflow policy."""
-    if x > X_OVERFLOW:
-        return 0.0
-    thermal = kt if x < X_UNDERFLOW else quantum / math.expm1(x)
-    return 0.0 if thermal < THERMAL_FLUSH else thermal
+def dimensionless_x(omega: float, temperature: float,
+                    units: UnitSystem = NATURAL) -> float:
+    """The ratio hbar*w/(k*T) that controls every formula below."""
+    _check_domain(omega, temperature, units)
+    return units.hbar * omega / (units.k_boltzmann * temperature)
 
 
 def mean_oscillator_energy(omega: float, temperature: float,
@@ -132,11 +126,13 @@ def mean_oscillator_energy(omega: float, temperature: float,
     The thermal part is hbar*w/(exp(hbar*w/kT) - 1); in the strong
     suppression limit the total tends to the bare zero point hbar*w/2.
     """
-    _check_domain(omega, temperature, units)
+    x = dimensionless_x(omega, temperature, units)
     quantum = units.hbar * omega
     kt = units.k_boltzmann * temperature
-    x = quantum / kt
-    thermal = _thermal_occupation_energy(x, quantum, kt)
+    # hbar*w/(exp(x) - 1) under the underflow policy of the module docstring
+    thermal = 0.0 if x > X_OVERFLOW else kt if x < X_UNDERFLOW else quantum / math.expm1(x)
+    if thermal < THERMAL_FLUSH:
+        thermal = 0.0
     return thermal + ground_energy(quantum) if include_zero_point else thermal
 
 
@@ -166,13 +162,16 @@ def spectral_density(omega: float, temperature: float,
     the default keeps the hbar*w/2 per-mode term in a separate field so the
     two contributions are never conflated.
     """
-    _check_domain(omega, temperature, units)
-    quantum = units.hbar * omega
-    kt = units.k_boltzmann * temperature
-    x = quantum / kt
+    thermal = mean_oscillator_energy(omega, temperature, units, include_zero_point=False)
+    return _density_point(omega, temperature, units, thermal, include_zero_point)
+
+
+def _density_point(omega: float, temperature: float, units: UnitSystem,
+                   thermal_energy: float, include_zero_point: bool) -> SpectrumPoint:
+    """One mode's thermal energy and zero point hbar*w/2 times the density of states."""
     prefactor = _density_prefactor(_square(omega), units)
-    thermal = prefactor * _thermal_occupation_energy(x, quantum, kt)
-    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
+    thermal = prefactor * thermal_energy
+    zero_point = prefactor * ground_energy(units.hbar * omega) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -185,9 +184,8 @@ def spectral_density_per_frequency(nu: float, temperature: float,
     Derived view: the 2*pi Jacobian is applied to every density field of the
     angular-frequency form at w = 2*pi*nu.
     """
-    point = spectral_density(2 * math.pi * nu, temperature, units,
-                             include_zero_point)
     scale = 2 * math.pi
+    point = spectral_density(scale * positive("nu", nu), temperature, units, include_zero_point)
     return SpectrumPoint(nu, temperature, scale * point.thermal_density,
                          scale * point.zero_point_density,
                          scale * point.thermal_density + scale * point.zero_point_density)
@@ -211,8 +209,7 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
     LadderTermCapExceeded (reporting the required length) past the cap,
     and also when x is so small that no n_max up to 2**60 closes the bound.
     """
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x!r}")
+    positive("x", x)
     if not 0 < rel_tol < 1:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     target = math.log(rel_tol) + 2 * math.log(-math.expm1(-x))
@@ -254,9 +251,8 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     bound.  The half-quantum the sums inherently contain goes to the
     zero-point field; ``include_zero_point=False`` drops it from the total.
     """
-    _check_domain(omega, temperature, units)
+    x = dimensionless_x(omega, temperature, units)
     quantum = units.hbar * omega
-    x = quantum / (units.k_boltzmann * temperature)
     if n_max is None:
         n_max = ladder_terms_for_tolerance(x)
     elif not isinstance(n_max, int) or n_max < 0:
@@ -266,12 +262,8 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     weights = np.exp(-x * levels)
     denominator = float(np.sum(weights))
     numerator = float(np.sum(levels * weights))
-    thermal_mean = quantum * numerator / denominator
-    prefactor = _density_prefactor(_square(omega), units)
-    thermal = prefactor * thermal_mean
-    zero_point = prefactor * ground_energy(quantum) if include_zero_point else 0.0
-    return SpectrumPoint(omega, temperature, thermal, zero_point,
-                         thermal + zero_point)
+    return _density_point(omega, temperature, units, quantum * numerator / denominator,
+                          include_zero_point)
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +382,14 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     estimate = abs(integral - refined) / abs(integral)
     if estimate > 1e-8:
         raise QuadratureError(estimate)
-    coefficient = integral * units.k_boltzmann ** 4 / (
-        units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
-    return integral, coefficient
+    try:
+        coefficient = integral * units.k_boltzmann ** 4 / (
+            units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
+        if coefficient < math.inf:
+            return integral, coefficient
+    except (OverflowError, ZeroDivisionError):  # k**4, or hbar**3 c**3 underflowed to 0
+        pass
+    raise ValueError(f"T**4 coefficient of units = {units!r} overflows a double")
 
 
 def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
@@ -404,13 +401,16 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     is hbar wc**4/(8 pi**2 c**3); the commutative limit N = inf returns
     exactly zero, the one case with no divergence.
     """
-    if not omega_cutoff > 0:
-        raise ValueError(f"omega_cutoff must be positive, got {omega_cutoff!r}")
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N!r}")
-    if math.isinf(N):
+    positive("omega_cutoff", omega_cutoff)
+    if math.isinf(positive("N", N, finite=False)):
         return 0.0
-    return units.hbar * omega_cutoff ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3)
+    try:
+        energy = units.hbar * omega_cutoff ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3)
+        if energy < math.inf:
+            return energy
+    except (OverflowError, ZeroDivisionError):  # wc**4, or c**3 underflowed to 0
+        pass
+    raise ValueError(f"zero-point energy below omega_cutoff = {omega_cutoff!r} overflows")
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +428,8 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
     include_zero_point)`` bit for bit, and the first bad row in grid
     order raises the error that call would raise.
     """
-    if not 0 < omega_min < omega_max:
+    positive("omega_min", omega_min)
+    if not omega_min < positive("omega_max", omega_max, finite=False):
         raise ValueError("need 0 < omega_min < omega_max")
     if not isinstance(points, int) or points < 2:
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
@@ -467,9 +468,3 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
     if stop < points:
         _check_domain(omegas[stop], temperature, units)
     return rows
-
-
-def dimensionless_x(omega: float, temperature: float,
-                    units: UnitSystem = NATURAL) -> float:
-    """The ratio hbar*w/(k*T) that controls every formula above."""
-    return units.hbar * omega / (units.k_boltzmann * temperature)

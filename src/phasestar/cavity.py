@@ -39,7 +39,7 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem
+from .units import NATURAL, UnitSystem, positive
 
 STANDING = "standing"
 PERIODIC = "periodic"
@@ -76,9 +76,7 @@ class CavitySpec:
     polarizations_per_mode: int = 2
 
     def __post_init__(self):
-        if not 0 < self.side_length < math.inf:
-            raise ValueError(
-                f"side_length must be positive and finite, got {self.side_length!r}")
+        positive("side_length", self.side_length)
         if self.boundary_convention not in (STANDING, PERIODIC):
             raise ValueError(
                 f"boundary_convention must be {STANDING!r} or {PERIODIC!r}, "
@@ -118,10 +116,8 @@ def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
 def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
     """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
     is computed from: a triple n is inside exactly when |n|**2 <= m."""
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max!r}")
     scale = _wavenumber_scale(spec, units)
-    radius = omega_max / scale
+    radius = positive("omega_max", omega_max, finite=False) / scale
     if not radius <= MAX_LATTICE_RADIUS:
         raise ValueError(f"lattice radius omega_max/scale = {radius:.6g} exceeds "
                          f"the limit of {MAX_LATTICE_RADIUS}")
@@ -302,8 +298,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     doubles (an overflow, or a nan or inf input) raise ValueError naming the
     mode at which they stopped being finite.
     """
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N!r}")
+    positive("N", N, finite=False)
     if len(amplitudes) != len(modes):
         raise ValueError(
             f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")

@@ -20,6 +20,8 @@ from .cavity import CavitySpec, PERIODIC, STANDING, mode_count_vs_asymptotic
 from .star import DeformationParameter, star_product
 from .units import NATURAL, UnitSystem
 
+ASSOCIATIVITY_SAMPLES = 25
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -51,9 +53,9 @@ def random_phase_polynomial(rng: random.Random, dimension: int,
     return PhasePolynomial(dimension, terms)
 
 
-def _associativity_check(rng: random.Random, samples: int) -> CheckResult:
+def _associativity_check(rng: random.Random) -> CheckResult:
     param = DeformationParameter(N=2)
-    for trial in range(samples):
+    for trial in range(ASSOCIATIVITY_SAMPLES):
         dimension = rng.choice((1, 2))
         f, g, h = (random_phase_polynomial(rng, dimension) for _ in range(3))
         left = star_product(star_product(f, g, param), h, param)
@@ -62,7 +64,7 @@ def _associativity_check(rng: random.Random, samples: int) -> CheckResult:
             return CheckResult("star-associativity", False,
                                f"triple {trial} violated associativity")
     return CheckResult("star-associativity", True,
-                       f"{samples} random triples associate exactly")
+                       f"{ASSOCIATIVITY_SAMPLES} random triples associate exactly")
 
 
 def _commutator_check() -> CheckResult:
@@ -132,12 +134,11 @@ def _mode_count_check(units: UnitSystem) -> CheckResult:
 
 
 def run_all_checks(seed: int = 0, units: UnitSystem = NATURAL,
-                   associativity_samples: int = 25,
                    inject_fault: bool = False) -> list:
     """Run the whole suite; deterministic for a given seed."""
     rng = random.Random(seed)
     results = [
-        _associativity_check(rng, associativity_samples),
+        _associativity_check(rng),
         _commutator_check(),
         _oracle_check(units),
         _integral_check(units),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
 
@@ -27,23 +26,17 @@ from .expressions import (GRAMMAR_HELP, ParseError, format_canonical,
 from .oscillator import OscillatorSpec, energy_level, ladder, oscillator_star_energy
 from .star import DeformationParameter, poisson_bracket, star_commutator, \
     star_first_order, star_product
-from .units import UnitSystem
+from .units import UnitSystem, positive
 
 # Mode tables above this row count are replaced by the asymptotic report.
 MODE_LIST_LIMIT = 5000
 
 
 def _parse_deformation_constant(text: str) -> float:
-    if text.lower() in ("infinity", "inf"):
-        return math.inf
-    try:
-        value = float(text)
+    try:  # float() reads 'inf' and 'infinity' in any case
+        return positive("N", float(text), finite=False)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"N must be a positive number or 'infinity', got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"N must be positive, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"N must be a positive number or 'infinity', got {text!r}")
 
 
 def _parse_binding(text: str):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import ComplexFraction, PhasePolynomial, exact_fraction
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem
+from .units import NATURAL, UnitSystem, positive
 
 # Highest level ladder() lists (about 0.05 s and 3 MB of floats).
 MAX_LADDER_LEVEL = 100_000
@@ -43,10 +43,8 @@ class OscillatorSpec:
     units: UnitSystem = NATURAL
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not self.N > 0:
-            raise ValueError(f"N must be positive, got {self.N!r}")
+        positive("omega", self.omega)
+        positive("N", self.N, finite=False)
 
 
 def _factors(spec: OscillatorSpec):
@@ -98,11 +96,12 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
     It is the shift of the factored star product above: hbar*w/2 at the
     calibrated N = 2 and exactly 0.0 in the free limit N = inf.
     """
-    if 0 < N < math.inf:
-        return quantum / N
-    if N == math.inf:
-        return 0.0
-    raise ValueError(f"N must be positive, got {N!r}")
+    try:  # the bare comparison first: field_energy calls this once per mode
+        if 0 < N < math.inf:
+            return quantum / N
+    except TypeError:  # N is not a number, or quantum is not (raised again below)
+        pass
+    return 0.0 if positive("N", N, finite=False) == math.inf else quantum / N
 
 
 def _level_energies(levels: range, spec: OscillatorSpec) -> list:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import PhasePolynomial, _moyal_product, exact_fraction
+from .units import positive
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,7 @@ class DeformationParameter:
     hbar_value: Optional[float] = None
 
     def __post_init__(self):
-        if not isinstance(self.N, numbers.Real) or not self.N > 0:
-            raise ValueError(f"N must be a positive number, got {self.N!r}")
+        positive("N", self.N, finite=False)
         h = self.hbar_value
         if h is not None and not (isinstance(h, numbers.Real) and 0 <= h < math.inf):
             raise ValueError(f"hbar_value must be a finite non-negative number, got {h!r}")

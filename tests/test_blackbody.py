@@ -68,6 +68,12 @@ class TestMeanOscillatorEnergy:
         with pytest.raises(ValueError, match=message):
             wien_peak(1e-310, si)
 
+    def test_dimensionless_x_checks_the_domain(self):
+        # a domain error, not a division by k*T = 0
+        with pytest.raises(ValueError, match=re.escape("k*T underflows to 0")):
+            dimensionless_x(1.0, 1e-310, UnitSystem.si())
+        assert dimensionless_x(2.0, 4.0) == 0.5
+
 
 class TestSpectralDensity:
     def test_unit_point_composition(self):
@@ -352,6 +358,15 @@ class TestStefanBoltzmann:
             units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
         assert coefficient == expected
 
+    @pytest.mark.parametrize("units", [
+        UnitSystem(k_boltzmann=1e100),               # k**4 overflows
+        UnitSystem(hbar=1e-300, c_light=1e-10),      # hbar**3 c**3 underflows to 0
+        UnitSystem(k_boltzmann=1e77),                # the product overflows to inf
+    ])
+    def test_coefficient_beyond_double_range_names_units(self, units):
+        with pytest.raises(ValueError, match=re.escape(f"units = {units!r} overflows")):
+            stefan_boltzmann_integral(units)
+
     def test_integrand_limit_at_zero(self):
         from phasestar.blackbody import _bose_integrand
         assert _bose_integrand(0.0) == 0.0
@@ -374,6 +389,16 @@ class TestZeroPointCutoff:
     def test_general_n_scaling(self):
         assert zero_point_cutoff_energy(1.0, N=4.0) == pytest.approx(
             0.5 * zero_point_cutoff_energy(1.0, N=2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("omega_cutoff, units", [
+        (1e100, NATURAL),                        # wc**4 overflows
+        (1.0, UnitSystem(c_light=1e-120)),       # c**3 underflows to 0
+        (1.0, UnitSystem(c_light=1e-106)),       # the quotient overflows to inf
+    ])
+    def test_energy_beyond_double_range_names_cutoff(self, omega_cutoff, units):
+        with pytest.raises(ValueError, match=re.escape(f"omega_cutoff = {omega_cutoff!r}")):
+            zero_point_cutoff_energy(omega_cutoff, units)
+        assert math.isfinite(zero_point_cutoff_energy(1e77))
 
 
 class TestSweep:

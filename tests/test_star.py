@@ -45,7 +45,7 @@ class TestDeformationParameter:
         with pytest.raises(ValueError, match="hbar_value"):
             DeformationParameter(hbar_value=value)
 
-    @pytest.mark.parametrize("value", (math.nan, "2", None, 2j))
+    @pytest.mark.parametrize("value", (math.nan, "2", None, 2j, -math.inf, 0, -1))
     def test_rejects_non_numeric_n(self, value):
         with pytest.raises(ValueError, match="N must be"):
             DeformationParameter(N=value)
