@@ -19,7 +19,8 @@ underflowed, possibly to 0) the thermal energy is its x -> 0 limit k*T.
 For x > 700 the thermal part is flushed to exactly zero (underflow
 policy), as it is whenever it falls below 1e-300.
 Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
-density beyond the double range raises ValueError naming omega, not inf.
+result or scale beyond the double range follows ``units.finite`` (a density
+names omega); only x may be inf, and is then past X_OVERFLOW.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks) and
@@ -34,13 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem, positive
+from .units import NATURAL, UnitSystem, finite, positive
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
 X_OVERFLOW = 700.0
@@ -90,32 +92,34 @@ class SpectrumPoint:
 
     def __post_init__(self):
         if not math.isfinite(self.total_density):
-            raise _overflow(self.omega)
+            raise ValueError(f"spectral density at omega = {self.omega!r} overflows a double")
         if self.thermal_density < 0 or self.zero_point_density < 0:
             raise ValueError("densities must be non-negative")
         if self.total_density != self.thermal_density + self.zero_point_density:
             raise ValueError("total density must equal thermal plus zero-point")
 
 
-def _overflow(omega: float) -> ValueError:
-    return ValueError(f"spectral density at omega = {omega!r} overflows a double")
-
-
-def _check_temperature(temperature: float, units: UnitSystem) -> None:
-    if units.k_boltzmann * positive("temperature", temperature) == 0:
+def _check_temperature(temperature: float, units: UnitSystem) -> float:
+    kt = finite("k*T at temperature {1!r}", operator.mul, units.k_boltzmann,
+                positive("temperature", temperature))
+    if kt == 0:
         raise ValueError(f"temperature {temperature!r} is too small: k*T underflows to 0")
+    return kt
 
 
-def _check_domain(omega: float, temperature: float, units: UnitSystem) -> None:
+def _check_domain(omega: float, temperature: float, units: UnitSystem) -> tuple:
+    """The quantum hbar*w and k*T, each a finite double."""
     positive("omega", omega)
-    _check_temperature(temperature, units)
+    kt = _check_temperature(temperature, units)
+    return finite("hbar*omega at omega = {1!r}", operator.mul, units.hbar, omega), kt
 
 
 def dimensionless_x(omega: float, temperature: float,
                     units: UnitSystem = NATURAL) -> float:
-    """The ratio hbar*w/(k*T) that controls every formula below."""
-    _check_domain(omega, temperature, units)
-    return units.hbar * omega / (units.k_boltzmann * temperature)
+    """The ratio hbar*w/(k*T) that controls every formula below; it may
+    overflow to inf, which every formula treats as past ``X_OVERFLOW``."""
+    quantum, kt = _check_domain(omega, temperature, units)
+    return quantum / kt
 
 
 def mean_oscillator_energy(omega: float, temperature: float,
@@ -126,9 +130,8 @@ def mean_oscillator_energy(omega: float, temperature: float,
     The thermal part is hbar*w/(exp(hbar*w/kT) - 1); in the strong
     suppression limit the total tends to the bare zero point hbar*w/2.
     """
-    x = dimensionless_x(omega, temperature, units)
-    quantum = units.hbar * omega
-    kt = units.k_boltzmann * temperature
+    quantum, kt = _check_domain(omega, temperature, units)
+    x = quantum / kt
     # hbar*w/(exp(x) - 1) under the underflow policy of the module docstring
     thermal = 0.0 if x > X_OVERFLOW else kt if x < X_UNDERFLOW else quantum / math.expm1(x)
     if thermal < THERMAL_FLUSH:
@@ -147,9 +150,12 @@ def _square(omega: float) -> float:
 def _density_prefactor(omega_squared, units: UnitSystem):
     """w**2/(pi**2 c**3) from w**2, for one float or a numpy column.
 
-    An overflowed square gives an infinite prefactor, and the SpectrumPoint
+    A c**3 out of range raises ValueError, for a float and a column alike.  An
+    overflowed square gives an infinite prefactor, and the SpectrumPoint
     built from it raises the overflow error naming omega.
     """
+    finite("density of states at c_light = {!r}", lambda c: 1 / (math.pi ** 2 * c ** 3),
+           units.c_light)
     return omega_squared / (math.pi ** 2 * units.c_light ** 3)
 
 
@@ -186,9 +192,8 @@ def spectral_density_per_frequency(nu: float, temperature: float,
     """
     scale = 2 * math.pi
     point = spectral_density(scale * positive("nu", nu), temperature, units, include_zero_point)
-    return SpectrumPoint(nu, temperature, scale * point.thermal_density,
-                         scale * point.zero_point_density,
-                         scale * point.thermal_density + scale * point.zero_point_density)
+    thermal, zero_point = scale * point.thermal_density, scale * point.zero_point_density
+    return SpectrumPoint(nu, temperature, thermal, zero_point, thermal + zero_point)
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +215,8 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
     and also when x is so small that no n_max up to 2**60 closes the bound.
     """
     positive("x", x)
-    if not 0 < rel_tol < 1:
-        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
+    if positive("rel_tol", rel_tol) >= 1:
+        raise ValueError(f"rel_tol must be positive and below 1, got {rel_tol!r}")
     target = math.log(rel_tol) + 2 * math.log(-math.expm1(-x))
 
     def satisfied(n: int) -> bool:
@@ -250,20 +255,21 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     cancellation.  When n_max is None it comes from the documented tail
     bound.  The half-quantum the sums inherently contain goes to the
     zero-point field; ``include_zero_point=False`` drops it from the total.
+    Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
     """
-    x = dimensionless_x(omega, temperature, units)
-    quantum = units.hbar * omega
+    quantum, kt = _check_domain(omega, temperature, units)
+    x = quantum / kt
+    if n_max is not None and (not isinstance(n_max, int) or n_max < 0):
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if x > X_OVERFLOW:
+        return _density_point(omega, temperature, units, 0.0, include_zero_point)
     if n_max is None:
         n_max = ladder_terms_for_tolerance(x)
-    elif not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     import numpy as np
     levels = np.arange(n_max + 1, dtype=np.float64)
     weights = np.exp(-x * levels)
-    denominator = float(np.sum(weights))
-    numerator = float(np.sum(levels * weights))
-    return _density_point(omega, temperature, units, quantum * numerator / denominator,
-                          include_zero_point)
+    thermal = quantum * float(np.sum(levels * weights)) / float(np.sum(weights))
+    return _density_point(omega, temperature, units, thermal, include_zero_point)
 
 
 # ----------------------------------------------------------------------
@@ -279,10 +285,9 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     cures.
     """
     _check_domain(omega, temperature, units)
-    density = _density_prefactor(_square(omega), units) * units.k_boltzmann * temperature
-    if density == math.inf:
-        raise _overflow(omega)
-    return density
+    return finite("spectral density at omega = {!r}",
+                  lambda w: _density_prefactor(_square(w), units) * units.k_boltzmann
+                  * temperature, omega)
 
 
 def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
@@ -294,10 +299,9 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     excluded: it grows without bound in w and has no peak.
     """
     _check_temperature(temperature, units)
-    peak = wien_x_constant() * units.k_boltzmann * temperature / units.hbar
-    if peak == math.inf:
-        raise ValueError(f"Wien peak at temperature {temperature!r} overflows a double")
-    return peak
+    return finite("Wien peak at temperature {!r}",
+                  lambda t: wien_x_constant() * units.k_boltzmann * t / units.hbar,
+                  temperature)
 
 
 @functools.cache
@@ -382,14 +386,9 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     estimate = abs(integral - refined) / abs(integral)
     if estimate > 1e-8:
         raise QuadratureError(estimate)
-    try:
-        coefficient = integral * units.k_boltzmann ** 4 / (
-            units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
-        if coefficient < math.inf:
-            return integral, coefficient
-    except (OverflowError, ZeroDivisionError):  # k**4, or hbar**3 c**3 underflowed to 0
-        pass
-    raise ValueError(f"T**4 coefficient of units = {units!r} overflows a double")
+    return integral, finite("T**4 coefficient of units = {!r}",
+                            lambda u: integral * u.k_boltzmann ** 4 / (
+                                u.hbar ** 3 * u.c_light ** 3 * math.pi ** 2), units)
 
 
 def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
@@ -404,13 +403,9 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     positive("omega_cutoff", omega_cutoff)
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
-    try:
-        energy = units.hbar * omega_cutoff ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3)
-        if energy < math.inf:
-            return energy
-    except (OverflowError, ZeroDivisionError):  # wc**4, or c**3 underflowed to 0
-        pass
-    raise ValueError(f"zero-point energy below omega_cutoff = {omega_cutoff!r} overflows")
+    return finite("zero-point energy below omega_cutoff = {!r}",
+                  lambda wc: units.hbar * wc ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3),
+                  omega_cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -445,9 +440,8 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         else:
             raise ValueError(f"spacing must be 'log' or 'linear', got {spacing!r}")
         omegas = grid.tolist()
-        _check_domain(omegas[0], temperature, units)
+        kt = _check_domain(omegas[0], temperature, units)[1]
         quantum = units.hbar * grid
-        kt = units.k_boltzmann * temperature
         x = quantum / kt
         # math.expm1 and the ** square (libm pow) per element: np.expm1 and
         # numpy's w*w can differ from them in the last ulp.
@@ -459,9 +453,10 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         zero_point = (prefactor * ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
         total = thermal + zero_point
-    # Rows stop before the first omega the domain check rejects; that check
-    # raises once any overflow in the rows before it has been raised.
-    valid = (grid > 0) & (grid < math.inf)
+    # Rows stop before the first omega the domain check rejects (not above 0,
+    # or hbar*w beyond the double range); that check raises once any overflow
+    # in the rows before it has been raised.
+    valid = (grid > 0) & (quantum < math.inf)
     stop = points if valid.all() else int(valid.argmin())
     rows = list(map(SpectrumPoint, omegas[:stop], repeat(temperature),
                     thermal.tolist(), zero_point.tolist(), total.tolist()))

@@ -117,7 +117,7 @@ def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
     """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
     is computed from: a triple n is inside exactly when |n|**2 <= m."""
     scale = _wavenumber_scale(spec, units)
-    radius = positive("omega_max", omega_max, finite=False) / scale
+    radius = positive("omega_max", omega_max, finite=False) / scale if scale else math.inf
     if not radius <= MAX_LATTICE_RADIUS:
         raise ValueError(f"lattice radius omega_max/scale = {radius:.6g} exceeds "
                          f"the limit of {MAX_LATTICE_RADIUS}")
@@ -231,7 +231,7 @@ def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
     try:
         volume = spec.side_length ** 3
         asymptotic = volume * omega_max ** 3 / (3 * math.pi ** 2 * units.c_light ** 3)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # c**3 may underflow to 0
         asymptotic = math.inf
     if not 0 < asymptotic < math.inf:
         raise ValueError(f"asymptotic count {asymptotic!r} is not positive and finite")

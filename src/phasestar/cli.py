@@ -18,11 +18,10 @@ import warnings
 
 from .blackbody import (SPECTRUM_FIELDS, dimensionless_x,
                         spectral_density_ladder_sum, spectrum_sweep)
-from .cavity import (MODE_FIELDS, CavitySpec, ModeCapExceeded,
-                     enumerate_modes, mode_count_vs_asymptotic)
+from .cavity import MODE_FIELDS, CavitySpec, enumerate_modes, mode_count_vs_asymptotic
 from .checks import run_all_checks
-from .expressions import (GRAMMAR_HELP, ParseError, format_canonical,
-                          parse_expression, validate_bindings)
+from .expressions import (GRAMMAR_HELP, format_canonical, parse_expression,
+                          validate_bindings)
 from .oscillator import OscillatorSpec, energy_level, ladder, oscillator_star_energy
 from .star import DeformationParameter, poisson_bracket, star_commutator, \
     star_first_order, star_product
@@ -263,14 +262,7 @@ def _cmd_spectrum(args, out, err) -> int:
     rows = []
     worst = 0.0
     for point in points:
-        row = {
-            "omega": point.omega,
-            "temperature": point.temperature,
-            "thermal_density": point.thermal_density,
-            "zero_point_density": point.zero_point_density,
-            "total_density": point.total_density,
-            "x": dimensionless_x(point.omega, point.temperature, units),
-        }
+        row = dict(vars(point), x=dimensionless_x(point.omega, point.temperature, units))
         if args.oracle:
             summed = spectral_density_ladder_sum(
                 point.omega, point.temperature, units,
@@ -351,7 +343,7 @@ def main(argv=None, out=None, err=None) -> int:
         return 0 if exit_request.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ParseError, ModeCapExceeded, ValueError) as error:
+    except ValueError as error:  # ParseError and ModeCapExceeded among them
         err.write(f"error: {error}\n")
         return 1
 

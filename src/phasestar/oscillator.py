@@ -13,6 +13,10 @@ and the hbar*w/2 zero point); it is a calibration, not a derivation.
 Mass is absorbed into the variables: the quadratic form is (p^2 + w^2 x^2)/2
 throughout.
 
+At N != 2 the star algebra gives the ground level hbar*w/N and the star
+commutator [H, a+] = (2*hbar*w/N)*a+ for a+ = p + i*w*x, a gap of 2*hbar*w/N;
+``ladder`` keeps Planck's gap hbar*w at every N, so the two agree only at N = 2.
+
 The oscillator lives at dimension 1 with x aliased to q1 and p to p1.
 """
 
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import ComplexFraction, PhasePolynomial, exact_fraction
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem, positive
+from .units import NATURAL, UnitSystem, finite, positive
 
 # Highest level ladder() lists (about 0.05 s and 3 MB of floats).
 MAX_LADDER_LEVEL = 100_000
@@ -105,21 +109,13 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
 
 
 def _level_energies(levels: range, spec: OscillatorSpec) -> list:
-    """n*hbar*w + hbar*w/N for each n of a non-empty ascending range.
-
-    The energies rise with n, so checking the last one is enough to raise
-    ValueError if any of them overflows a double.
-    """
+    """n*hbar*w + hbar*w/N for each n of a non-empty ascending range; the
+    energies rise with n, so only the last one is checked for overflow."""
     quantum = spec.units.hbar * spec.omega
     ground = ground_energy(quantum, spec.N)
-    try:
-        energies = [quantum * n + ground for n in levels]
-    except OverflowError:  # n itself is beyond the double range
-        energies = [math.inf]
-    if not math.isfinite(energies[-1]):
-        raise ValueError(f"energy of level {levels[-1]} at omega = {spec.omega!r} "
-                         f"overflows a double")
-    return energies
+    finite("energy of level {} at omega = {!r}", lambda n, _: quantum * n + ground,
+           levels[-1], spec.omega)
+    return [quantum * n + ground for n in levels]
 
 
 def energy_level(n: int, spec: OscillatorSpec) -> float:

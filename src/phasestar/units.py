@@ -2,7 +2,10 @@
 
 ``positive`` is the one rule for physical inputs: a real number in (0, inf),
 else a ValueError naming the argument.  Only N (inf is the commutative limit)
-and upper bounds that a later check handles accept inf.
+and upper bounds that a later check handles accept inf.  ``finite`` is the
+one rule for results and derived scales (k*T, hbar*w, pi**2 c**3) beyond the
+double range: an OverflowError, a ZeroDivisionError from a denominator that
+underflowed to 0, inf and nan all raise a ValueError.
 """
 
 from __future__ import annotations
@@ -25,6 +28,18 @@ def positive(name: str, value, finite: bool = True):
         return value
     bound = "positive and finite" if finite else "positive"
     raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def finite(what: str, formula, *args):
+    """``formula(*args)`` if it is a finite double, else a ValueError saying
+    that ``what``, formatted with ``args``, overflows a double."""
+    try:
+        value = formula(*args)
+        if math.isfinite(value):  # an OverflowError for an int beyond the double range
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{what.format(*args)} overflows a double")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,115 @@
+"""Every numeric entry point returns finite values or raises ValueError.
+
+The grid is an explicit table: each float argument takes the seven
+magnitudes of ``VALUES`` and the unit system takes the 27 forms of
+``UNIT_SYSTEMS``, with each of hbar, k and c at 1e-200, 1 or 1e200.  Derived
+scales such as k*T, hbar*w, pi**2 c**3 or the cavity scale pi*c/L then leave
+the double range even though every input is valid, and each call must still
+end in finite numbers or in a ValueError, never in an OverflowError, a
+ZeroDivisionError or an inf or nan result.
+
+The one exemption is ``dimensionless_x``, which may return inf: hbar*w and
+k*T are both finite doubles there, only their ratio x = hbar*w/(k*T)
+overflows.  Every formula treats that x as past ``X_OVERFLOW`` (the thermal
+part is 0), which is how ``spectral_density(1e10, 1e-300)`` returns a point,
+so the inf is a documented value, not an escape.
+"""
+
+import itertools
+import math
+import warnings
+
+import pytest
+
+from phasestar.blackbody import (SpectrumPoint, X_OVERFLOW, dimensionless_x,
+                                 mean_oscillator_energy, rayleigh_jeans_density,
+                                 spectral_density, spectral_density_ladder_sum,
+                                 spectral_density_per_frequency, spectrum_sweep,
+                                 stefan_boltzmann_integral, wien_peak,
+                                 zero_point_cutoff_energy)
+from phasestar.cavity import (CavitySpec, ModeCountResult,
+                              electromagnetic_standing_mode_count,
+                              mode_count_vs_asymptotic)
+from phasestar.units import UnitSystem
+
+VALUES = (1e-320, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e308)
+SCALES = (1e-200, 1.0, 1e200)
+UNIT_SYSTEMS = [UnitSystem(hbar, k, c)
+                for hbar, k, c in itertools.product(SCALES, SCALES, SCALES)]
+
+# (name, call with the two grid floats a and b and the unit system)
+ENTRY_POINTS = [
+    ("spectral_density", lambda a, b, units: spectral_density(a, b, units)),
+    ("spectral_density_per_frequency",
+     lambda a, b, units: spectral_density_per_frequency(a, b, units)),
+    ("spectral_density_ladder_sum",
+     lambda a, b, units: spectral_density_ladder_sum(a, b, units)),
+    ("spectral_density_ladder_sum(n_max=64)",
+     lambda a, b, units: spectral_density_ladder_sum(a, b, units, n_max=64)),
+    ("mean_oscillator_energy", lambda a, b, units: mean_oscillator_energy(a, b, units)),
+    ("dimensionless_x", lambda a, b, units: dimensionless_x(a, b, units)),
+    ("rayleigh_jeans_density", lambda a, b, units: rayleigh_jeans_density(a, b, units)),
+    ("spectrum_sweep", lambda a, b, units: spectrum_sweep(b, a, 4 * a, 3, units=units)),
+    ("wien_peak", lambda a, b, units: wien_peak(a, units)),
+    ("zero_point_cutoff_energy",
+     lambda a, b, units: zero_point_cutoff_energy(a, units, N=b)),
+    ("stefan_boltzmann_integral", lambda a, b, units: stefan_boltzmann_integral(units)),
+    ("mode_count_vs_asymptotic",
+     lambda a, b, units: mode_count_vs_asymptotic(CavitySpec(side_length=a), b, units)),
+    ("electromagnetic_standing_mode_count",
+     lambda a, b, units: electromagnetic_standing_mode_count(CavitySpec(side_length=a),
+                                                             b, units)),
+]
+
+
+def numbers_in(result):
+    """Every float a result carries."""
+    if isinstance(result, float):
+        return [result]
+    if isinstance(result, SpectrumPoint):
+        return [result.thermal_density, result.zero_point_density, result.total_density]
+    if isinstance(result, ModeCountResult):
+        return [result.asymptotic_count, result.relative_error]
+    if isinstance(result, (list, tuple)):
+        return [number for item in result for number in numbers_in(item)]
+    return []
+
+
+def escape(name, call, a, b, units):
+    """None if the call returns finite values or raises ValueError, else what escaped."""
+    try:
+        result = call(a, b, units)
+    except ValueError:
+        return None
+    except Exception as error:  # noqa: BLE001 - an escape is what this test looks for
+        return repr(error)
+    if name == "dimensionless_x" and result == math.inf:
+        return None
+    bad = [number for number in numbers_in(result) if not math.isfinite(number)]
+    return f"returned {bad!r}" if bad else None
+
+
+@pytest.mark.parametrize("name, call", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+def test_every_grid_call_is_finite_or_a_value_error(name, call):
+    escapes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the few-modes advisory of the cavity count
+        for units in UNIT_SYSTEMS:
+            for a, b in itertools.product(VALUES, VALUES):
+                what = escape(name, call, a, b, units)
+                if what is not None:
+                    escapes.append(f"{name}({a!r}, {b!r}, {units}): {what}")
+    assert escapes == [], f"{len(escapes)} escapes, first: {escapes[:3]}"
+
+
+def test_infinite_x_flushes_the_thermal_part_in_both_routes():
+    # hbar*w = 1e10 and k*T = 1e-300 are finite; x overflows to inf
+    assert dimensionless_x(1e10, 1e-300) == math.inf > X_OVERFLOW
+    for include_zero_point in (True, False):
+        closed = spectral_density(1e10, 1e-300, include_zero_point=include_zero_point)
+        summed = spectral_density_ladder_sum(1e10, 1e-300,
+                                             include_zero_point=include_zero_point)
+        assert summed == closed
+        assert closed.thermal_density == 0.0
+    # just past X_OVERFLOW the ladder's exp(-x) is still a normal double
+    assert spectral_density_ladder_sum(701.0, 1.0) == spectral_density(701.0, 1.0)

@@ -55,6 +55,8 @@ ENTRY_POINTS = [
     ("dimensionless_x", "temperature", lambda v: dimensionless_x(1.0, v), True),
     ("wien_peak", "temperature", wien_peak, True),
     ("ladder_terms_for_tolerance", "x", ladder_terms_for_tolerance, True),
+    ("ladder_terms_for_tolerance", "rel_tol",
+     lambda v: ladder_terms_for_tolerance(1.0, rel_tol=v), True),
     ("zero_point_cutoff_energy", "omega_cutoff", zero_point_cutoff_energy, True),
     ("zero_point_cutoff_energy", "N", lambda v: zero_point_cutoff_energy(1.0, N=v), False),
     ("spectrum_sweep", "temperature", lambda v: spectrum_sweep(v, 1.0, 2.0, 3), True),
@@ -72,6 +74,9 @@ ENTRY_POINTS = [
 CASES = [pytest.param(name, call, value, id=f"{label}.{name}={value!r}")
          for label, name, call, finite in ENTRY_POINTS
          for value in BAD_VALUES + ((math.inf,) if finite else ())]
+# rel_tol is a fraction of the leading term: 1 and above are rejected too
+CASES.append(pytest.param("rel_tol", lambda v: ladder_terms_for_tolerance(1.0, rel_tol=v), 1,
+                          id="ladder_terms_for_tolerance.rel_tol=1"))
 
 
 @pytest.mark.parametrize("name, call, value", CASES)
