@@ -25,10 +25,9 @@ names omega); only x may be inf, and is then past X_OVERFLOW.
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks) and
 builds its rows from them; each row equals ``spectral_density`` at that
-point bit for bit.  Two columns stay per element: expm1 goes through
-``math.expm1`` and w**2 through ``**`` (libm pow), because ``np.expm1`` and
-numpy's w*w can differ from those in the last ulp (at x =
-0.19391198154887967 and w = 5.537602076146872e-06 respectively).
+point bit for bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of
+``**``.  Only expm1 stays per element, through ``math.expm1``: ``np.expm1``
+can differ from it in the last ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations
@@ -147,16 +146,24 @@ def _square(omega: float) -> float:
         return math.inf
 
 
-def _density_prefactor(omega_squared, units: UnitSystem):
-    """w**2/(pi**2 c**3) from w**2, for one float or a numpy column.
+def _states_per_omega_squared(c_light: float) -> float:
+    return 1 / (math.pi ** 2 * c_light ** 3)
 
-    A c**3 out of range raises ValueError, for a float and a column alike.  An
-    overflowed square gives an infinite prefactor, and the SpectrumPoint
-    built from it raises the overflow error naming omega.
+
+@functools.lru_cache(maxsize=64)
+def _states_denominator(c_light: float) -> float:
+    """pi**2 c**3, once per c_light, after checking that the density of states
+    per w**2, its reciprocal, is a finite double (an infinite pi**2 c**3 passes)."""
+    finite("density of states at c_light = {!r}", _states_per_omega_squared, c_light)
+    return math.pi ** 2 * c_light ** 3
+
+
+def _density_prefactor(omega_squared, units: UnitSystem):
+    """w**2/(pi**2 c**3) from w**2, for one float or a numpy column; a c out of
+    range raises ValueError for both.  An overflowed square gives an infinite
+    prefactor, and the SpectrumPoint built from it raises the error naming omega.
     """
-    finite("density of states at c_light = {!r}", lambda c: 1 / (math.pi ** 2 * c ** 3),
-           units.c_light)
-    return omega_squared / (math.pi ** 2 * units.c_light ** 3)
+    return omega_squared / _states_denominator(units.c_light)
 
 
 def spectral_density(omega: float, temperature: float,
@@ -443,12 +450,11 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         kt = _check_domain(omegas[0], temperature, units)[1]
         quantum = units.hbar * grid
         x = quantum / kt
-        # math.expm1 and the ** square (libm pow) per element: np.expm1 and
-        # numpy's w*w can differ from them in the last ulp.
+        # math.expm1 per element: np.expm1 can differ from it in the last ulp.
         expm1 = np.array(list(map(math.expm1, np.clip(x, X_UNDERFLOW, X_OVERFLOW).tolist())))
         thermal = np.where(x < X_UNDERFLOW, kt, quantum / expm1)
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
-        prefactor = _density_prefactor(np.array(list(map(_square, omegas))), units)
+        prefactor = _density_prefactor(np.float_power(grid, 2.0), units)
         thermal *= prefactor
         zero_point = (prefactor * ground_energy(quantum) if include_zero_point
                       else np.zeros(points))

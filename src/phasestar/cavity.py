@@ -27,7 +27,8 @@ electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
 roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in blocks of a
 fixed size; the enumeration expands each (n1, n2) row into its n3 range from
 the same roots.  The census is O(m) entries, so a lattice radius
-omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
+omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.  The field
+energy is a sequential accumulate over numpy columns of the per-mode terms.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .oscillator import ground_energy
@@ -213,8 +215,9 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     if not standing:
         order = order[1:]  # the origin, the only omega of 0, sorts first
     triples = zip(n1[order].tolist(), n2[order].tolist(), n3[order].tolist())
-    return list(map(Mode._make, zip(triples, omega[order].tolist(),
-                                    repeat(spec.polarizations_per_mode))))
+    # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
+    return list(map(tuple.__new__, repeat(Mode), zip(triples, omega[order].tolist(),
+                                                     repeat(spec.polarizations_per_mode))))
 
 
 def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
@@ -296,46 +299,42 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     zero-point parts depend only on the mode frequencies and vanish
     identically in the commutative limit N = inf.  Sums that are not finite
     doubles (an overflow, or a nan or inf input) raise ValueError naming the
-    mode at which they stopped being finite.
+    mode after which they stopped being finite.  The terms are numpy columns
+    squared by ``np.float_power(x, 2.0)`` (the libm pow of ``x ** 2``) and
+    summed by the sequential ``np.add.accumulate``, so each sum equals the
+    Python loop over modes and polarizations bit for bit.
     """
     positive("N", N, finite=False)
     if len(amplitudes) != len(modes):
         raise ValueError(
             f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
-    classical = 0.0
-    zero_point_half = 0.0
-    try:
-        for mode, rows in zip(modes, amplitudes):
-            if len(rows) != mode.polarization_count:
-                raise ValueError(
-                    f"mode {mode.lattice_triple} needs {mode.polarization_count} "
-                    f"polarization amplitudes, got {len(rows)}")
-            for amplitude in rows:
-                classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
-            # hbar*w/(2N) per polarization is the ground energy at 2N.
-            zero_point_half += ground_energy(
-                mode.polarization_count * units.hbar * mode.omega, 2 * N)
-    except OverflowError:
-        raise _not_finite(mode) from None
-    if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
-        raise _not_finite(_first_nonfinite_mode(modes, amplitudes, N, units))
-    return FieldEnergy(classical, zero_point_half, 2 * zero_point_half)
-
-
-def _not_finite(mode: Mode) -> ValueError:
-    return ValueError(f"field energy of mode {mode.lattice_triple} at omega = "
-                      f"{mode.omega!r} is not a finite double")
-
-
-def _first_nonfinite_mode(modes, amplitudes, N, units) -> Mode:
-    """The mode after which ``field_energy``'s running sums, replayed in the
-    same order, first stop being finite; called only once the totals are not."""
-    classical = 0.0
-    zero_point_half = 0.0
-    for mode, rows in zip(modes, amplitudes):
-        for amplitude in rows:
-            classical += 0.5 * (amplitude.P ** 2 + mode.omega ** 2 * amplitude.Q ** 2)
-        zero_point_half += ground_energy(
-            mode.polarization_count * units.hbar * mode.omega, 2 * N)
-        if not (math.isfinite(classical) and math.isfinite(zero_point_half)):
-            return mode
+    import numpy as np
+    omega = np.fromiter(map(attrgetter("omega"), modes), float, len(modes))
+    polarizations = np.fromiter(map(attrgetter("polarization_count"), modes), float, len(modes))
+    rows = np.fromiter(map(len, amplitudes), np.intp, len(modes))
+    if (rows != polarizations).any():
+        index = int((rows != polarizations).argmax())
+        raise ValueError(
+            f"mode {modes[index].lattice_triple} needs {modes[index].polarization_count} "
+            f"polarization amplitudes, got {len(amplitudes[index])}")
+    # Each running sum starts at 0.0, as the loop's does.
+    classical = np.zeros(int(rows.sum()) + 1)
+    zero_point_half = np.zeros(len(modes) + 1)
+    with np.errstate(all="ignore"):
+        # Q**2, P**2 interleaved, in ModeAmplitude's field order
+        squares = np.float_power(np.fromiter(chain.from_iterable(chain.from_iterable(
+            amplitudes)), float, 2 * len(classical) - 2), 2.0)
+        omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
+        classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
+        # hbar*w/(2N) per polarization is the ground energy at 2N.
+        zero_point_half[1:] = ground_energy(polarizations * units.hbar * omega, 2 * N)
+        classical = np.add.accumulate(classical)
+        zero_point_half = np.add.accumulate(zero_point_half)
+    if not (math.isfinite(classical[-1]) and math.isfinite(zero_point_half[-1])):
+        # a sum that is not finite stays so; read both at each mode's end
+        after = np.isfinite(classical[np.cumsum(rows)]) & np.isfinite(zero_point_half[1:])
+        mode = modes[int(after.argmin())]
+        raise ValueError(f"field energy of mode {mode.lattice_triple} at omega = "
+                         f"{mode.omega!r} is not a finite double")
+    return FieldEnergy(float(classical[-1]), float(zero_point_half[-1]),
+                       2 * float(zero_point_half[-1]))

@@ -100,11 +100,6 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
     It is the shift of the factored star product above: hbar*w/2 at the
     calibrated N = 2 and exactly 0.0 in the free limit N = inf.
     """
-    try:  # the bare comparison first: field_energy calls this once per mode
-        if 0 < N < math.inf:
-            return quantum / N
-    except TypeError:  # N is not a number, or quantum is not (raised again below)
-        pass
     return 0.0 if positive("N", N, finite=False) == math.inf else quantum / N
 
 

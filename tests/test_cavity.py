@@ -50,6 +50,7 @@ def assert_same_modes(modes, oracle_modes):
     which the CLI's JSON export could not write)."""
     assert modes == oracle_modes
     for mode in modes:
+        assert type(mode) is Mode
         assert all(type(n) is int for n in mode.lattice_triple)
         assert type(mode.omega) is float
         assert type(mode.polarization_count) is int
@@ -92,6 +93,13 @@ class TestEnumerateModes:
         assert keys == sorted(keys)
         triples = [m.lattice_triple for m in modes]
         assert len(triples) == len(set(triples))
+
+    @pytest.mark.parametrize("convention", [STANDING, PERIODIC])
+    def test_rows_are_modes(self, convention):
+        # == alone would accept plain tuples
+        modes = enumerate_modes(CavitySpec(boundary_convention=convention), 40.0)
+        assert modes and all(type(mode) is Mode for mode in modes)
+        assert modes[0].omega == modes[0][1]
 
     def test_determinism(self):
         spec = CavitySpec(side_length=2.0, boundary_convention=PERIODIC)

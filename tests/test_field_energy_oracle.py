@@ -1,0 +1,177 @@
+"""The columnar ``field_energy`` against the Python loop it replaced, and
+the premise both routes rest on: ``np.float_power(x, 2.0)`` is ``x ** 2``.
+
+Results are compared bit for bit (``struct``-packed doubles), errors by
+their message.
+"""
+
+import math
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from field_energy_oracle import oracle_field_energy
+from phasestar.cavity import Mode, ModeAmplitude, field_energy
+from phasestar.units import NATURAL, UnitSystem
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               1.3407807929942596e154, 1.3407807929942597e154, 1e154, -1e154,
+               1e200, -1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def python_square(x: float) -> float:
+    """``x ** 2``, with an overflow read as inf."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def seeded_doubles(seed: int, count: int) -> list:
+    """Random bit patterns (every exponent, subnormals, inf and nan among
+    them) and random magnitudes from 1e-40 to 1e40 with mixed signs."""
+    rng = random.Random(seed)
+    patterns = [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+                for _ in range(count // 2)]
+    return patterns + [magnitude(rng) for _ in range(count - count // 2)]
+
+
+def magnitude(rng: random.Random) -> float:
+    """A double with a random sign, from 1e-40 to 1e40, subnormal or zero."""
+    roll = rng.random()
+    if roll < 0.05:
+        value = rng.randint(0, 1 << 20) * 5e-324
+    else:
+        value = 10.0 ** rng.uniform(-40, 40)
+    return -value if rng.random() < 0.5 else value
+
+
+def seeded_system(seed: int, count: int = 300, wide: bool = True):
+    """Modes with 1-3 polarizations and their amplitudes, signs mixed.
+
+    ``wide`` draws frequencies and amplitudes from 1e-40 to 1e40, subnormals
+    among them; otherwise from -10 to 10, where every addition rounds and a
+    different summation order would change the low bits.
+    """
+    rng = random.Random(seed)
+    draw = (lambda: magnitude(rng)) if wide else (lambda: rng.uniform(-10, 10))
+    modes, amplitudes = [], []
+    for index in range(count):
+        polarizations = rng.randint(1, 3)
+        modes.append(Mode((index, rng.randint(-9, 9), 1), abs(draw()), polarizations))
+        amplitudes.append([ModeAmplitude(draw(), draw()) for _ in range(polarizations)])
+    return modes, amplitudes
+
+
+def assert_same_energy(modes, amplitudes, N=2.0, units=NATURAL):
+    expected = oracle_field_energy(modes, amplitudes, N, units)
+    result = field_energy(modes, amplitudes, N, units)
+    for name in ("classical", "zero_point_prefactored", "zero_point_per_oscillator"):
+        value = getattr(result, name)
+        assert type(value) is float
+        assert bits(value) == bits(getattr(expected, name)), name
+
+
+def assert_same_error(modes, amplitudes, N=2.0, units=NATURAL):
+    with pytest.raises(ValueError) as expected:
+        oracle_field_energy(modes, amplitudes, N, units)
+    with pytest.raises(ValueError) as raised:
+        field_energy(modes, amplitudes, N, units)
+    assert str(raised.value) == str(expected.value)
+
+
+class TestSquarePremise:
+    """Both the columnar field energy and the radiation sweep square with
+    ``np.float_power(x, 2.0)`` and claim bit identity with the scalar ``**``.
+    If a platform's numpy breaks that, this must fail loudly."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_float_power_is_python_square(self, seed):
+        values = seeded_doubles(seed, 100_000) + EDGE_VALUES
+        with np.errstate(all="ignore"):
+            squares = np.float_power(np.array(values), 2.0).tolist()
+        mismatched = [x for x, square in zip(values, squares)
+                      if bits(square) != bits(python_square(x))
+                      and not (math.isnan(square) and math.isnan(python_square(x)))]
+        assert mismatched == []
+
+
+class TestFieldEnergyMatchesLoop:
+    @pytest.mark.parametrize("N", [2.0, 3.0, 0.7, math.inf])
+    @pytest.mark.parametrize("wide", [True, False])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_seeded_modes(self, seed, wide, N):
+        modes, amplitudes = seeded_system(seed, wide=wide)
+        assert_same_energy(modes, amplitudes, N)
+
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()])
+    def test_units(self, units):
+        modes, amplitudes = seeded_system(21, count=50)
+        assert_same_energy(modes, amplitudes, 2.0, units)
+
+    def test_empty(self):
+        assert_same_energy([], [])
+
+    def test_zero_frequencies(self):
+        # a zero point of -0.0 from the first mode: the loop's sum starts at +0.0
+        modes = [Mode((1, 1, 1), -0.0, 1), Mode((1, 1, 2), 0.0, 2)]
+        amplitudes = [[ModeAmplitude(-0.0, -0.0)], [ModeAmplitude(0.0, -0.0)] * 2]
+        assert_same_energy(modes[:1], amplitudes[:1])
+        assert_same_energy(modes, amplitudes)
+
+    @pytest.mark.parametrize("omega,amplitude", [
+        (1e200, ModeAmplitude(1.0, 0.0)),      # omega**2 overflows
+        (2.0, ModeAmplitude(0.0, 1e200)),      # P**2 overflows
+        (2.0, ModeAmplitude(-1e200, 0.0)),     # Q**2 overflows
+        (1e154, ModeAmplitude(1e154, 0.0)),    # omega**2 * Q**2 is inf
+        (2.0, ModeAmplitude(math.nan, 0.0)),
+        (2.0, ModeAmplitude(0.0, -math.inf)),
+        (math.inf, ModeAmplitude(0.0, 0.0)),   # inf * 0.0 is nan, the zero point inf
+        (math.nan, ModeAmplitude(1.0, 1.0)),
+        (1.7976931348623157e308, ModeAmplitude(0.0, 0.0)),  # 3*hbar*w is inf
+    ])
+    @pytest.mark.parametrize("N", [2.0, math.inf])
+    def test_non_finite_cases(self, omega, amplitude, N):
+        modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), omega, 3),
+                 Mode((1, 2, 2), 3.0, 1)]
+        amplitudes = [[ModeAmplitude(0.5, 0.5)], [ModeAmplitude(0.0, 0.0)] * 2 + [amplitude],
+                      [ModeAmplitude(0.5, 0.5)]]
+        assert_same_error(modes, amplitudes, N)
+
+    def test_sum_overflow(self):
+        modes = [Mode((1, 1, n), 1.0, 1) for n in range(1, 5)]
+        assert_same_error(modes, [[ModeAmplitude(0.0, 1.2e154)]] * 4)
+
+    def test_zero_point_sum_overflow(self):
+        modes = [Mode((1, 1, n), 1e308, 1) for n in range(1, 5)]
+        assert_same_error(modes, [[ModeAmplitude(0.0, 0.0)]] * 4, N=0.7)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_row_length_mismatch(self, rows):
+        modes = [Mode((1, 1, 1), 1.0, 2), Mode((1, 1, 2), 2.0, 2)]
+        amplitudes = [[ModeAmplitude(0.5, 0.5)] * 2, [ModeAmplitude(0.5, 0.5)] * rows]
+        assert_same_error(modes, amplitudes)
+
+    def test_row_length_mismatch_after_a_nan(self):
+        modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), 2.0, 2)]
+        amplitudes = [[ModeAmplitude(math.nan, 0.0)], [ModeAmplitude(0.5, 0.5)]]
+        assert_same_error(modes, amplitudes)
+
+    def test_mode_count_mismatch(self):
+        modes, amplitudes = seeded_system(31, count=5)
+        assert_same_error(modes, amplitudes[:4])
+
+    def test_first_mode_where_the_sum_stops_being_finite(self):
+        # The loop named the mode whose square overflowed (the third), though
+        # its sum had stopped being finite at the nan of the second.
+        modes = [Mode((1, 1, n), 1.0, 1) for n in range(1, 4)]
+        amplitudes = [[ModeAmplitude(0.5, 0.5)], [ModeAmplitude(math.nan, 0.0)],
+                      [ModeAmplitude(0.0, 1e200)]]
+        with pytest.raises(ValueError, match=r"mode \(1, 1, 2\) .* not a finite"):
+            field_energy(modes, amplitudes)
