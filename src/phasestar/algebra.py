@@ -31,6 +31,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from .units import integer
+
 Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 
 # Coefficients smaller than this in magnitude are dropped after numeric
@@ -159,18 +161,17 @@ class MultiIndex(NamedTuple):
 def _validated_index(index, dimension: int) -> MultiIndex:
     try:
         q_exponents, p_exponents, hbar_power = index
-        index = MultiIndex(tuple(q_exponents), tuple(p_exponents), hbar_power)
+        q_exponents, p_exponents = tuple(q_exponents), tuple(p_exponents)
     except (TypeError, ValueError):
         raise ValueError("a term key must be a (q_exponents, p_exponents, "
                          f"hbar_power) triple, got {index!r}") from None
-    if len(index.q_exponents) != dimension or len(index.p_exponents) != dimension:
+    if len(q_exponents) != dimension or len(p_exponents) != dimension:
         raise ValueError(
             f"exponent vectors must have length {dimension}, got "
-            f"{len(index.q_exponents)} and {len(index.p_exponents)}")
-    for e in index.q_exponents + index.p_exponents + (index.hbar_power,):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-    return index
+            f"{len(q_exponents)} and {len(p_exponents)}")
+    return MultiIndex(tuple(integer("exponent", e) for e in q_exponents),
+                      tuple(integer("exponent", e) for e in p_exponents),
+                      integer("hbar_power", hbar_power))
 
 
 class PhasePolynomial:
@@ -185,8 +186,7 @@ class PhasePolynomial:
 
     def __init__(self, dimension: int,
                  terms: Union[Mapping, Iterable] = ()):
-        if not isinstance(dimension, int) or dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+        dimension = integer("dimension", dimension, 1)
         items = terms.items() if isinstance(terms, Mapping) else terms
         coefficients = {}
         for index, coefficient in items:
@@ -241,7 +241,7 @@ class PhasePolynomial:
 
     @classmethod
     def hbar(cls, dimension: int, power: int = 1, coefficient: Scalar = 1) -> "PhasePolynomial":
-        zero_exp = (0,) * dimension
+        zero_exp = (0,) * integer("dimension", dimension, 1)
         return cls(dimension, [(MultiIndex(zero_exp, zero_exp, power), coefficient)])
 
     @classmethod
@@ -253,7 +253,7 @@ class PhasePolynomial:
 
     @staticmethod
     def _check_variable_index(index: int, dimension: int) -> None:
-        if not 0 <= index < dimension:
+        if integer("index", index) >= integer("dimension", dimension, 1):
             raise ValueError(
                 f"variable index {index} out of range for dimension {dimension}")
 
@@ -345,8 +345,7 @@ class PhasePolynomial:
         return self * (ComplexFraction(1) / scale)
 
     def __pow__(self, exponent: int) -> "PhasePolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        exponent = integer("exponent", exponent)
         if exponent == 0:
             return PhasePolynomial.constant(self._dimension, 1)
         half = self ** (exponent // 2)

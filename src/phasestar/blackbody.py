@@ -41,7 +41,7 @@ from itertools import repeat
 from typing import Optional
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem, finite, positive
+from .units import NATURAL, UnitSystem, finite, integer, positive
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
 X_OVERFLOW = 700.0
@@ -64,7 +64,7 @@ SPECTRUM_FIELDS = ("omega", "temperature", "thermal_density",
 
 
 class LadderTermCapExceeded(ValueError):
-    """The tail bound demands more ladder terms than the configured cap.
+    """The tail bound demands more ladder terms than ``LADDER_TERM_CAP``.
 
     ``required_terms`` is a lower bound: the exact length when the tail
     bound closes, otherwise the point where the search for it stopped.
@@ -146,16 +146,21 @@ def _square(omega: float) -> float:
         return math.inf
 
 
+def _pi_squared_c_cubed(c_light: float) -> float:
+    return math.pi ** 2 * c_light ** 3
+
+
 def _states_per_omega_squared(c_light: float) -> float:
-    return 1 / (math.pi ** 2 * c_light ** 3)
+    return 1 / _pi_squared_c_cubed(c_light)
 
 
 @functools.lru_cache(maxsize=64)
 def _states_denominator(c_light: float) -> float:
-    """pi**2 c**3, once per c_light, after checking that the density of states
-    per w**2, its reciprocal, is a finite double (an infinite pi**2 c**3 passes)."""
-    finite("density of states at c_light = {!r}", _states_per_omega_squared, c_light)
-    return math.pi ** 2 * c_light ** 3
+    """pi**2 c**3, once per c_light, after checking that it and the density
+    of states per w**2, its reciprocal, are both finite doubles."""
+    what = "density of states at c_light = {!r}"
+    finite(what, _states_per_omega_squared, c_light)
+    return finite(what, _pi_squared_c_cubed, c_light)
 
 
 def _density_prefactor(omega_squared, units: UnitSystem):
@@ -207,8 +212,7 @@ def spectral_density_per_frequency(nu: float, temperature: float,
 # ladder-sum route
 
 
-def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
-                               cap: int = LADDER_TERM_CAP) -> int:
+def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14) -> int:
     """Smallest n_max whose dropped ladder tail is below rel_tol.
 
     The remainder of sum(n * r**n) past n_max, with r = exp(-x), is bounded
@@ -218,8 +222,9 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
         (n_max + 2) * exp(-n_max * x) <= rel_tol * (1 - exp(-x))**2
 
     which is monotone in n_max and solved by bisection.  Raises
-    LadderTermCapExceeded (reporting the required length) past the cap,
-    and also when x is so small that no n_max up to 2**60 closes the bound.
+    LadderTermCapExceeded (reporting the required length) past
+    ``LADDER_TERM_CAP``, and also when x is so small that no n_max up to
+    2**60 closes the bound.
     """
     positive("x", x)
     if positive("rel_tol", rel_tol) >= 1:
@@ -232,7 +237,7 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
     low, high = 0, 1
     while not satisfied(high):
         if high > 2 ** 60:
-            raise LadderTermCapExceeded(high + 1, cap, x)
+            raise LadderTermCapExceeded(high + 1, LADDER_TERM_CAP, x)
         high *= 2
     while low < high:
         mid = (low + high) // 2
@@ -240,8 +245,8 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14,
             high = mid
         else:
             low = mid + 1
-    if low > cap:
-        raise LadderTermCapExceeded(low, cap, x)
+    if low > LADDER_TERM_CAP:
+        raise LadderTermCapExceeded(low, LADDER_TERM_CAP, x)
     return low
 
 
@@ -266,8 +271,8 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     """
     quantum, kt = _check_domain(omega, temperature, units)
     x = quantum / kt
-    if n_max is not None and (not isinstance(n_max, int) or n_max < 0):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    if n_max is not None:
+        n_max = integer("n_max", n_max)
     if x > X_OVERFLOW:
         return _density_point(omega, temperature, units, 0.0, include_zero_point)
     if n_max is None:
@@ -382,9 +387,7 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     the cache is bounded), which speeds up only a node count this process
     has asked for before; the check itself runs on every call.
     """
-    if not isinstance(quadrature_points, int) or quadrature_points < 64:
-        raise ValueError(
-            f"quadrature_points must be an integer >= 64, got {quadrature_points!r}")
+    quadrature_points = integer("quadrature_points", quadrature_points, 64)
     if quadrature_points > MAX_QUADRATURE_POINTS:
         raise ValueError(f"quadrature_points {quadrature_points} exceeds the "
                          f"limit of {MAX_QUADRATURE_POINTS}")
@@ -433,8 +436,7 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
     positive("omega_min", omega_min)
     if not omega_min < positive("omega_max", omega_max, finite=False):
         raise ValueError("need 0 < omega_min < omega_max")
-    if not isinstance(points, int) or points < 2:
-        raise ValueError(f"points must be an integer >= 2, got {points!r}")
+    points = integer("points", points, 2)
     if points > MAX_SWEEP_POINTS:
         raise ValueError(
             f"sweep of {points} points exceeds the limit of {MAX_SWEEP_POINTS}")

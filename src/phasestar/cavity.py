@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem, positive
+from .units import NATURAL, UnitSystem, integer, positive
 
 STANDING = "standing"
 PERIODIC = "periodic"
@@ -83,10 +83,8 @@ class CavitySpec:
             raise ValueError(
                 f"boundary_convention must be {STANDING!r} or {PERIODIC!r}, "
                 f"got {self.boundary_convention!r}")
-        count = self.polarizations_per_mode
-        if not isinstance(count, int) or count < 1:
-            raise ValueError(
-                f"polarizations_per_mode must be an integer of at least 1, got {count!r}")
+        object.__setattr__(self, "polarizations_per_mode",
+                           integer("polarizations_per_mode", self.polarizations_per_mode, 1))
 
 
 class Mode(NamedTuple):
@@ -193,6 +191,7 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     more than ``cap`` modes.
     """
     import numpy as np
+    cap = integer("cap", cap)
     m = _shell_bound(spec, omega_max, units)
     count = _lattice_point_count(spec, m)
     if count > cap:

@@ -133,18 +133,13 @@ def _mode_count_check(units: UnitSystem) -> CheckResult:
         f"full-lattice error at wL/c=200 is {periodic:.2e}")
 
 
-def run_all_checks(seed: int = 0, units: UnitSystem = NATURAL,
-                   inject_fault: bool = False) -> list:
+def run_all_checks(seed: int = 0, units: UnitSystem = NATURAL) -> list:
     """Run the whole suite; deterministic for a given seed."""
     rng = random.Random(seed)
-    results = [
+    return [
         _associativity_check(rng),
         _commutator_check(),
         _oracle_check(units),
         _integral_check(units),
         _mode_count_check(units),
     ]
-    if inject_fault:
-        results.append(CheckResult("injected-fault", False,
-                                   "deliberate failure for exit-path testing"))
-    return results

@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
 from .algebra import MultiIndex, PhasePolynomial, _reduced, _sum, exact_fraction
+from .units import integer
 
 GRAMMAR_VERSION = "1.0"
 
@@ -338,9 +339,8 @@ def _number_value(text: str) -> Fraction:
 def parse_expression(source: str, dimension: int,
                      bindings: Optional[Mapping] = None) -> PhasePolynomial:
     """Parse source text into a PhasePolynomial over the given dimension."""
-    if not isinstance(dimension, int) or dimension < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
-    return _Parser(source, dimension, validate_bindings(bindings)).parse()
+    return _Parser(source, integer("dimension", dimension, 1),
+                   validate_bindings(bindings)).parse()
 
 
 # ----------------------------------------------------------------------

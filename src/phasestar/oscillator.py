@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import ComplexFraction, PhasePolynomial, exact_fraction
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem, finite, positive
+from .units import NATURAL, UnitSystem, finite, integer, positive
 
 # Highest level ladder() lists (about 0.05 s and 3 MB of floats).
 MAX_LADDER_LEVEL = 100_000
@@ -119,8 +119,7 @@ def energy_level(n: int, spec: OscillatorSpec) -> float:
     Equals (n + 1/2)*hbar*w at N = 2 and exactly n*hbar*w in the free limit
     N = inf, where the ground energy is exactly zero.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"level must be a non-negative integer, got {n!r}")
+    n = integer("n", n)
     return _level_energies(range(n, n + 1), spec)[0]
 
 
@@ -129,8 +128,7 @@ def ladder(n_max: int, spec: OscillatorSpec) -> list:
 
     n_max may be at most ``MAX_LADDER_LEVEL``.
     """
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = integer("n_max", n_max)
     if n_max > MAX_LADDER_LEVEL:
         raise ValueError(f"highest level {n_max} exceeds the limit of {MAX_LADDER_LEVEL}")
     return _level_energies(range(n_max + 1), spec)

@@ -1,10 +1,13 @@
 """Physical constants, selectable between SI and natural units.
 
-``positive`` is the one rule for physical inputs: a real number in (0, inf),
-else a ValueError naming the argument.  Only N (inf is the commutative limit)
-and upper bounds that a later check handles accept inf.  ``finite`` is the
-one rule for results and derived scales (k*T, hbar*w, pi**2 c**3) beyond the
-double range: an OverflowError, a ZeroDivisionError from a denominator that
+Three rules check values; each raises a ValueError saying which value failed.
+``positive`` is the rule for physical inputs: a real number in (0, inf).
+Only N (inf is the commutative limit) and upper bounds that a later check
+handles accept inf.  ``integer`` is the rule for counts (levels, points,
+nodes, polarizations, dimensions, exponents): an integer, numpy's included,
+of at least a lower bound, returned as a plain int.  ``finite`` is the rule
+for results and derived scales (k*T, hbar*w, pi**2 c**3) beyond the double
+range: an OverflowError, a ZeroDivisionError from a denominator that
 underflowed to 0, inf and nan all raise a ValueError.
 """
 
@@ -28,6 +31,15 @@ def positive(name: str, value, finite: bool = True):
         return value
     bound = "positive and finite" if finite else "positive"
     raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def integer(name: str, value, low: int = 0) -> int:
+    """``int(value)`` if ``value`` is an integer of at least ``low``; a bool
+    reads as 0 or 1, as it does in ``positive``."""
+    # int first, as in positive; numpy integers are Integral too
+    if isinstance(value, (int, numbers.Integral)) and value >= low:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def finite(what: str, formula, *args):

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phasestar
+from phasestar import cli
 from phasestar.blackbody import SPECTRUM_FIELDS, wien_peak
 from phasestar.cavity import MODE_FIELDS
+from phasestar.checks import CheckResult, run_all_checks
 from phasestar.cli import main
 
 
@@ -311,8 +313,12 @@ class TestChecksCommand:
         second = run_cli("checks", "--seed", "11")
         assert first == second
 
-    def test_injected_fault_exits_nonzero(self):
-        code, out, _ = run_cli("checks", "--inject-fault")
+    def test_injected_fault_exits_nonzero(self, monkeypatch):
+        def with_fault(**kwargs):
+            return run_all_checks(**kwargs) + [
+                CheckResult("injected-fault", False, "deliberate failure")]
+        monkeypatch.setattr(cli, "run_all_checks", with_fault)
+        code, out, _ = run_cli("checks")
         assert code == 2
         assert "FAIL injected-fault" in out
 

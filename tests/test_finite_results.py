@@ -17,6 +17,7 @@ so the inf is a documented value, not an escape.
 
 import itertools
 import math
+import re
 import warnings
 
 import pytest
@@ -113,3 +114,18 @@ def test_infinite_x_flushes_the_thermal_part_in_both_routes():
         assert closed.thermal_density == 0.0
     # just past X_OVERFLOW the ladder's exp(-x) is still a normal double
     assert spectral_density_ladder_sum(701.0, 1.0) == spectral_density(701.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda units: spectral_density(1e100, 1.0, units),
+    lambda units: rayleigh_jeans_density(1e100, 1.0, units),
+    lambda units: spectrum_sweep(1.0, 1e100, 4e100, 3, units=units),
+    lambda units: spectral_density_ladder_sum(1e100, 1.0, units),
+], ids=["spectral_density", "rayleigh_jeans_density", "spectrum_sweep",
+        "spectral_density_ladder_sum"])
+def test_infinite_pi_squared_c_cubed_raises_instead_of_zero_densities(call):
+    # c**3 is finite at c = 4e102 but pi**2 c**3 is inf: its reciprocal 0 would
+    # make every density 0.0, where w**2/(pi**2 c**3) is 1.6e-109 at w = 1e100
+    with pytest.raises(ValueError, match=re.escape(
+            "density of states at c_light = 4e+102 overflows a double")):
+        call(UnitSystem(c_light=4e102))
