@@ -248,6 +248,9 @@ class PhasePolynomial:
     def monomial(cls, dimension: int, q_exponents: Sequence[int],
                  p_exponents: Sequence[int], hbar_power: int = 0,
                  coefficient: Scalar = 1) -> "PhasePolynomial":
+        for name, exponents in (("q_exponents", q_exponents), ("p_exponents", p_exponents)):
+            if not isinstance(exponents, Iterable):
+                raise ValueError(f"{name} must be a sequence of integers, got {exponents!r}")
         index = MultiIndex(tuple(q_exponents), tuple(p_exponents), hbar_power)
         return cls(dimension, [(index, coefficient)])
 

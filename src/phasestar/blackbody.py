@@ -23,11 +23,15 @@ result or scale beyond the double range follows ``units.finite`` (a density
 names omega); only x may be inf, and is then past X_OVERFLOW.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
-thermal and zero-point energy, with the policy above applied as masks) and
-builds its rows from them; each row equals ``spectral_density`` at that
-point bit for bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of
-``**``.  Only expm1 stays per element, through ``math.expm1``: ``np.expm1``
-can differ from it in the last ulp (at x = 0.5231812103833013).
+thermal and zero-point energy, with the policy above applied as masks).
+It checks its rows once per column, with the comparisons of
+``SpectrumPoint.__post_init__``; the first failing row is rebuilt through
+``SpectrumPoint(...)`` to raise its error.  The checked rows are then built
+from the columns by setting each slot, without ``__init__``.  Each row
+equals ``spectral_density`` at that point bit for bit.  w**2 is
+``np.float_power(w, 2.0)``, the libm pow of ``**``.  Only expm1 stays per
+element, through ``math.expm1``: ``np.expm1`` can differ from it in the
+last ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
 
@@ -79,7 +84,7 @@ class LadderTermCapExceeded(ValueError):
         self.x = x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumPoint:
     """One spectral sample: densities are per volume per angular frequency."""
 
@@ -96,6 +101,10 @@ class SpectrumPoint:
             raise ValueError("densities must be non-negative")
         if self.total_density != self.thermal_density + self.zero_point_density:
             raise ValueError("total density must equal thermal plus zero-point")
+
+
+# The field descriptors of SpectrumPoint, which spectrum_sweep sets directly.
+_SPECTRUM_SLOTS = tuple(getattr(SpectrumPoint, field.name) for field in fields(SpectrumPoint))
 
 
 def _check_temperature(temperature: float, units: UnitSystem) -> float:
@@ -297,9 +306,12 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     cures.
     """
     _check_domain(omega, temperature, units)
-    return finite("spectral density at omega = {!r}",
-                  lambda w: _density_prefactor(_square(w), units) * units.k_boltzmann
-                  * temperature, omega)
+    return finite("spectral density at omega = {!r}", _rayleigh_jeans,
+                  omega, temperature, units)
+
+
+def _rayleigh_jeans(omega: float, temperature: float, units: UnitSystem) -> float:
+    return _density_prefactor(_square(omega), units) * units.k_boltzmann * temperature
 
 
 def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
@@ -311,9 +323,11 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     excluded: it grows without bound in w and has no peak.
     """
     _check_temperature(temperature, units)
-    return finite("Wien peak at temperature {!r}",
-                  lambda t: wien_x_constant() * units.k_boltzmann * t / units.hbar,
-                  temperature)
+    return finite("Wien peak at temperature {!r}", _wien_peak, temperature, units)
+
+
+def _wien_peak(temperature: float, units: UnitSystem) -> float:
+    return wien_x_constant() * units.k_boltzmann * temperature / units.hbar
 
 
 @functools.cache
@@ -396,9 +410,13 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     estimate = abs(integral - refined) / abs(integral)
     if estimate > 1e-8:
         raise QuadratureError(estimate)
-    return integral, finite("T**4 coefficient of units = {!r}",
-                            lambda u: integral * u.k_boltzmann ** 4 / (
-                                u.hbar ** 3 * u.c_light ** 3 * math.pi ** 2), units)
+    return integral, finite("T**4 coefficient of units = {!r}", _t4_coefficient,
+                            units, integral)
+
+
+def _t4_coefficient(units: UnitSystem, integral: float) -> float:
+    return integral * units.k_boltzmann ** 4 / (
+        units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
 
 
 def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
@@ -413,9 +431,12 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     positive("omega_cutoff", omega_cutoff)
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
-    return finite("zero-point energy below omega_cutoff = {!r}",
-                  lambda wc: units.hbar * wc ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3),
-                  omega_cutoff)
+    return finite("zero-point energy below omega_cutoff = {!r}", _zero_point_below,
+                  omega_cutoff, units, N)
+
+
+def _zero_point_below(omega_cutoff: float, units: UnitSystem, N: float) -> float:
+    return units.hbar * omega_cutoff ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3)
 
 
 # ----------------------------------------------------------------------
@@ -461,13 +482,25 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         zero_point = (prefactor * ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
         total = thermal + zero_point
-    # Rows stop before the first omega the domain check rejects (not above 0,
-    # or hbar*w beyond the double range); that check raises once any overflow
-    # in the rows before it has been raised.
-    valid = (grid > 0) & (quantum < math.inf)
-    stop = points if valid.all() else int(valid.argmin())
-    rows = list(map(SpectrumPoint, omegas[:stop], repeat(temperature),
-                    thermal.tolist(), zero_point.tolist(), total.tolist()))
+        # Rows stop before the first omega the domain check rejects (not above
+        # 0, or hbar*w beyond the double range); that check raises once any
+        # overflow in the rows before it has been raised.
+        valid = (grid > 0) & (quantum < math.inf)
+        stop = points if valid.all() else int(valid.argmin())
+        # SpectrumPoint.__post_init__ over the columns; its comparisons are the
+        # same IEEE ones, so the first row failing here is the first it rejects.
+        thermal, zero_point, total = thermal[:stop], zero_point[:stop], total[:stop]
+        bad = (~np.isfinite(total) | (thermal < 0) | (zero_point < 0)
+               | (total != thermal + zero_point))
+    if bad.any():
+        first = int(bad.argmax())
+        SpectrumPoint(omegas[first], temperature, float(thermal[first]),
+                      float(zero_point[first]), float(total[first]))
+    # Checked rows are filled slot by slot in C, without __init__.
+    rows = list(map(object.__new__, repeat(SpectrumPoint, stop)))
+    for slot, column in zip(_SPECTRUM_SLOTS, (omegas, repeat(temperature), thermal.tolist(),
+                                              zero_point.tolist(), total.tolist())):
+        deque(map(slot.__set__, rows, column), maxlen=0)
     if stop < points:
         _check_domain(omegas[stop], temperature, units)
     return rows

@@ -257,7 +257,9 @@ def _cmd_spectrum(args, out, err) -> int:
     rows = []
     worst = 0.0
     for point in points:
-        row = dict(vars(point), x=dimensionless_x(point.omega, point.temperature, units))
+        x = dimensionless_x(point.omega, point.temperature, units)
+        row = dict(zip(SPECTRUM_FIELDS, (point.omega, point.temperature, point.thermal_density,
+                                         point.zero_point_density, point.total_density, x)))
         if args.oracle:
             summed = spectral_density_ladder_sum(
                 point.omega, point.temperature, units,

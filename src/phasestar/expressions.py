@@ -339,6 +339,8 @@ def _number_value(text: str) -> Fraction:
 def parse_expression(source: str, dimension: int,
                      bindings: Optional[Mapping] = None) -> PhasePolynomial:
     """Parse source text into a PhasePolynomial over the given dimension."""
+    if not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
     return _Parser(source, integer("dimension", dimension, 1),
                    validate_bindings(bindings)).parse()
 
@@ -406,6 +408,8 @@ def format_canonical(poly: PhasePolynomial) -> str:
     different rational.  Rendering that parse gives the same text again.
     A non-integer coefficient beyond the float range raises ValueError.
     """
+    if not isinstance(poly, PhasePolynomial):
+        raise ValueError(f"poly must be a PhasePolynomial, got {poly!r}")
     if poly.is_zero:
         return "0"
     pieces = []

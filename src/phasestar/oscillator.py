@@ -108,9 +108,14 @@ def _level_energies(levels: range, spec: OscillatorSpec) -> list:
     energies rise with n, so only the last one is checked for overflow."""
     quantum = spec.units.hbar * spec.omega
     ground = ground_energy(quantum, spec.N)
-    finite("energy of level {} at omega = {!r}", lambda n, _: quantum * n + ground,
-           levels[-1], spec.omega)
+    finite("energy of level {} at omega = {!r}", _level_energy,
+           levels[-1], spec.omega, quantum, ground)
     return [quantum * n + ground for n in levels]
+
+
+def _level_energy(n: int, omega: float, quantum: float, ground: float) -> float:
+    """n*hbar*w + hbar*w/N; omega only names the oscillator in the overflow message."""
+    return quantum * n + ground
 
 
 def energy_level(n: int, spec: OscillatorSpec) -> float:

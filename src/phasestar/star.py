@@ -66,15 +66,24 @@ class DeformationParameter:
         return Fraction(1) / exact_fraction(self.N)
 
 
-def _check_dimensions(f: PhasePolynomial, g: PhasePolynomial) -> None:
+def _check_operands(f: PhasePolynomial, g: PhasePolynomial) -> None:
+    for name, poly in (("f", f), ("g", g)):
+        if not isinstance(poly, PhasePolynomial):
+            raise ValueError(f"{name} must be a PhasePolynomial, got {poly!r}")
     if f.dimension != g.dimension:
         raise ValueError(f"dimension mismatch: {f.dimension} vs {g.dimension}")
+
+
+def _top_layer(f: PhasePolynomial, g: PhasePolynomial) -> int:
+    """The highest layer k of f (star) g that can be nonzero."""
+    _check_operands(f, g)
+    return min(f.total_degree(), g.total_degree())
 
 
 def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
             layers: range, **selection) -> PhasePolynomial:
     """One kernel pass over the selected layers of f (star) g."""
-    _check_dimensions(f, g)
+    _check_operands(f, g)
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
@@ -82,13 +91,13 @@ def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
 
 
 def _odd_layers(f: PhasePolynomial, g: PhasePolynomial) -> range:
-    return range(1, min(f.total_degree(), g.total_degree()) + 1, 2)
+    return range(1, _top_layer(f, g) + 1, 2)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial,
                  param: DeformationParameter = DeformationParameter()) -> PhasePolynomial:
     """The full star product f (star) g, exact to all orders."""
-    return _series(f, g, param, range(min(f.total_degree(), g.total_degree()) + 1))
+    return _series(f, g, param, range(_top_layer(f, g) + 1))
 
 
 def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
@@ -116,7 +125,7 @@ def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
 
     It is layer 1 of the star-product kernel without its factor i*hbar/N.
     """
-    _check_dimensions(f, g)
+    _check_operands(f, g)
     return _moyal_product(f, g, 1, range(1, 2), graded=False, lower=1)
 
 

@@ -3,9 +3,10 @@ peak location and integral checks.  Oracles are computed independently in
 the tests (direct sums, bisection, closed-form constants)."""
 
 import math
+import pickle
 import random
 import re
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import pytest
@@ -536,6 +537,64 @@ class TestSweepMatchesScalarRoute:
             scalar = outcome(lambda: scalar_sweep(*args))
             assert isinstance(scalar, tuple) and scalar[0] is ValueError
             assert outcome(lambda: spectrum_sweep(*args)) == scalar
+
+
+class TestRowType:
+    """Sweep rows are built slot by slot without __init__; they must be the same
+    frozen, slotted SpectrumPoint as the rows the scalar route constructs."""
+
+    GRID = (1.0, 0.05, 900.0, 13, "log", NATURAL)
+
+    @pytest.fixture(params=[True, False], ids=["zero-point", "thermal-only"])
+    def pairs(self, request):
+        args = self.GRID + (request.param,)
+        return list(zip(spectrum_sweep(*args), scalar_sweep(*args)))
+
+    def test_rows_are_slotted_spectrum_points(self, pairs):
+        for row in (row for pair in pairs for row in pair):
+            assert type(row) is SpectrumPoint
+            assert not hasattr(row, "__dict__")
+
+    def test_rows_are_frozen(self, pairs):
+        for row in (row for pair in pairs for row in pair):
+            for field in SPECTRUM_FIELDS[:5]:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(row, field, 0.0)
+            with pytest.raises(FrozenInstanceError):
+                del row.omega
+
+    def test_sweep_and_scalar_rows_agree(self, pairs):
+        for swept, scalar in pairs:
+            assert swept == scalar
+            assert hash(swept) == hash(scalar)
+            assert repr(swept) == repr(scalar)
+            assert astuple(swept) == astuple(scalar)
+            for row in (swept, scalar):
+                restored = pickle.loads(pickle.dumps(row))
+                assert type(restored) is SpectrumPoint
+                assert restored == swept and astuple(restored) == astuple(swept)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((1.0, 1.0, -1.0, 0.0, -1.0), "densities must be non-negative"),
+        ((1.0, 1.0, 1.0, -0.5, 0.5), "densities must be non-negative"),
+        ((1.0, 1.0, 1.0, 0.5, 2.0), "total density must equal thermal plus zero-point"),
+        ((2.5, 1.0, math.inf, 0.0, math.inf), "spectral density at omega = 2.5 overflows"),
+        ((2.5, 1.0, 0.0, math.nan, math.nan), "spectral density at omega = 2.5 overflows"),
+    ])
+    def test_direct_construction_still_checks(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpectrumPoint(*fields)
+
+    @pytest.mark.parametrize("include_zero_point", [True, False])
+    def test_sweep_error_names_the_first_overflowing_row(self, include_zero_point):
+        # the thermal density, about w**2 k T / pi**2, overflows part way along
+        grid = np.geomspace(1.0, 1e10, 21).tolist()
+        first = next(w for w in grid
+                     if outcome(lambda: [spectral_density(w, 1e300, NATURAL,
+                                                          include_zero_point)])[0] is ValueError)
+        assert grid.index(first) not in (0, 20)
+        with pytest.raises(ValueError, match=re.escape(f"omega = {first!r} overflows")):
+            spectrum_sweep(1e300, 1.0, 1e10, 21, "log", NATURAL, include_zero_point)
 
 
 class TestFrequencyView:

@@ -3,10 +3,13 @@
 ``tests/golden/cli_stdout.json`` holds the stdout of a fixed set of
 ``star``, ``commutator`` and ``oscillator`` argv: complex coefficients,
 ``--N 3`` (non-dyadic coefficients), ``--N 0.7``, ``--N infinity``,
-``--first-order``, ``--poisson`` and every output format.  The two
-``demo_*.txt`` files hold the stdout of the deterministic demos 01 and 02.
-The texts were recorded from the implementation that stored
-ComplexFraction coefficients; any change of rendered output fails here.
+``--first-order``, ``--poisson`` and every output format.  These texts were
+recorded from the implementation that stored ComplexFraction coefficients.
+The ``spectrum`` argv in it (log and linear spacing, text, CSV and JSON,
+``--oracle``, ``--no-zero-point``, ``--units si``, ``--precision 17``) were
+recorded from the sweep that built each row through ``SpectrumPoint(...)``.
+The ``demo_*.txt`` files hold the stdout of the deterministic demos 01, 02
+and 03.  Any change of rendered output fails here.
 """
 
 import io
@@ -34,7 +37,8 @@ def test_cli_stdout_is_unchanged(case):
     assert out.getvalue() == case["stdout"]
 
 
-@pytest.mark.parametrize("demo", ("01_star_product_tour", "02_oscillator_zero_point"))
+@pytest.mark.parametrize("demo", ("01_star_product_tour", "02_oscillator_zero_point",
+                                  "03_radiation_spectrum"))
 def test_demo_stdout_is_unchanged(demo):
     package_root = str(Path(phasestar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
