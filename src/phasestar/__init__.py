@@ -2,8 +2,7 @@
 oscillator ladder, cavity mode counting, and the radiation law with its
 zero-point term."""
 
-from .algebra import (ComplexFraction, MultiIndex, PhasePolynomial,
-                      STORAGE_EPSILON, exact_fraction)
+from .algebra import ComplexFraction, MultiIndex, PhasePolynomial, exact_fraction
 from .blackbody import (LadderTermCapExceeded, QuadratureError, SPECTRUM_FIELDS,
                         SpectrumPoint, dimensionless_x, ladder_terms_for_tolerance,
                         mean_oscillator_energy, rayleigh_jeans_density,
@@ -28,8 +27,7 @@ from .units import NATURAL, UnitSystem
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexFraction", "MultiIndex", "PhasePolynomial", "STORAGE_EPSILON",
-    "exact_fraction",
+    "ComplexFraction", "MultiIndex", "PhasePolynomial", "exact_fraction",
     "LadderTermCapExceeded", "QuadratureError", "SPECTRUM_FIELDS",
     "SpectrumPoint", "dimensionless_x", "ladder_terms_for_tolerance",
     "mean_oscillator_energy", "rayleigh_jeans_density", "spectral_density",

@@ -11,7 +11,7 @@ tuple that compares and hashes like ``MultiIndex``.  The form is canonical,
 gcd(D, every x, every y) = 1 and no pair is (0, 0), so ``==`` is a
 structural test.  The public ``terms`` mapping is built on first access and
 cached; only it turns a polynomial's pairs into ComplexFraction values.
-``STORAGE_EPSILON`` applies only when a number is substituted for ``hbar``.
+Substituting a number for ``hbar`` is exact too: every nonzero term is kept.
 
 Pointwise multiplication and every star-product route are one kernel,
 ``_moyal_product``: the closed-form product of two monomials with integer
@@ -31,13 +31,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .units import integer
+from .units import finite, integer, nonnegative
 
 Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 
-# Coefficients smaller than this in magnitude are dropped after numeric
-# substitution of hbar (near-zero float residue).  Never used symbolically.
-STORAGE_EPSILON = 1e-15
 
 def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
     """Convert a real number to the exact Fraction it denotes.
@@ -385,35 +382,31 @@ class PhasePolynomial:
         d = self._dimension
         if len(point) != 2 * d:
             raise ValueError(f"point must have length {2 * d}, got {len(point)}")
-        if hbar_value < 0:
-            raise ValueError(f"hbar_value must be non-negative, got {hbar_value!r}")
+        nonnegative("hbar_value", hbar_value)
         values = [exact_fraction(v) for v in (*point, hbar_value)]
         real = imag = 0
         for (q, p, hbar_power), (x, y) in self._terms.items():
             factor = math.prod(v ** e for v, e in zip(values, (*q, *p, hbar_power)) if e)
             real += x * factor
             imag += y * factor
-        return complex(float(Fraction(real, self._den)), float(Fraction(imag, self._den)))
+        where = f"the value at {tuple(point)} with hbar_value = {hbar_value!r}"
+        return complex(finite(where, float, Fraction(real, self._den)),
+                       finite(where, float, Fraction(imag, self._den)))
 
     def substitute_hbar(self, value: float) -> "PhasePolynomial":
         """Collapse the hbar grading by substituting a numeric value.
 
-        Terms whose resulting coefficient magnitude falls below
-        ``STORAGE_EPSILON`` are dropped (near-zero numeric residue).
+        The substitution is exact: every term whose coefficient is not
+        exactly zero is kept.
         """
-        if value < 0:
-            raise ValueError(f"hbar value must be non-negative, got {value!r}")
-        h = exact_fraction(value)
+        h = exact_fraction(nonnegative("hbar_value", value))
         top = max((key[2] for key in self._terms), default=0)
         out = {}
         for (q, p, hbar_power), (x, y) in self._terms.items():
             w = h.numerator ** hbar_power * h.denominator ** (top - hbar_power)
             u, v = out.get((q, p, 0), (0, 0))
             out[q, p, 0] = (u + x * w, v + y * w)
-        den = self._den * h.denominator ** top
-        return _reduced(self._dimension, den, {
-            key: (x, y) for key, (x, y) in out.items()
-            if math.hypot(x / den, y / den) >= STORAGE_EPSILON})
+        return _reduced(self._dimension, self._den * h.denominator ** top, out)
 
 
 def _integer_rows(coefficients: Mapping) -> tuple:

@@ -26,13 +26,12 @@ layer 1 without its factor i*hbar/N for the Poisson bracket.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import PhasePolynomial, _moyal_product, exact_fraction
-from .units import positive
+from .units import nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,8 @@ class DeformationParameter:
 
     def __post_init__(self):
         positive("N", self.N, finite=False)
-        h = self.hbar_value
-        if h is not None and not (isinstance(h, numbers.Real) and 0 <= h < math.inf):
-            raise ValueError(f"hbar_value must be a finite non-negative number, got {h!r}")
+        if self.hbar_value is not None:
+            nonnegative("hbar_value", self.hbar_value)
 
     @property
     def symbolic_hbar(self) -> bool:

@@ -1,14 +1,16 @@
 """Physical constants, selectable between SI and natural units.
 
-Three rules check values; each raises a ValueError saying which value failed.
+Four rules check values; each raises a ValueError saying which value failed.
 ``positive`` is the rule for physical inputs: a real number in (0, inf).
 Only N (inf is the commutative limit) and upper bounds that a later check
-handles accept inf.  ``integer`` is the rule for counts (levels, points,
-nodes, polarizations, dimensions, exponents): an integer, numpy's included,
-of at least a lower bound, returned as a plain int.  ``finite`` is the rule
-for results and derived scales (k*T, hbar*w, pi**2 c**3) beyond the double
-range: an OverflowError, a ZeroDivisionError from a denominator that
-underflowed to 0, inf and nan all raise a ValueError.
+handles accept inf.  ``nonnegative`` is the rule for hbar values, which may
+be 0: a real number in [0, inf).  ``integer`` is the rule for counts
+(levels, points, nodes, polarizations, dimensions, exponents): an integer,
+numpy's included, of at least a lower bound, returned as a plain int.
+``finite`` is the rule for results and derived scales (k*T, hbar*w,
+pi**2 c**3) beyond the double range: an OverflowError, a ZeroDivisionError
+from a denominator that underflowed to 0, inf and nan all raise a
+ValueError.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ def positive(name: str, value, finite: bool = True):
         return value
     bound = "positive and finite" if finite else "positive"
     raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def nonnegative(name: str, value):
+    """``value`` if it is a real number in [0, inf); a bool reads as 0 or 1."""
+    if isinstance(value, (float, int, numbers.Real)) and 0 <= value < math.inf:
+        return value
+    raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 def integer(name: str, value, low: int = 0) -> int:

@@ -1,12 +1,13 @@
 """Exactness and contract tests for the sparse phase-space polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from phasestar.algebra import (ComplexFraction, MultiIndex, PhasePolynomial,
-                               STORAGE_EPSILON, exact_fraction)
+from phasestar.algebra import ComplexFraction, MultiIndex, PhasePolynomial, exact_fraction
+from phasestar.star import DeformationParameter, star_product
 
 
 def q(d=1, i=0):
@@ -183,6 +184,32 @@ class TestEvaluate:
         assert poly.evaluate([0.5, 0]) == 0.0625
 
 
+# every public way to give hbar a number, called with the value v
+HBAR_ROUTES = {
+    "DeformationParameter": lambda v: star_product(q(), p(), DeformationParameter(hbar_value=v)),
+    "evaluate": lambda v: (q() * p() + PhasePolynomial.hbar(1)).evaluate([2, 3], hbar_value=v),
+    "substitute_hbar": lambda v: (q() * p() + PhasePolynomial.hbar(1)).substitute_hbar(v),
+}
+
+
+# None is also rejected, except by DeformationParameter, where it selects the symbolic hbar
+BAD_HBAR_CASES = [(route, value) for route in HBAR_ROUTES
+                  for value in ("a", 2j, math.nan, math.inf, -math.inf, -1, None)
+                  if not (route == "DeformationParameter" and value is None)]
+
+
+class TestHbarValueRule:
+    @pytest.mark.parametrize("route, value", BAD_HBAR_CASES)
+    def test_rejects_with_a_value_error_naming_hbar_value(self, route, value):
+        with pytest.raises(ValueError, match="hbar_value"):
+            HBAR_ROUTES[route](value)
+
+    def test_zero_gives_the_hbar_free_part(self):
+        assert HBAR_ROUTES["DeformationParameter"](0) == q() * p()
+        assert HBAR_ROUTES["evaluate"](0) == 6
+        assert HBAR_ROUTES["substitute_hbar"](0) == q() * p()
+
+
 class TestHbarHandling:
     def test_component_extraction(self):
         poly = q() + PhasePolynomial.hbar(1, power=2, coefficient=3)
@@ -200,11 +227,13 @@ class TestHbarHandling:
         collapsed = poly.substitute_hbar(2.0)
         assert collapsed == q() + 1
 
-    def test_substitute_prunes_numeric_residue(self):
-        tiny = PhasePolynomial.hbar(1, coefficient=STORAGE_EPSILON / 8)
-        assert tiny.substitute_hbar(1.0).is_zero
-        kept = PhasePolynomial.hbar(1, coefficient=STORAGE_EPSILON * 8)
-        assert not kept.substitute_hbar(1.0).is_zero
+    def test_substitute_is_exact(self):
+        tiny = PhasePolynomial.hbar(1, coefficient=1e-15 / 8)
+        assert tiny.substitute_hbar(1.0) == PhasePolynomial.constant(1, 1e-15 / 8)
+
+    def test_substitute_keeps_coefficients_beyond_the_double_range(self):
+        huge = PhasePolynomial.constant(1, 10 ** 400) + PhasePolynomial.hbar(1)
+        assert huge.substitute_hbar(1.0) == PhasePolynomial.constant(1, 10 ** 400 + 1)
 
     def test_symbolic_arithmetic_never_prunes(self):
         tiny = PhasePolynomial.constant(1, Fraction(1, 10 ** 40))

@@ -22,6 +22,7 @@ import warnings
 
 import pytest
 
+from phasestar.algebra import PhasePolynomial
 from phasestar.blackbody import (SpectrumPoint, X_OVERFLOW, dimensionless_x,
                                  mean_oscillator_energy, rayleigh_jeans_density,
                                  spectral_density, spectral_density_ladder_sum,
@@ -129,3 +130,11 @@ def test_infinite_pi_squared_c_cubed_raises_instead_of_zero_densities(call):
     with pytest.raises(ValueError, match=re.escape(
             "density of states at c_light = 4e+102 overflows a double")):
         call(UnitSystem(c_light=4e102))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PhasePolynomial.hbar(1, 0, 10 ** 400).evaluate([1.0, 2.0], hbar_value=1.0),
+], ids=["evaluate"])
+def test_exact_values_beyond_the_double_range_raise(call):
+    with pytest.raises(ValueError, match="overflows a double"):
+        call()

@@ -5,11 +5,14 @@ expansions of the series; every comparison is exact.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasestar.algebra import ComplexFraction, PhasePolynomial
+from phasestar.checks import random_phase_polynomial
 from phasestar.star import (DeformationParameter, classical_limit_bracket,
                             poisson_bracket, star_commutator, star_first_order,
                             star_product)
@@ -25,6 +28,19 @@ def p(d=1, i=0):
 
 def hbar_const(value, d=1, power=1):
     return PhasePolynomial.hbar(d, power=power, coefficient=value)
+
+
+def seeded_pair(seed, dimension):
+    rng = random.Random(seed)
+    return tuple(random_phase_polynomial(rng, dimension, complex_coefficients=True)
+                 for _ in range(2))
+
+
+# inputs on which the numeric-hbar and the substituted symbolic routes must agree
+NUMERIC_HBAR_CASES = dict(
+    seed=st.integers(0, 2 ** 32), dimension=st.sampled_from((1, 2)),
+    N=st.sampled_from((2, 3, 0.7, Fraction(7, 3))),
+    h=st.just(0.0) | st.floats(-300, 3).map(lambda e: 10.0 ** e))
 
 
 I = ComplexFraction(0, 1)
@@ -95,12 +111,12 @@ class TestStarProduct:
         g = q() ** 2 - p()
         assert star_product(f, g, DeformationParameter(N=math.inf)) == f * g
 
-    def test_numeric_hbar_matches_substituted_symbolic(self):
-        f = q() ** 2 + p()
-        g = q() * p()
-        symbolic = star_product(f, g, DeformationParameter(N=2))
-        numeric = star_product(f, g, DeformationParameter(N=2, hbar_value=1.0))
-        assert numeric == symbolic.substitute_hbar(1.0)
+    @given(**NUMERIC_HBAR_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_numeric_hbar_matches_substituted_symbolic(self, seed, dimension, N, h):
+        f, g = seeded_pair(seed, dimension)
+        numeric = star_product(f, g, DeformationParameter(N, h))
+        assert numeric == star_product(f, g, DeformationParameter(N)).substitute_hbar(h)
 
     def test_grade_zero_component_is_pointwise_product(self):
         f = (q() + 2) * p()
@@ -155,6 +171,13 @@ class TestStarCommutator:
         result = star_commutator(q(), p(), DeformationParameter(N=8))
         assert result == hbar_const(I * Fraction(1, 4))
         assert result != hbar_const(I)
+
+    @given(**NUMERIC_HBAR_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_numeric_hbar_matches_substituted_symbolic(self, seed, dimension, N, h):
+        f, g = seeded_pair(seed, dimension)
+        numeric = star_commutator(f, g, DeformationParameter(N, h))
+        assert numeric == star_commutator(f, g, DeformationParameter(N)).substitute_hbar(h)
 
 
 class TestPoissonBracket:
