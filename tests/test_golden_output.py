@@ -8,8 +8,12 @@ recorded from the implementation that stored ComplexFraction coefficients.
 The ``spectrum`` argv in it (log and linear spacing, text, CSV and JSON,
 ``--oracle``, ``--no-zero-point``, ``--units si``, ``--precision 17``) were
 recorded from the sweep that built each row through ``SpectrumPoint(...)``.
-The ``demo_*.txt`` files hold the stdout of the deterministic demos 01, 02
-and 03.  Any change of rendered output fails here.
+The ``modes`` argv (both conventions, text, CSV and JSON, ``--units si``,
+``--precision 17`` with ``-L 1.7``, an empty table and one suppressed above
+``MODE_LIST_LIMIT``) and ``oscillator --format csv --levels 5`` were
+recorded from the writer that built one dict per table row.  The
+``demo_*.txt`` files hold the stdout of the deterministic demos 01 to 04.
+Any change of rendered output fails here.
 """
 
 import io
@@ -38,7 +42,7 @@ def test_cli_stdout_is_unchanged(case):
 
 
 @pytest.mark.parametrize("demo", ("01_star_product_tour", "02_oscillator_zero_point",
-                                  "03_radiation_spectrum"))
+                                  "03_radiation_spectrum", "04_cavity_mode_census"))
 def test_demo_stdout_is_unchanged(demo):
     package_root = str(Path(phasestar.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
