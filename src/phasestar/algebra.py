@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import sys
 from fractions import Fraction
 from types import MappingProxyType
@@ -39,8 +40,8 @@ Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
     """Convert a real number to the exact Fraction it denotes.
 
-    Floats map to their exact dyadic value, so no rounding happens here.
-    NaN and infinities are rejected.
+    Floats (numpy's too) map to their exact dyadic value, so no rounding
+    happens here.  NaN and infinities are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,6 +51,13 @@ def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
         if not math.isfinite(value):
             raise ValueError(f"value must be finite, got {value!r}")
         return Fraction(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    if isinstance(value, numbers.Real):
+        try:  # inf and nan have no integer ratio
+            return Fraction(*value.as_integer_ratio())
+        except (OverflowError, ValueError):
+            raise ValueError(f"value must be finite, got {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact real number")
 
 
@@ -383,7 +391,10 @@ class PhasePolynomial:
         if len(point) != 2 * d:
             raise ValueError(f"point must have length {2 * d}, got {len(point)}")
         nonnegative("hbar_value", hbar_value)
-        values = [exact_fraction(v) for v in (*point, hbar_value)]
+        try:
+            values = [exact_fraction(v) for v in (*point, hbar_value)]
+        except TypeError:
+            raise ValueError(f"point must hold real numbers, got {tuple(point)!r}") from None
         real = imag = 0
         for (q, p, hbar_power), (x, y) in self._terms.items():
             factor = math.prod(v ** e for v, e in zip(values, (*q, *p, hbar_power)) if e)

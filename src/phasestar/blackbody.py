@@ -454,6 +454,18 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
     include_zero_point)`` bit for bit, and the first bad row in grid
     order raises the error that call would raise.
     """
+    omegas, *densities, _ = _sweep_columns(
+        temperature, omega_min, omega_max, points, spacing, units, include_zero_point)
+    # Checked rows are filled slot by slot in C, without __init__.
+    rows = list(map(object.__new__, repeat(SpectrumPoint, len(omegas))))
+    for slot, column in zip(_SPECTRUM_SLOTS, (omegas, repeat(temperature), *densities)):
+        deque(map(slot.__set__, rows, column), maxlen=0)
+    return rows
+
+
+def _sweep_columns(temperature: float, omega_min: float, omega_max: float, points: int,
+                   spacing: str, units: UnitSystem, include_zero_point: bool) -> tuple:
+    """``spectrum_sweep``'s checked float lists omega, thermal, zero point, total and x."""
     positive("omega_min", omega_min)
     if not omega_min < positive("omega_max", omega_max, finite=False):
         raise ValueError("need 0 < omega_min < omega_max")
@@ -496,11 +508,6 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
         first = int(bad.argmax())
         SpectrumPoint(omegas[first], temperature, float(thermal[first]),
                       float(zero_point[first]), float(total[first]))
-    # Checked rows are filled slot by slot in C, without __init__.
-    rows = list(map(object.__new__, repeat(SpectrumPoint, stop)))
-    for slot, column in zip(_SPECTRUM_SLOTS, (omegas, repeat(temperature), thermal.tolist(),
-                                              zero_point.tolist(), total.tolist())):
-        deque(map(slot.__set__, rows, column), maxlen=0)
     if stop < points:
         _check_domain(omegas[stop], temperature, units)
-    return rows
+    return omegas, thermal.tolist(), zero_point.tolist(), total.tolist(), x.tolist()

@@ -190,6 +190,14 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     ModeCapExceeded (reporting the required cap) rather than materializing
     more than ``cap`` modes.
     """
+    n1, n2, n3, omega = _mode_columns(spec, omega_max, units, cap)
+    # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
+    return list(map(tuple.__new__, repeat(Mode), zip(zip(n1, n2, n3), omega,
+                                                     repeat(spec.polarizations_per_mode))))
+
+
+def _mode_columns(spec: CavitySpec, omega_max: float, units: UnitSystem, cap: int) -> tuple:
+    """The lists n1, n2, n3 and omega of ``enumerate_modes``, in its order, after its checks."""
     import numpy as np
     cap = integer("cap", cap)
     m = _shell_bound(spec, omega_max, units)
@@ -213,10 +221,7 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     order = np.lexsort((n3, n2, n1, omega))
     if not standing:
         order = order[1:]  # the origin, the only omega of 0, sorts first
-    triples = zip(n1[order].tolist(), n2[order].tolist(), n3[order].tolist())
-    # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
-    return list(map(tuple.__new__, repeat(Mode), zip(triples, omega[order].tolist(),
-                                                     repeat(spec.polarizations_per_mode))))
+    return n1[order].tolist(), n2[order].tolist(), n3[order].tolist(), omega[order].tolist()
 
 
 def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
@@ -272,8 +277,8 @@ class FieldEnergy:
     global 1/2 of the quadratic form to the per-oscillator shift as well
     (hbar*w/(2N) per term, hbar*w/4 at N=2), while
     ``zero_point_per_oscillator`` counts the full ladder ground energy
-    (hbar*w/N per term, hbar*w/2 at N=2).  They differ by exactly that
-    factor of two and no reconciliation is asserted.
+    (hbar*w/N per term, hbar*w/2 at N=2), the shift the factored star
+    product gives (``oscillator_star_energy``); the other is half of it.
     """
 
     classical: float

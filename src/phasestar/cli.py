@@ -5,7 +5,10 @@ Output is deterministic given the arguments and seed.  Exit status 0 on
 success, 1 on domain or parse errors, 2 when an internal check fails.
 Tabular output (spectrum, modes, level tables) supports text, CSV
 (RFC-4180-style with a header row) and JSON (an array of flat objects);
-polynomial results print canonically in text or wrapped in JSON.
+polynomial results print canonically in text or wrapped in JSON.  Every
+table is one dict of equal-length columns, the library's own (the checked
+columns of ``spectrum_sweep`` and ``enumerate_modes``), written by
+``_emit_columns``.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import csv
 import json
 import sys
 import warnings
+from itertools import chain
 
-from .blackbody import (SPECTRUM_FIELDS, dimensionless_x,
-                        spectral_density_ladder_sum, spectrum_sweep)
-from .cavity import MODE_FIELDS, CavitySpec, enumerate_modes, mode_count_vs_asymptotic
+from .blackbody import SPECTRUM_FIELDS, _sweep_columns, spectral_density_ladder_sum
+from .cavity import MODE_COUNT_CAP, MODE_FIELDS, CavitySpec, _mode_columns, mode_count_vs_asymptotic
 from .checks import run_all_checks
 from .expressions import (GRAMMAR_HELP, format_canonical, parse_expression,
                           validate_bindings)
@@ -162,26 +165,20 @@ def _number_formatter(precision: int):
     return render
 
 
-def _emit_rows(rows: list, fields: tuple, fmt: str, render, out) -> None:
+def _emit_columns(columns: dict, fmt: str, render, out) -> None:
+    """Write a table given as equal-length columns; the keys are its header."""
     if fmt == "json":
-        payload = [
-            {key: (float(render(value)) if isinstance(value, float) else value)
-             for key, value in row.items()}
-            for row in rows
-        ]
-        json.dump(payload, out, indent=2)
+        parsed = [[float(render(value)) if isinstance(value, float) else value
+                   for value in column] for column in columns.values()]
+        json.dump([dict(zip(columns, row)) for row in zip(*parsed)], out, indent=2)
         out.write("\n")
-    elif fmt == "csv":
-        writer = csv.writer(out)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([render(row[key]) for key in fields])
+        return
+    table = chain([columns], zip(*(map(render, column) for column in columns.values())))
+    if fmt == "csv":
+        csv.writer(out).writerows(table)
     else:
-        widths = {key: max(len(key), 14) for key in fields}
-        out.write("  ".join(key.ljust(widths[key]) for key in fields).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(render(row[key]).ljust(widths[key])
-                                for key in fields).rstrip() + "\n")
+        widths = [max(len(key), 14) for key in columns]
+        out.writelines("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in table)
 
 
 def _polynomial_output(poly, fmt: str, out) -> None:
@@ -237,10 +234,7 @@ def _cmd_oscillator(args, out, err) -> int:
         out.write("\n")
     elif args.format == "csv":
         err.write(f"energy = {energy}\n")
-        writer = csv.writer(out)
-        writer.writerow(("n", "energy"))
-        for n, value in enumerate(levels):
-            writer.writerow((n, render(value)))
+        _emit_columns({"n": range(len(levels)), "energy": levels}, "csv", render, out)
     else:
         out.write(f"energy = {energy}\n")
         out.write(f"ground_state = {render(ground)}\n")
@@ -251,30 +245,18 @@ def _cmd_oscillator(args, out, err) -> int:
 def _cmd_spectrum(args, out, err) -> int:
     units = _units_from_args(args)
     render = _number_formatter(args.precision)
-    points = spectrum_sweep(args.temperature, args.omega_min, args.omega_max,
-                            args.points, args.spacing, units, args.zero_point)
-    fields = SPECTRUM_FIELDS
-    rows = []
-    worst = 0.0
-    for point in points:
-        x = dimensionless_x(point.omega, point.temperature, units)
-        row = dict(zip(SPECTRUM_FIELDS, (point.omega, point.temperature, point.thermal_density,
-                                         point.zero_point_density, point.total_density, x)))
-        if args.oracle:
-            summed = spectral_density_ladder_sum(
-                point.omega, point.temperature, units,
-                include_zero_point=args.zero_point)
-            scale = point.total_density or 1.0
-            deviation = abs(summed.total_density - point.total_density) / scale
-            worst = max(worst, deviation)
-            row["oracle_total_density"] = summed.total_density
-            row["oracle_rel_error"] = deviation
-        rows.append(row)
+    omega, *densities, x = _sweep_columns(
+        args.temperature, args.omega_min, args.omega_max, args.points, args.spacing,
+        units, args.zero_point)
+    columns = dict(zip(SPECTRUM_FIELDS, (omega, [args.temperature] * len(omega), *densities, x)))
     if args.oracle:
-        fields = fields + ("oracle_total_density", "oracle_rel_error")
-    _emit_rows(rows, fields, args.format, render, out)
+        sums = columns["oracle_total_density"] = [spectral_density_ladder_sum(
+            w, args.temperature, units, include_zero_point=args.zero_point).total_density
+            for w in omega]
+        columns["oracle_rel_error"] = [abs(s - t) / (t or 1.0) for s, t in zip(sums, densities[-1])]
+    _emit_columns(columns, args.format, render, out)
     if args.oracle:
-        err.write(f"max_relative_deviation = {worst:.3e}\n")
+        err.write(f"max_relative_deviation = {max(columns['oracle_rel_error']):.3e}\n")
     return 0
 
 
@@ -290,15 +272,10 @@ def _cmd_modes(args, out, err) -> int:
         err.write(f"advisory: {advisory.message}\n")
     lattice_points = report.exact_count // spec.polarizations_per_mode
     if lattice_points <= MODE_LIST_LIMIT:
-        modes = enumerate_modes(spec, args.omega_max, units)
-        rows = [
-            {"n1": mode.lattice_triple[0], "n2": mode.lattice_triple[1],
-             "n3": mode.lattice_triple[2], "omega": mode.omega,
-             "polarizations": mode.polarization_count,
-             "convention": spec.boundary_convention}
-            for mode in modes
-        ]
-        _emit_rows(rows, MODE_FIELDS, args.format, render, out)
+        n1, n2, n3, omega = _mode_columns(spec, args.omega_max, units, MODE_COUNT_CAP)
+        _emit_columns(dict(zip(MODE_FIELDS, (
+            n1, n2, n3, omega, [spec.polarizations_per_mode] * len(omega),
+            [spec.boundary_convention] * len(omega)))), args.format, render, out)
     else:
         err.write(f"{lattice_points} lattice modes; table suppressed above "
                   f"{MODE_LIST_LIMIT}\n")

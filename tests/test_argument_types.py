@@ -2,19 +2,24 @@
 
 A polynomial, source text or exponent vector of the wrong type raises a
 ValueError that names the argument, not an AttributeError or TypeError from
-deep inside the call.
+deep inside the call.  Numpy integers and floats are numbers wherever the
+algebra reads one exactly: ``exact_fraction`` turns them into the Fraction
+they denote, and only a value that is no real number keeps its TypeError.
 """
 
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from phasestar.algebra import PhasePolynomial
+from phasestar.algebra import PhasePolynomial, exact_fraction
 from phasestar.expressions import format_canonical, parse_expression
-from phasestar.star import (classical_limit_bracket, poisson_bracket, star_commutator,
-                            star_first_order, star_product)
+from phasestar.star import (DeformationParameter, classical_limit_bracket, poisson_bracket,
+                            star_commutator, star_first_order, star_product)
 
 Q = PhasePolynomial.variable_q(1)
+P = PhasePolynomial.variable_p(1)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -31,8 +36,11 @@ Q = PhasePolynomial.variable_q(1)
      "q_exponents must be a sequence of integers, got 5"),
     (lambda: PhasePolynomial.monomial(1, (0,), 2.0),
      "p_exponents must be a sequence of integers, got 2.0"),
+    (lambda: (Q * P).evaluate(["a", 1]), "point must hold real numbers, got ('a', 1)"),
+    (lambda: (Q * P).evaluate([1j, 1]), "point must hold real numbers, got (1j, 1)"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
-        "format", "parse-int", "parse-bytes", "monomial-q", "monomial-p"])
+        "format", "parse-int", "parse-bytes", "monomial-q", "monomial-p", "evaluate-str",
+        "evaluate-complex"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -41,3 +49,50 @@ def test_wrong_type_names_the_argument(call, message):
 def test_iterable_exponents_still_build_a_monomial():
     assert PhasePolynomial.monomial(2, iter((1, 0)), [0, 2]) == \
         PhasePolynomial.monomial(2, (1, 0), (0, 2))
+
+
+THIRD = np.longdouble(1) / 3
+
+
+@pytest.mark.parametrize("value, expected", [
+    (np.int64(-3), Fraction(-3)), (np.uint8(7), Fraction(7)),
+    (np.int32(2 ** 31 - 1), Fraction(2 ** 31 - 1)),
+    (np.float32(0.1), Fraction(13421773, 2 ** 27)), (np.float16(1.5), Fraction(3, 2)),
+    (THIRD, Fraction(*THIRD.as_integer_ratio())), (np.float64(-2.5), Fraction(-5, 2)),
+], ids=repr)
+def test_exact_fraction_reads_numpy_numbers_exactly(value, expected):
+    converted = exact_fraction(value)
+    assert type(converted) is Fraction
+    assert converted == expected
+
+
+@pytest.mark.parametrize("value", [np.float32("inf"), np.float16("-inf"), np.float32("nan"),
+                                   np.longdouble("nan")], ids=repr)
+def test_exact_fraction_rejects_non_finite_numpy_floats(value):
+    with pytest.raises(ValueError, match="value must be finite"):
+        exact_fraction(value)
+
+
+@pytest.mark.parametrize("value", ["1", None, 1j, [1], np.complex64(1)], ids=repr)
+def test_exact_fraction_keeps_type_error_for_non_reals(value):
+    with pytest.raises(TypeError, match="cannot interpret"):
+        exact_fraction(value)
+
+
+@pytest.mark.parametrize("numpy_call, plain_call", [
+    (lambda: star_product(Q, P, DeformationParameter(N=np.int64(2))),
+     lambda: star_product(Q, P, DeformationParameter(N=2))),
+    (lambda: star_product(Q, P, DeformationParameter(hbar_value=np.int64(1))),
+     lambda: star_product(Q, P, DeformationParameter(hbar_value=1))),
+    (lambda: star_commutator(Q, P, DeformationParameter(N=np.float32(0.5))),
+     lambda: star_commutator(Q, P, DeformationParameter(N=0.5))),
+    (lambda: (Q * P).evaluate([np.float32(1.0), 1]), lambda: (Q * P).evaluate([1.0, 1])),
+    (lambda: (Q * P + Q).evaluate([np.int64(2), np.float16(0.5)], np.float32(0.25)),
+     lambda: (Q * P + Q).evaluate([2, 0.5], 0.25)),
+    (lambda: star_product(Q, P).substitute_hbar(np.int64(1)),
+     lambda: star_product(Q, P).substitute_hbar(1)),
+    (lambda: PhasePolynomial.constant(1, np.int64(3)), lambda: PhasePolynomial.constant(1, 3)),
+], ids=["N-int64", "hbar-int64", "N-float32", "evaluate-float32", "evaluate-mixed",
+        "substitute-int64", "constant-int64"])
+def test_numpy_numbers_give_the_plain_result(numpy_call, plain_call):
+    assert numpy_call() == plain_call()

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 import phasestar
 from phasestar import cli
-from phasestar.blackbody import SPECTRUM_FIELDS, wien_peak
-from phasestar.cavity import MODE_FIELDS
+from phasestar.blackbody import (SPECTRUM_FIELDS, SpectrumPoint, dimensionless_x,
+                                 spectrum_sweep, wien_peak)
+from phasestar.cavity import MODE_FIELDS, CavitySpec, Mode, enumerate_modes
 from phasestar.checks import CheckResult, run_all_checks
 from phasestar.cli import main
+from phasestar.units import UnitSystem
 
 
 def run_cli(*argv):
@@ -232,6 +234,33 @@ class TestSpectrumCommand:
         assert code == 1
         assert "omega_min" in err
 
+    @pytest.mark.parametrize("units", ("natural", "si"))
+    @pytest.mark.parametrize("zero_point", (True, False))
+    @pytest.mark.parametrize("spacing", ("log", "linear"))
+    def test_table_is_the_sweep(self, spacing, zero_point, units):
+        temperature, low, high = (1.5, 0.01, 40.0) if units == "natural" else (300.0, 1e11, 1e15)
+        code, out, err = run_cli(
+            "spectrum", "-T", repr(temperature), "--omega-min", repr(low), "--omega-max",
+            repr(high), "--points", "23", "--spacing", spacing, "--units", units,
+            "--format", "csv", "--precision", "17", *([] if zero_point else ["--no-zero-point"]))
+        assert code == 0, err
+        system = UnitSystem.si() if units == "si" else UnitSystem.natural()
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == list(SPECTRUM_FIELDS)
+        expected = spectrum_sweep(temperature, low, high, 23, spacing, system, zero_point)
+        assert [SpectrumPoint(*map(float, row[:5])) for row in rows[1:]] == expected
+        assert [float(row[5]) for row in rows[1:]] == [
+            dimensionless_x(point.omega, temperature, system) for point in expected]
+
+    @pytest.mark.parametrize("spacing", ("log", "linear"))
+    def test_sweep_cut_short_by_the_domain_check(self, spacing):
+        # the grid to omega_max = inf holds inf or nan after its first point
+        with pytest.raises(ValueError) as raised:
+            spectrum_sweep(1.0, 1.0, float("inf"), 5, spacing)
+        assert run_cli("spectrum", "-T", "1", "--omega-min", "1", "--omega-max", "inf",
+                       "--points", "5", "--spacing", spacing, "--format", "csv",
+                       "--precision", "17") == (1, "", f"error: {raised.value}\n")
+
     def test_determinism(self):
         first = run_cli("spectrum", "-T", "2", "--omega-min", "0.5",
                         "--omega-max", "5", "--points", "9", "--format", "json")
@@ -269,6 +298,17 @@ class TestModesCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 7  # header + the six lowest modes
+
+    @pytest.mark.parametrize("convention, omega_max", (("standing", 13.0), ("periodic", 16.0)))
+    def test_json_table_is_enumerate_modes(self, convention, omega_max):
+        code, out, err = run_cli("modes", "--omega-max", repr(omega_max), "--convention",
+                                 convention, "--format", "json", "--precision", "17")
+        assert code == 0, err
+        rows = json.loads(out)
+        assert [Mode((row["n1"], row["n2"], row["n3"]), row["omega"], row["polarizations"])
+                for row in rows] == enumerate_modes(CavitySpec(boundary_convention=convention),
+                                                    omega_max)
+        assert {row["convention"] for row in rows} == {convention}
 
     def test_invalid_convention_is_usage_error(self):
         code, _, _ = run_cli("modes", "--omega-max", "5",
