@@ -26,14 +26,21 @@ lattice is 8*T + 12*P + 6*isqrt(m) (octants, quarter planes, half axes) and the
 electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
 roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in blocks of a
 fixed size; the enumeration expands each (n1, n2) row into its n3 range from
-the same roots.  The census is O(m) entries, so a lattice radius
-omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.  The field
-energy is a sequential accumulate over numpy columns of the per-mode terms.
+the same roots and orders the triples with one stable sort on omega.  It
+builds its ``Mode`` rows with the cyclic garbage collector paused and then
+restores the collector state it found; concurrent enumerations take the pause
+in turn under one lock, but another thread that switches the collector during
+the build may find its setting undone.  The census is O(m)
+entries, so a lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a
+ValueError.  The field energy is a sequential accumulate over numpy columns of
+the per-mode terms.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -53,6 +60,11 @@ MODE_COUNT_CAP = 10_000_000
 
 # Largest lattice radius omega_max/scale counted: about ten seconds of census.
 MAX_LATTICE_RADIUS = 10_000
+
+# Held from reading the collector state to restoring it, so that concurrent
+# enumerations pause the collector in turn and leave it as the first found it.
+# Reentrant, so a signal handler that enumerates during a build cannot deadlock.
+_COLLECTOR_LOCK = threading.RLock()
 
 # Column order of mode exports (CSV header and JSON keys, token for token).
 MODE_FIELDS = ("n1", "n2", "n3", "omega", "polarizations", "convention")
@@ -116,6 +128,8 @@ def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
 def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
     """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
     is computed from: a triple n is inside exactly when |n|**2 <= m."""
+    if not isinstance(spec, CavitySpec):
+        raise ValueError(f"spec must be a CavitySpec, got {spec!r}")
     scale = _wavenumber_scale(spec, units)
     radius = positive("omega_max", omega_max, finite=False) / scale if scale else math.inf
     if not radius <= MAX_LATTICE_RADIUS:
@@ -189,21 +203,41 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     shells stay as distinct entries, one per lattice triple.  Raises
     ModeCapExceeded (reporting the required cap) rather than materializing
     more than ``cap`` modes.
+
+    The rows are built with the cyclic garbage collector paused, because a
+    ``Mode`` is a tuple subclass that the collector keeps tracking; the
+    collector state found on entry is restored on return or error.
+    Concurrent enumerations take the pause in turn under one lock.  Another
+    thread that switches the collector during the build may find its setting
+    undone.
     """
-    n1, n2, n3, omega = _mode_columns(spec, omega_max, units, cap)
-    # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
-    return list(map(tuple.__new__, repeat(Mode), zip(zip(n1, n2, n3), omega,
-                                                     repeat(spec.polarizations_per_mode))))
-
-
-def _mode_columns(spec: CavitySpec, omega_max: float, units: UnitSystem, cap: int) -> tuple:
-    """The lists n1, n2, n3 and omega of ``enumerate_modes``, in its order, after its checks."""
-    import numpy as np
     cap = integer("cap", cap)
-    m = _shell_bound(spec, omega_max, units)
-    count = _lattice_point_count(spec, m)
+    count = _lattice_point_count(spec, _shell_bound(spec, omega_max, units))
     if count > cap:
         raise ModeCapExceeded(count, cap)
+    n1, n2, n3, omega = _mode_columns(spec, omega_max, units)
+    with _COLLECTOR_LOCK:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
+            return list(map(tuple.__new__, repeat(Mode), zip(
+                zip(n1, n2, n3), omega, repeat(spec.polarizations_per_mode))))
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def _mode_columns(spec: CavitySpec, omega_max: float, units: UnitSystem) -> tuple:
+    """The lists n1, n2, n3 and omega of the modes with omega <= omega_max, in
+    ``enumerate_modes``' order; the caller bounds their count.
+
+    The triples are generated in ascending (n1, n2, n3) order, so a stable
+    sort on omega alone breaks omega ties by the triple, also where distinct
+    |n|**2 round to one omega.
+    """
+    import numpy as np
+    m = _shell_bound(spec, omega_max, units)
     standing = spec.boundary_convention == STANDING
     reach = math.isqrt(m)
     axis = np.arange(1 if standing else -reach, reach + 1, dtype=np.int64)
@@ -218,7 +252,7 @@ def _mode_columns(spec: CavitySpec, omega_max: float, units: UnitSystem, cap: in
     n3 = np.arange(int(length.sum()), dtype=np.int64) - np.repeat(starts - low, length)
     n1, n2 = np.repeat(n1, length), np.repeat(n2, length)
     omega = _wavenumber_scale(spec, units) * np.sqrt(n1 * n1 + n2 * n2 + n3 * n3)
-    order = np.lexsort((n3, n2, n1, omega))
+    order = np.argsort(omega, kind="stable")
     if not standing:
         order = order[1:]  # the origin, the only omega of 0, sorts first
     return n1[order].tolist(), n2[order].tolist(), n3[order].tolist(), omega[order].tolist()
@@ -261,9 +295,9 @@ def electromagnetic_standing_mode_count(spec: CavitySpec, omega_max: float,
     zeros carry none.  This physical bookkeeping cancels the octant surface
     deficit almost exactly, unlike the uniform two-polarization count.
     """
+    m = _shell_bound(spec, omega_max, units)
     if spec.boundary_convention != STANDING:
         raise ValueError("electromagnetic budget applies to the standing convention")
-    m = _shell_bound(spec, omega_max, units)
     return 2 * _positive_triples(m) + 3 * _positive_pairs(m)
 
 
@@ -309,25 +343,39 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     Python loop over modes and polarizations bit for bit.
     """
     positive("N", N, finite=False)
-    if len(amplitudes) != len(modes):
-        raise ValueError(
-            f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
     import numpy as np
-    omega = np.fromiter(map(attrgetter("omega"), modes), float, len(modes))
-    polarizations = np.fromiter(map(attrgetter("polarization_count"), modes), float, len(modes))
-    rows = np.fromiter(map(len, amplitudes), np.intp, len(modes))
-    if (rows != polarizations).any():
-        index = int((rows != polarizations).argmax())
-        raise ValueError(
-            f"mode {modes[index].lattice_triple} needs {modes[index].polarization_count} "
-            f"polarization amplitudes, got {len(amplitudes[index])}")
+    try:
+        if len(amplitudes) != len(modes):
+            raise ValueError(
+                f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
+        omega = np.fromiter(map(attrgetter("omega"), modes), float, len(modes))
+        polarizations = np.fromiter(map(attrgetter("polarization_count"), modes), float,
+                                    len(modes))
+        rows = np.fromiter(map(len, amplitudes), np.intp, len(modes))
+        if (rows != polarizations).any():
+            index = int((rows != polarizations).argmax())
+            raise ValueError(
+                f"mode {modes[index].lattice_triple} needs {modes[index].polarization_count} "
+                f"polarization amplitudes, got {len(amplitudes[index])}")
+        total = int(rows.sum())
+        pairs = np.fromiter(map(len, chain.from_iterable(amplitudes)), np.intp, total)
+        if (pairs != 2).any():
+            index = int((pairs != 2).argmax())
+            mode = int(np.searchsorted(np.cumsum(rows), index, side="right"))
+            raise ValueError(
+                f"mode {modes[mode].lattice_triple} needs (Q, P) amplitude pairs, got "
+                f"{amplitudes[mode][index - int(rows[:mode].sum())]!r}")
+        # Q, P interleaved, in ModeAmplitude's field order
+        values = np.fromiter(chain.from_iterable(chain.from_iterable(amplitudes)), float,
+                             2 * total)
+    except (AttributeError, TypeError) as error:
+        raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
+                         f"of (Q, P) pairs per mode: {error}") from None
     # Each running sum starts at 0.0, as the loop's does.
-    classical = np.zeros(int(rows.sum()) + 1)
+    classical = np.zeros(total + 1)
     zero_point_half = np.zeros(len(modes) + 1)
     with np.errstate(all="ignore"):
-        # Q**2, P**2 interleaved, in ModeAmplitude's field order
-        squares = np.float_power(np.fromiter(chain.from_iterable(chain.from_iterable(
-            amplitudes)), float, 2 * len(classical) - 2), 2.0)
+        squares = np.float_power(values, 2.0)
         omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
         # hbar*w/(2N) per polarization is the ground energy at 2N.

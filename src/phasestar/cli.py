@@ -21,7 +21,7 @@ import warnings
 from itertools import chain
 
 from .blackbody import SPECTRUM_FIELDS, _sweep_columns, spectral_density_ladder_sum
-from .cavity import MODE_COUNT_CAP, MODE_FIELDS, CavitySpec, _mode_columns, mode_count_vs_asymptotic
+from .cavity import MODE_FIELDS, CavitySpec, _mode_columns, mode_count_vs_asymptotic
 from .checks import run_all_checks
 from .expressions import (GRAMMAR_HELP, format_canonical, parse_expression,
                           validate_bindings)
@@ -272,7 +272,8 @@ def _cmd_modes(args, out, err) -> int:
         err.write(f"advisory: {advisory.message}\n")
     lattice_points = report.exact_count // spec.polarizations_per_mode
     if lattice_points <= MODE_LIST_LIMIT:
-        n1, n2, n3, omega = _mode_columns(spec, args.omega_max, units, MODE_COUNT_CAP)
+        # the report's count already bounds the table: list without counting again
+        n1, n2, n3, omega = _mode_columns(spec, args.omega_max, units)
         _emit_columns(dict(zip(MODE_FIELDS, (
             n1, n2, n3, omega, [spec.polarizations_per_mode] * len(omega),
             [spec.boundary_convention] * len(omega)))), args.format, render, out)

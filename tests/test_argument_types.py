@@ -1,10 +1,11 @@
-"""Arguments of the wrong type at the symbolic entry points.
+"""Arguments of the wrong type at the symbolic and cavity entry points.
 
-A polynomial, source text or exponent vector of the wrong type raises a
-ValueError that names the argument, not an AttributeError or TypeError from
-deep inside the call.  Numpy integers and floats are numbers wherever the
-algebra reads one exactly: ``exact_fraction`` turns them into the Fraction
-they denote, and only a value that is no real number keeps its TypeError.
+A polynomial, source text, exponent vector, cavity spec, mode list or
+amplitude table of the wrong type raises a ValueError that names the
+argument, not an AttributeError or TypeError from deep inside the call.
+Numpy integers and floats are numbers wherever the algebra reads one exactly:
+``exact_fraction`` turns them into the Fraction they denote, and only a value
+that is no real number keeps its TypeError.
 """
 
 import re
@@ -14,12 +15,18 @@ import numpy as np
 import pytest
 
 from phasestar.algebra import PhasePolynomial, exact_fraction
+from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
+                              enumerate_modes, field_energy, mode_count_vs_asymptotic)
 from phasestar.expressions import format_canonical, parse_expression
 from phasestar.star import (DeformationParameter, classical_limit_bracket, poisson_bracket,
                             star_commutator, star_first_order, star_product)
 
 Q = PhasePolynomial.variable_q(1)
 P = PhasePolynomial.variable_p(1)
+MODE = Mode((1, 1, 1), 1.0)
+PAIRS = [(0.5, 0.5), (0.5, 0.5)]
+ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q, P) "
+        "pairs per mode: ")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -38,9 +45,25 @@ P = PhasePolynomial.variable_p(1)
      "p_exponents must be a sequence of integers, got 2.0"),
     (lambda: (Q * P).evaluate(["a", 1]), "point must hold real numbers, got ('a', 1)"),
     (lambda: (Q * P).evaluate([1j, 1]), "point must hold real numbers, got (1j, 1)"),
+    (lambda: enumerate_modes(None, 3.0), "spec must be a CavitySpec, got None"),
+    (lambda: mode_count_vs_asymptotic("standing", 30.0),
+     "spec must be a CavitySpec, got 'standing'"),
+    (lambda: electromagnetic_standing_mode_count("standing", 30.0),
+     "spec must be a CavitySpec, got 'standing'"),
+    (lambda: field_energy(5, []), ROWS + "object of type 'int' has no len()"),
+    (lambda: field_energy((mode for mode in [MODE]), [PAIRS]),
+     ROWS + "object of type 'generator' has no len()"),
+    (lambda: field_energy([MODE], 5), ROWS + "object of type 'int' has no len()"),
+    (lambda: field_energy([MODE], [None]), ROWS + "object of type 'NoneType' has no len()"),
+    (lambda: field_energy([MODE], [[None, (0.5, 0.5)]]),
+     ROWS + "object of type 'NoneType' has no len()"),
+    (lambda: field_energy([tuple(MODE)], [PAIRS]),
+     ROWS + "'tuple' object has no attribute 'omega'"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
         "format", "parse-int", "parse-bytes", "monomial-q", "monomial-p", "evaluate-str",
-        "evaluate-complex"])
+        "evaluate-complex", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
+        "field-modes-generator", "field-amplitudes-int", "field-row-none",
+        "field-amplitude-none", "field-plain-tuples"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

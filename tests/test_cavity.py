@@ -4,7 +4,10 @@ The counting arithmetic is cross-checked against a plain triple-loop oracle
 that shares no code with the integer shell counters.
 """
 
+import gc
 import math
+import re
+import threading
 import tracemalloc
 import warnings
 
@@ -308,6 +311,99 @@ class TestEnumerationOracle:
             * units.c_light / spec.side_length
         self.assert_matches_oracle(spec, scale * 9.4, units)
 
+    @pytest.mark.parametrize("convention, count, omegas, shells", [
+        (STANDING, 120, 14, 27), (PERIODIC, 170, 10, 10)])
+    def test_subnormal_omega_ties_keep_the_triple_order(self, convention, count, omegas,
+                                                        shells):
+        # At c = 5e-324 the standing convention's 27 shells |n|**2 round to 14
+        # omegas, so there only an order by (omega, triple) matches the oracle,
+        # not one by |n|**2.
+        spec = CavitySpec(boundary_convention=convention)
+        units = UnitSystem(c_light=5e-324)
+        modes = enumerate_modes(spec, 1e-322, units)
+        assert len(modes) == count
+        assert len({mode.omega for mode in modes}) == omegas
+        assert len({sum(n * n for n in mode.lattice_triple) for mode in modes}) == shells
+        self.assert_matches_oracle(spec, 1e-322, units)
+
+
+class TestCollectorState:
+    """``enumerate_modes`` pauses the cyclic collector for its row build only
+    and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("convention", [STANDING, PERIODIC])
+    def test_state_is_left_as_found(self, collector, convention):
+        enumerate_modes(CavitySpec(boundary_convention=convention), 20.0)
+        assert gc.isenabled() is collector
+
+    def test_state_is_left_as_found_after_the_cap_refusal(self, collector):
+        with pytest.raises(ModeCapExceeded):
+            enumerate_modes(CavitySpec(), 100.0, cap=10)
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_when_the_row_build_raises(self, collector, monkeypatch):
+        seen = []
+
+        def omega_column():
+            seen.append(gc.isenabled())
+            yield 1.0
+            raise RuntimeError("column failed")
+
+        monkeypatch.setattr(cavity, "_mode_columns",
+                            lambda spec, omega_max, units: ([1, 1], [1, 1], [1, 2],
+                                                            omega_column()))
+        with pytest.raises(RuntimeError, match="column failed"):
+            enumerate_modes(CavitySpec(), 20.0)
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_a_second_enumeration_cannot_read_the_first_ones_pause(self, monkeypatch):
+        # Without the lock, the second call reads the paused collector as its
+        # entry state, pauses again after the first restores it, and never
+        # turns it back on.
+        class Collector:
+            enabled = True
+            second = None
+            second_read = threading.Event()
+            first_done = threading.Event()
+
+            def isenabled(self):
+                enabled = self.enabled
+                if threading.current_thread() is self.second:
+                    self.second_read.set()
+                    self.first_done.wait(timeout=30)
+                return enabled
+
+            def disable(self):
+                self.enabled = False
+                if self.second is None:
+                    self.second = threading.Thread(target=enumerate_modes,
+                                                   args=(CavitySpec(), 20.0))
+                    self.second.start()
+                    # taken only when the second call gets past the lock
+                    self.second_read.wait(timeout=0.5)
+
+            def enable(self):
+                self.enabled = True
+                if threading.current_thread() is not self.second:
+                    self.first_done.set()
+
+        stand_in = Collector()
+        monkeypatch.setattr(cavity, "gc", stand_in)
+        enumerate_modes(CavitySpec(), 20.0)
+        stand_in.second.join(timeout=30)
+        assert not stand_in.second.is_alive()
+        assert stand_in.enabled
+
 
 class TestFieldEnergy:
     @staticmethod
@@ -339,6 +435,19 @@ class TestFieldEnergy:
             field_energy([mode], [])
         with pytest.raises(ValueError):
             field_energy([mode], [[ModeAmplitude(0.0, 0.0)]])  # one of two
+
+    def test_amplitudes_must_be_pairs(self):
+        modes = [Mode((1, 1, 1), 1.0, 2), Mode((1, 1, 2), 2.0, 2)]
+        with pytest.raises(ValueError, match=re.escape(
+                "mode (1, 1, 1) needs (Q, P) amplitude pairs, got (1.0, 2.0, 3.0)")):
+            field_energy(modes[:1], [((1.0, 2.0, 3.0), (1.0, 2.0))])
+        with pytest.raises(ValueError, match=re.escape(
+                "mode (1, 1, 2) needs (Q, P) amplitude pairs, got (4.0,)")):
+            field_energy(modes, [((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), (4.0,))])
+
+    def test_row_length_is_checked_before_the_pairs(self):
+        with pytest.raises(ValueError, match="needs 2 polarization amplitudes, got 1"):
+            field_energy([self.one_mode()], [((1.0, 2.0, 3.0),)])
 
     def test_sign_flip_invariance(self):
         modes = [self.one_mode(1.0), self.one_mode(2.0)]
