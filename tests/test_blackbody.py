@@ -528,6 +528,8 @@ class TestSweepMatchesScalarRoute:
         (math.nan, 1.0, 2.0, "log", NATURAL),
         (math.inf, 1.0, 2.0, "linear", NATURAL),
         (1e-310, 1.0, 2.0, "log", UnitSystem.si()),     # k*T underflows to 0
+        (1.0, 1.0, 1e20, "log", UnitSystem(hbar=1e300)),  # hbar*w overflows part way
+        (1.0, 1.0, 2.0, "log", UnitSystem(c_light=1e-120)),  # density of states overflows
     ])
     def test_errors_are_the_first_bad_row(self, temperature, omega_min, omega_max,
                                           spacing, units):

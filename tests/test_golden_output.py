@@ -11,9 +11,11 @@ recorded from the sweep that built each row through ``SpectrumPoint(...)``.
 The ``modes`` argv (both conventions, text, CSV and JSON, ``--units si``,
 ``--precision 17`` with ``-L 1.7``, an empty table and one suppressed above
 ``MODE_LIST_LIMIT``) and ``oscillator --format csv --levels 5`` were
-recorded from the writer that built one dict per table row.  The
-``demo_*.txt`` files hold the stdout of the deterministic demos 01 to 04.
-Any change of rendered output fails here.
+recorded from the writer that built one dict per table row.  The two
+``checks`` argv (the defaults, and ``--units si --seed 7``) were recorded
+from the writer that formatted each table cell through a ``render``
+closure.  The ``demo_*.txt`` files hold the stdout of the deterministic
+demos 01 to 04.  Any change of rendered output fails here.
 """
 
 import io
