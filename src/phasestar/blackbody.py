@@ -24,14 +24,14 @@ names omega); only x may be inf, and is then past X_OVERFLOW.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks).
-It checks its rows once per column, with the comparisons of
-``SpectrumPoint.__post_init__``; the first failing row is rebuilt through
-``SpectrumPoint(...)`` to raise its error.  The checked rows are then built
-from the columns by setting each slot, without ``__init__``.  Each row
-equals ``spectral_density`` at that point bit for bit.  w**2 is
-``np.float_power(w, 2.0)``, the libm pow of ``**``.  Only expm1 stays per
-element, through ``math.expm1``: ``np.expm1`` can differ from it in the
-last ulp (at x = 0.5231812103833013).
+One mask flags the rows ``spectral_density`` rejects, and the first of
+them goes through ``spectral_density`` to raise its error, so the row rules
+live only in ``_check_domain`` and ``SpectrumPoint.__post_init__``.  The
+checked rows are then built from the columns by setting each slot, without
+``__init__``.  Each row equals ``spectral_density`` at that point bit for
+bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of ``**``.  Only
+expm1 stays per element, through ``math.expm1``: ``np.expm1`` can differ
+from it in the last ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ _SPECTRUM_SLOTS = tuple(getattr(SpectrumPoint, field.name) for field in fields(S
 
 
 def _check_temperature(temperature: float, units: UnitSystem) -> float:
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     kt = finite("k*T at temperature {1!r}", operator.mul, units.k_boltzmann,
                 positive("temperature", temperature))
     if kt == 0:
@@ -401,6 +403,8 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     the cache is bounded), which speeds up only a node count this process
     has asked for before; the check itself runs on every call.
     """
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     quadrature_points = integer("quadrature_points", quadrature_points, 64)
     if quadrature_points > MAX_QUADRATURE_POINTS:
         raise ValueError(f"quadrature_points {quadrature_points} exceeds the "
@@ -429,6 +433,8 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     exactly zero, the one case with no divergence.
     """
     positive("omega_cutoff", omega_cutoff)
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
     return finite("zero-point energy below omega_cutoff = {!r}", _zero_point_below,
@@ -465,7 +471,8 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
 
 def _sweep_columns(temperature: float, omega_min: float, omega_max: float, points: int,
                    spacing: str, units: UnitSystem, include_zero_point: bool) -> tuple:
-    """``spectrum_sweep``'s checked float lists omega, thermal, zero point, total and x."""
+    """``spectrum_sweep``'s checked float lists omega, thermal, zero point, total
+    and x; the first row ``spectral_density`` rejects raises through it."""
     positive("omega_min", omega_min)
     if not omega_min < positive("omega_max", omega_max, finite=False):
         raise ValueError("need 0 < omega_min < omega_max")
@@ -494,20 +501,9 @@ def _sweep_columns(temperature: float, omega_min: float, omega_max: float, point
         zero_point = (prefactor * ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
         total = thermal + zero_point
-        # Rows stop before the first omega the domain check rejects (not above
-        # 0, or hbar*w beyond the double range); that check raises once any
-        # overflow in the rows before it has been raised.
-        valid = (grid > 0) & (quantum < math.inf)
-        stop = points if valid.all() else int(valid.argmin())
-        # SpectrumPoint.__post_init__ over the columns; its comparisons are the
-        # same IEEE ones, so the first row failing here is the first it rejects.
-        thermal, zero_point, total = thermal[:stop], zero_point[:stop], total[:stop]
-        bad = (~np.isfinite(total) | (thermal < 0) | (zero_point < 0)
-               | (total != thermal + zero_point))
-    if bad.any():
-        first = int(bad.argmax())
-        SpectrumPoint(omegas[first], temperature, float(thermal[first]),
-                      float(zero_point[first]), float(total[first]))
-    if stop < points:
-        _check_domain(omegas[stop], temperature, units)
+        # Rows spectral_density rejects: omega not above 0, hbar*w or total not
+        # finite (the parts are built non-negative, and total is their sum).
+        bad = ~((grid > 0) & np.isfinite(quantum) & np.isfinite(total))
+    if bad.any():  # the first of them raises its own error
+        spectral_density(omegas[int(bad.argmax())], temperature, units, include_zero_point)
     return omegas, thermal.tolist(), zero_point.tolist(), total.tolist(), x.tolist()

@@ -121,6 +121,8 @@ class ModeCountResult(NamedTuple):
 
 
 def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     factor = math.pi if spec.boundary_convention == STANDING else 2 * math.pi
     return factor * units.c_light / spec.side_length
 
@@ -343,6 +345,8 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     Python loop over modes and polarizations bit for bit.
     """
     positive("N", N, finite=False)
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     import numpy as np
     try:
         if len(amplitudes) != len(modes):

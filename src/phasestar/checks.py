@@ -135,6 +135,8 @@ def _mode_count_check(units: UnitSystem) -> CheckResult:
 
 def run_all_checks(seed: int = 0, units: UnitSystem = NATURAL) -> list:
     """Run the whole suite; deterministic for a given seed."""
+    if not isinstance(units, UnitSystem):
+        raise ValueError(f"units must be a UnitSystem, got {units!r}")
     rng = random.Random(seed)
     return [
         _associativity_check(rng),

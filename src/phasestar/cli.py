@@ -7,8 +7,8 @@ Tabular output (spectrum, modes, level tables) supports text, CSV
 (RFC-4180-style with a header row) and JSON (an array of flat objects);
 polynomial results print canonically in text or wrapped in JSON.  Every
 table is one dict of equal-length columns, the library's own (the checked
-columns of ``spectrum_sweep`` and ``enumerate_modes``), written by
-``_emit_columns``.
+columns of ``spectrum_sweep`` and ``enumerate_modes``); ``_emit_columns``
+formats each column with one builtin call, ``"{:.<p>g}".format`` or ``str``.
 """
 
 from __future__ import annotations
@@ -154,26 +154,25 @@ def _build_parser(out, err) -> argparse.ArgumentParser:
 
 
 def _number_formatter(precision: int):
+    """``str.format`` bound to ``"{:.<precision>g}"``: a float to ``precision`` digits."""
     if not 3 <= precision <= 17:
         raise ValueError(f"precision must be in [3, 17], got {precision}")
-
-    def render(value):
-        if isinstance(value, float):
-            return f"{value:.{precision}g}"
-        return str(value)
-
-    return render
+    return f"{{:.{precision}g}}".format
 
 
 def _emit_columns(columns: dict, fmt: str, render, out) -> None:
-    """Write a table given as equal-length columns; the keys are its header."""
+    """Write a table given as equal-length columns; the keys are its header.  A
+    column whose first value is a float is formatted by ``render``, any other by
+    ``str``; JSON reads the floats back, so each number is the rounded value."""
+    floats = [bool(column) and isinstance(column[0], float) for column in columns.values()]
     if fmt == "json":
-        parsed = [[float(render(value)) if isinstance(value, float) else value
-                   for value in column] for column in columns.values()]
+        parsed = [list(map(float, map(render, column))) if is_float else column
+                  for column, is_float in zip(columns.values(), floats)]
         json.dump([dict(zip(columns, row)) for row in zip(*parsed)], out, indent=2)
         out.write("\n")
         return
-    table = chain([columns], zip(*(map(render, column) for column in columns.values())))
+    table = chain([columns], zip(*(map(render if is_float else str, column)
+                                   for column, is_float in zip(columns.values(), floats))))
     if fmt == "csv":
         csv.writer(out).writerows(table)
     else:

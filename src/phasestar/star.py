@@ -82,6 +82,8 @@ def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
             layers: range, **selection) -> PhasePolynomial:
     """One kernel pass over the selected layers of f (star) g."""
     _check_operands(f, g)
+    if not isinstance(param, DeformationParameter):
+        raise ValueError(f"param must be a DeformationParameter, got {param!r}")
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
@@ -135,6 +137,8 @@ def classical_limit_bracket(f: PhasePolynomial, g: PhasePolynomial,
     correspondence that makes the deformation a quantization.  Requires the
     symbolic hbar treatment (the grading must be lowered) and finite N.
     """
+    if not isinstance(param, DeformationParameter):
+        raise ValueError(f"param must be a DeformationParameter, got {param!r}")
     if not param.symbolic_hbar:
         raise ValueError("classical_limit_bracket requires symbolic hbar treatment")
     if math.isinf(param.N):

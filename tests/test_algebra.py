@@ -50,6 +50,18 @@ class TestComplexFraction:
     def test_as_complex(self):
         assert ComplexFraction(1, -2).as_complex() == 1 - 2j
 
+    def test_subtraction_and_negation(self):
+        c = ComplexFraction(0.5, 3)
+        assert c - 1 == ComplexFraction(-0.5, 3)
+        assert c - ComplexFraction(0, 3) == ComplexFraction(0.5)
+        assert 1 - c == ComplexFraction(0.5, -3)
+        assert -c == ComplexFraction(-0.5, -3)
+
+    def test_magnitude_and_repr(self):
+        assert ComplexFraction(3, -4).magnitude() == 5.0
+        assert repr(ComplexFraction(0.5, -2)) == \
+            "ComplexFraction(Fraction(1, 2), Fraction(-2, 1))"
+
     @pytest.mark.parametrize("value", (
         0, 1, -1, -2, 7, 2 ** 70, 0.5, -0.25, 1e300, Fraction(1, 3), Fraction(-5, 7),
         complex(1, 2), complex(0, -1), complex(-0.5, 0.25), complex(1e300, -3),
@@ -122,6 +134,10 @@ class TestAddition:
         with pytest.raises(ValueError):
             q(1) + q(2)
 
+    def test_scalar_minus_polynomial(self):
+        assert 1 - q() == PhasePolynomial.constant(1, 1) - q()
+        assert 2j - p() == -(p() - ComplexFraction(0, 2))
+
 
 class TestMultiplication:
     def test_variables_multiply(self):
@@ -139,6 +155,16 @@ class TestMultiplication:
     def test_scalar_multiplication(self):
         assert q() * Fraction(1, 2) + q() * Fraction(1, 2) == q()
         assert (q() * 0).is_zero
+
+    def test_division_by_a_scalar(self):
+        assert (q() * 4 + p()) / 2 == q() * 2 + p() * Fraction(1, 2)
+        assert q() / ComplexFraction(0, 1) == q() * ComplexFraction(0, -1)
+
+    def test_division_by_a_polynomial_or_zero_raises(self):
+        with pytest.raises(TypeError, match="polynomial division is not defined"):
+            q() / p()
+        with pytest.raises(ZeroDivisionError):
+            q() / 0
 
     def test_pow(self):
         assert q() ** 3 == q() * q() * q()

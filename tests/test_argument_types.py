@@ -1,13 +1,15 @@
-"""Arguments of the wrong type at the symbolic and cavity entry points.
+"""Arguments of the wrong type at every entry point.
 
-A polynomial, source text, exponent vector, cavity spec, mode list or
-amplitude table of the wrong type raises a ValueError that names the
-argument, not an AttributeError or TypeError from deep inside the call.
+A polynomial, source text, exponent vector, deformation parameter, unit
+system, oscillator or cavity spec, mode list or amplitude table of the wrong
+type raises a ValueError that names the argument, not an AttributeError or
+TypeError from deep inside the call.
 Numpy integers and floats are numbers wherever the algebra reads one exactly:
 ``exact_fraction`` turns them into the Fraction they denote, and only a value
 that is no real number keeps its TypeError.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -15,9 +17,14 @@ import numpy as np
 import pytest
 
 from phasestar.algebra import PhasePolynomial, exact_fraction
+from phasestar.blackbody import (spectral_density, spectrum_sweep, stefan_boltzmann_integral,
+                                 wien_peak, zero_point_cutoff_energy)
 from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy, mode_count_vs_asymptotic)
+from phasestar.checks import run_all_checks
 from phasestar.expressions import format_canonical, parse_expression
+from phasestar.oscillator import (OscillatorSpec, energy_level, ladder,
+                                  oscillator_square_form_energy, oscillator_star_energy)
 from phasestar.star import (DeformationParameter, classical_limit_bracket, poisson_bracket,
                             star_commutator, star_first_order, star_product)
 
@@ -25,6 +32,9 @@ Q = PhasePolynomial.variable_q(1)
 P = PhasePolynomial.variable_p(1)
 MODE = Mode((1, 1, 1), 1.0)
 PAIRS = [(0.5, 0.5), (0.5, 0.5)]
+UNITS = "units must be a UnitSystem, got "
+SPEC = "spec must be an OscillatorSpec, got "
+PARAM = "param must be a DeformationParameter, got "
 ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q, P) "
         "pairs per mode: ")
 
@@ -59,11 +69,35 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
      ROWS + "object of type 'NoneType' has no len()"),
     (lambda: field_energy([tuple(MODE)], [PAIRS]),
      ROWS + "'tuple' object has no attribute 'omega'"),
+    (lambda: spectral_density(1.0, 1.0, "si"), UNITS + "'si'"),
+    (lambda: spectrum_sweep(1.0, 1.0, 2.0, 5, units=None), UNITS + "None"),
+    (lambda: wien_peak(1.0, None), UNITS + "None"),
+    (lambda: stefan_boltzmann_integral(None), UNITS + "None"),
+    (lambda: zero_point_cutoff_energy(1.0, None), UNITS + "None"),
+    (lambda: zero_point_cutoff_energy(1.0, None, math.inf), UNITS + "None"),
+    (lambda: enumerate_modes(CavitySpec(), 5.0, None), UNITS + "None"),
+    (lambda: mode_count_vs_asymptotic(CavitySpec(), 50.0, None), UNITS + "None"),
+    (lambda: field_energy([], [], 2.0, None), UNITS + "None"),
+    (lambda: run_all_checks(0, None), UNITS + "None"),
+    (lambda: OscillatorSpec(units=None), UNITS + "None"),
+    (lambda: ladder(3, None), SPEC + "None"),
+    (lambda: energy_level(1, "spec"), SPEC + "'spec'"),
+    (lambda: oscillator_star_energy(None), SPEC + "None"),
+    (lambda: oscillator_square_form_energy(1.0), SPEC + "1.0"),
+    (lambda: star_product(Q, P, None), PARAM + "None"),
+    (lambda: star_first_order(Q, P, 2.0), PARAM + "2.0"),
+    (lambda: star_commutator(Q, P, 2), PARAM + "2"),
+    (lambda: classical_limit_bracket(Q, P, None), PARAM + "None"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
         "format", "parse-int", "parse-bytes", "monomial-q", "monomial-p", "evaluate-str",
         "evaluate-complex", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
         "field-modes-generator", "field-amplitudes-int", "field-row-none",
-        "field-amplitude-none", "field-plain-tuples"])
+        "field-amplitude-none", "field-plain-tuples", "density-units", "sweep-units",
+        "wien-units", "integral-units", "cutoff-units", "cutoff-free-limit-units",
+        "enumerate-units", "count-units", "field-units", "checks-units",
+        "oscillator-spec-units", "ladder-spec", "level-spec", "star-energy-spec",
+        "square-form-spec", "star-param", "first-order-param", "commutator-param",
+        "classical-limit-param"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

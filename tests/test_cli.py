@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import phasestar
-from phasestar import cli
-from phasestar.blackbody import (SPECTRUM_FIELDS, SpectrumPoint, dimensionless_x,
-                                 spectrum_sweep, wien_peak)
+from phasestar import checks, cli
+from phasestar.blackbody import (SPECTRUM_FIELDS, QuadratureError, SpectrumPoint,
+                                 dimensionless_x, spectrum_sweep, wien_peak)
 from phasestar.cavity import MODE_FIELDS, CavitySpec, Mode, enumerate_modes
 from phasestar.checks import CheckResult, run_all_checks
 from phasestar.cli import main
+from phasestar.star import star_product
 from phasestar.units import UnitSystem
 
 
@@ -362,6 +363,22 @@ class TestChecksCommand:
         assert code == 2
         assert "FAIL injected-fault" in out
 
+    def test_failing_checks_print_fail_lines(self, monkeypatch):
+        # f (star) g + f breaks associativity and the canonical commutator alike.
+        def skewed(f, g, param):
+            return star_product(f, g, param) + f
+
+        def unconverged(units):
+            raise QuadratureError(1.0)
+        monkeypatch.setattr(checks, "star_product", skewed)
+        monkeypatch.setattr(checks, "stefan_boltzmann_integral", unconverged)
+        code, out, _ = run_cli("checks")
+        assert code == 2
+        assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+            "FAIL star-associativity: triple 0 violated associativity",
+            "FAIL commutator-canon: q1, p1 at d=1 gave q1 - p1 + i*hbar",
+            "FAIL thermal-integral: quadrature did not converge; error estimate 1.000e+00"]
+
 
 # Arguments each subcommand needs, and a valid value for each shared option.
 REQUIRED_ARGS = {
@@ -424,6 +441,12 @@ class TestGlobalBehavior:
     def test_bad_param_syntax(self):
         code, _, _ = run_cli("star", "q1", "p1", "--param", "omega")
         assert code == 1
+
+    def test_param_value_must_be_a_number(self):
+        code, out, err = run_cli("star", "q1", "p1", "--param", "a=x")
+        assert code == 1
+        assert out == ""
+        assert "binding value must be a number, got 'a=x'" in err
 
     def test_module_entry_point(self):
         completed = run_module("commutator", "q1", "p1")
