@@ -14,8 +14,13 @@ The ``modes`` argv (both conventions, text, CSV and JSON, ``--units si``,
 recorded from the writer that built one dict per table row.  The two
 ``checks`` argv (the defaults, and ``--units si --seed 7``) were recorded
 from the writer that formatted each table cell through a ``render``
-closure.  The ``demo_*.txt`` files hold the stdout of the deterministic
-demos 01 to 04.  Any change of rendered output fails here.
+closure.  The last four ``star`` and two ``commutator`` argv (powers of
+complex, decimal and bound scalars, a zero coefficient, ``--param``,
+``--N 3``, ``--N infinity``, ``--first-order``, ``--poisson``, CSV and
+JSON) were recorded from the parser that read its scalars through a
+helper of its own and the constructor that summed coefficients as
+ComplexFraction values.  The ``demo_*.txt`` files hold the stdout of the
+deterministic demos 01 to 04.  Any change of rendered output fails here.
 """
 
 import io
