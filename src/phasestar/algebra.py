@@ -9,9 +9,12 @@ A polynomial stores one integer D > 0 and, per term, a Gaussian-integer pair
 (x, y) for the coefficient (x + i*y) / D, keyed by a plain (q, p, hbar power)
 tuple that compares and hashes like ``MultiIndex``.  The form is canonical,
 gcd(D, every x, every y) = 1 and no pair is (0, 0), so ``==`` is a
-structural test.  The public ``terms`` mapping is built on first access and
-cached; only it turns a polynomial's pairs into ComplexFraction values.
-Substituting a number for ``hbar`` is exact too: every nonzero term is kept.
+structural test.  Every polynomial is put in that form by ``_reduced``
+(through ``_sum`` for sums), the constructor's included, and every scalar
+enters as the triple (x, y, D) that ``_gaussian`` reads.  The public
+``terms`` mapping is built on first access and cached; only it turns a
+polynomial's pairs back into ComplexFraction values.  Substituting a number
+for ``hbar`` is exact too: every nonzero term is kept.
 
 Pointwise multiplication and every star-product route are one kernel,
 ``_moyal_product``: the closed-form product of two monomials with integer
@@ -61,6 +64,20 @@ def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact real number")
 
 
+def _numeric(method):
+    """A ComplexFraction binary operator that reads its operand with
+    ``from_value``; an operand that is no number gives NotImplemented, so
+    Python tries the other operand's reflected method."""
+    @functools.wraps(method)
+    def operator(self, other):
+        try:
+            other = ComplexFraction.from_value(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+    return operator
+
+
 class ComplexFraction:
     """Complex number with exact rational real and imaginary parts."""
 
@@ -82,30 +99,32 @@ class ComplexFraction:
             return cls(value.real, value.imag)
         return cls(value, 0)
 
+    @_numeric
     def __add__(self, other: Scalar) -> "ComplexFraction":
-        other = ComplexFraction.from_value(other)
         return ComplexFraction(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
 
+    @_numeric
     def __sub__(self, other: Scalar) -> "ComplexFraction":
-        return self + -ComplexFraction.from_value(other)
+        return self + -other
 
+    @_numeric
     def __rsub__(self, other: Scalar) -> "ComplexFraction":
-        return ComplexFraction.from_value(other) - self
+        return other - self
 
     def __neg__(self) -> "ComplexFraction":
         return ComplexFraction(-self.real, -self.imag)
 
+    @_numeric
     def __mul__(self, other: Scalar) -> "ComplexFraction":
-        other = ComplexFraction.from_value(other)
         a, b, c, d = self.real, self.imag, other.real, other.imag
         return ComplexFraction(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
+    @_numeric
     def __truediv__(self, other: Scalar) -> "ComplexFraction":
-        other = ComplexFraction.from_value(other)
         denom = other.real * other.real + other.imag * other.imag
         if denom == 0:
             raise ZeroDivisionError("division by zero ComplexFraction")
@@ -163,7 +182,7 @@ class MultiIndex(NamedTuple):
         return (hbar_power, sum(exps), tuple(-e for e in exps))
 
 
-def _validated_index(index, dimension: int) -> MultiIndex:
+def _validated_index(index, dimension: int) -> tuple:
     try:
         q_exponents, p_exponents, hbar_power = index
         q_exponents, p_exponents = tuple(q_exponents), tuple(p_exponents)
@@ -174,9 +193,21 @@ def _validated_index(index, dimension: int) -> MultiIndex:
         raise ValueError(
             f"exponent vectors must have length {dimension}, got "
             f"{len(q_exponents)} and {len(p_exponents)}")
-    return MultiIndex(tuple(integer("exponent", e) for e in q_exponents),
-                      tuple(integer("exponent", e) for e in p_exponents),
-                      integer("hbar_power", hbar_power))
+    return (tuple(integer("exponent", e) for e in q_exponents),
+            tuple(integer("exponent", e) for e in p_exponents),
+            integer("hbar_power", hbar_power))
+
+
+def _gaussian(value: Scalar) -> tuple:
+    """A scalar's exact value (x + i*y)/D as (x, y, D), with the least D > 0.
+    int and Fraction are read directly, anything else through ``from_value``:
+    TypeError for a value that is no number, ValueError for inf or nan."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    value = ComplexFraction.from_value(value)
+    re, im = value.real, value.imag
+    den = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
 class PhasePolynomial:
@@ -193,13 +224,11 @@ class PhasePolynomial:
                  terms: Union[Mapping, Iterable] = ()):
         dimension = integer("dimension", dimension, 1)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        coefficients = {}
-        for index, coefficient in items:
-            index = _validated_index(index, dimension)
-            value = ComplexFraction.from_value(coefficient)
-            prev = coefficients.get(index)
-            coefficients[index] = value if prev is None else prev + value
-        self._init(dimension, *_integer_rows(coefficients))
+        # each key is validated before its coefficient is read
+        read = [(_validated_index(index, dimension), _gaussian(coefficient))
+                for index, coefficient in items]
+        poly = _sum(dimension, [(den, {key: (x, y)}) for key, (x, y, den) in read])
+        self._init(dimension, poly._den, poly._terms)
 
     def _init(self, dimension: int, den: int, rows: dict) -> None:
         object.__setattr__(self, "_dimension", dimension)
@@ -212,8 +241,8 @@ class PhasePolynomial:
 
     @classmethod
     def _from_clean(cls, dimension: int, terms: Mapping) -> "PhasePolynomial":
-        # keys must already be validated, and values be ComplexFraction
-        return cls._from_rows(dimension, *_integer_rows(terms))
+        # the constructor under the name tests/star_oracle.py calls
+        return cls(dimension, terms)
 
     @classmethod
     def _from_rows(cls, dimension: int, den: int, rows: dict) -> "PhasePolynomial":
@@ -296,6 +325,7 @@ class PhasePolynomial:
 
     def hbar_component(self, power: int) -> "PhasePolynomial":
         """The coefficient polynomial of hbar**power (its grade reset to 0)."""
+        power = integer("power", power)
         return _reduced(self._dimension, self._den, {
             (q, p, 0): pair for (q, p, h), pair in self._terms.items() if h == power})
 
@@ -339,8 +369,7 @@ class PhasePolynomial:
     def __mul__(self, other) -> "PhasePolynomial":
         if isinstance(other, PhasePolynomial):
             return _moyal_product(self, self._coerce(other), 0, range(1), graded=False)
-        den, rows = _integer_rows({(): ComplexFraction.from_value(other)})
-        a, b = rows.get((), (0, 0))
+        a, b, den = _gaussian(other)
         return _reduced(self._dimension, self._den * den, {
             k: (x * a - y * b, x * b + y * a) for k, (x, y) in self._terms.items()})
 
@@ -388,8 +417,13 @@ class PhasePolynomial:
         once at the end, so it is exact for exactly-representable inputs.
         """
         d = self._dimension
-        if len(point) != 2 * d:
-            raise ValueError(f"point must have length {2 * d}, got {len(point)}")
+        try:
+            size = len(point)
+        except TypeError:
+            raise ValueError(f"point must be a sequence of {2 * d} real numbers, "
+                             f"got {point!r}") from None
+        if size != 2 * d:
+            raise ValueError(f"point must have length {2 * d}, got {size}")
         nonnegative("hbar_value", hbar_value)
         try:
             values = [exact_fraction(v) for v in (*point, hbar_value)]
@@ -418,16 +452,6 @@ class PhasePolynomial:
             u, v = out.get((q, p, 0), (0, 0))
             out[q, p, 0] = (u + x * w, v + y * w)
         return _reduced(self._dimension, self._den * h.denominator ** top, out)
-
-
-def _integer_rows(coefficients: Mapping) -> tuple:
-    """(D, rows): a {key: ComplexFraction} mapping in canonical integer form,
-    D the lcm of every reduced denominator; zero coefficients are dropped."""
-    den = math.lcm(1, *(part.denominator for c in coefficients.values()
-                        for part in (c.real, c.imag)))
-    return den, {key: (c.real.numerator * (den // c.real.denominator),
-                       c.imag.numerator * (den // c.imag.denominator))
-                 for key, c in coefficients.items() if c.real or c.imag}
 
 
 def _reduced(dimension: int, den: int, pairs: dict) -> PhasePolynomial:

@@ -25,7 +25,9 @@ The parser builds each term directly, on the integer storage of
 bound names, each with an optional power, under any unary minus) becomes one
 term as it is parsed: exponents add, and the coefficient, a Gaussian integer
 over a positive integer denominator, is multiplied only by factors other
-than 1, powers by squaring.  The terms of an expression are summed over the
+than 1, powers by squaring.  Numbers and bound names enter as the triple
+(x, y, D) that ``algebra._gaussian`` reads, as every scalar of the algebra
+does.  The terms of an expression are summed by ``algebra._sum`` over the
 lcm of their denominators and made canonical once, at the end.  Only a
 parenthesised sum of more than one term goes through the multiplication
 kernel, when it is multiplied or raised to a power; a parenthesised single
@@ -43,9 +45,9 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Union
 
-from .algebra import MultiIndex, PhasePolynomial, _reduced, _sum, exact_fraction
+from .algebra import MultiIndex, PhasePolynomial, _gaussian, _reduced, _sum, exact_fraction
 from .units import integer
 
 GRAMMAR_VERSION = "1.0"
@@ -100,6 +102,8 @@ _TOKEN_PATTERN = re.compile(r"""
 
 def tokenize(source: str) -> list:
     """Split source text into tokens, or raise ParseError at the first bad byte."""
+    if not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
     tokens = []
     for match in _TOKEN_PATTERN.finditer(source):
         kind = match.lastgroup
@@ -117,8 +121,12 @@ def validate_bindings(bindings: Optional[Mapping]) -> dict:
     """Check a name-to-number mapping; reserved names may not be bound."""
     if bindings is None:
         return {}
+    if not isinstance(bindings, Mapping):
+        raise ValueError(f"bindings must be a mapping of names to numbers, got {bindings!r}")
     clean = {}
     for name, value in bindings.items():
+        if not isinstance(name, str):
+            raise ValueError(f"bindings must map names to numbers, got the name {name!r}")
         if _RESERVED_PATTERN.match(name):
             raise ValueError(f"cannot bind reserved identifier {name!r}")
         clean[name] = exact_fraction(value)
@@ -208,12 +216,12 @@ def _power(re, im, n: int) -> tuple:
 
 
 class _Parser:
-    def __init__(self, source: str, dimension: int, bindings: dict):
+    def __init__(self, source: str, dimension: int, bindings: Optional[Mapping]):
         self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
-        self.dimension = dimension
-        self.bindings = bindings
+        self.dimension = integer("dimension", dimension, 1)
+        self.bindings = validate_bindings(bindings)
         self.depth = 0
 
     def peek(self) -> Optional[Token]:
@@ -294,7 +302,7 @@ class _Parser:
         """An exponent slot, a scalar (x, y, D) or a parenthesised polynomial."""
         token = self.advance()
         if token.kind == "number":
-            return _scalar(_number_value(token.text))
+            return _gaussian(_number_value(token.text))
         if token.kind == "identifier":
             return self.identifier(token)
         if token.kind == "lparen":
@@ -322,27 +330,18 @@ class _Parser:
                     token.position)
             return index - 1 if match.group(1) == "q" else self.dimension + index - 1
         if name in self.bindings:
-            return _scalar(self.bindings[name])
+            return _gaussian(self.bindings[name])
         raise ParseError(f"unknown identifier {name!r}", token.position)
 
 
-def _scalar(value: Fraction) -> tuple:
-    return value.numerator, 0, value.denominator
-
-
-def _number_value(text: str) -> Fraction:
-    if text.isdigit():
-        return Fraction(int(text))
-    return exact_fraction(float(text))
+def _number_value(text: str) -> Union[int, Fraction]:
+    return int(text) if text.isdigit() else exact_fraction(float(text))
 
 
 def parse_expression(source: str, dimension: int,
                      bindings: Optional[Mapping] = None) -> PhasePolynomial:
     """Parse source text into a PhasePolynomial over the given dimension."""
-    if not isinstance(source, str):
-        raise ValueError(f"source must be a string, got {source!r}")
-    return _Parser(source, integer("dimension", dimension, 1),
-                   validate_bindings(bindings)).parse()
+    return _Parser(source, dimension, bindings).parse()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exactness and contract tests for the sparse phase-space polynomials."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -76,6 +77,37 @@ class TestComplexFraction:
         assert len({ComplexFraction(1, 2), complex(1, 2)}) == 1
         assert len({ComplexFraction(Fraction(1, 3)), Fraction(1, 3), ComplexFraction(0.5)}) == 2
 
+    def test_operand_that_is_no_number_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ComplexFraction(1) + "a"
+        with pytest.raises(TypeError):
+            "a" - ComplexFraction(1)
+        with pytest.raises(TypeError):
+            ComplexFraction(1) * None
+
+    def test_non_finite_operand_still_raises_value_error(self):
+        with pytest.raises(ValueError, match="value must be finite"):
+            ComplexFraction(1) + math.inf
+        with pytest.raises(ValueError, match="value must be finite"):
+            ComplexFraction(1) / math.nan
+
+
+@pytest.mark.parametrize("make", [lambda: ComplexFraction(1, 2), q],
+                         ids=["complex-fraction", "polynomial"])
+@pytest.mark.parametrize("name", ["real", "_den", "new_attribute"])
+def test_attributes_cannot_be_assigned(make, name):
+    value = make()
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, name, 3)
+
+
+@pytest.mark.parametrize("value", [ComplexFraction(1), PhasePolynomial.constant(1, 1)],
+                         ids=["complex-fraction", "polynomial"])
+def test_equality_with_a_string_is_false(value):
+    assert (value == "1") is False
+    assert ("1" == value) is False
+    assert value != "1"
+
 
 class TestConstruction:
     def test_zero_polynomial_has_no_terms(self):
@@ -86,6 +118,14 @@ class TestConstruction:
         index = MultiIndex((1,), (0,), 0)
         poly = PhasePolynomial(1, [(index, 2), (index, -2)])
         assert poly.is_zero
+
+    def test_mixed_scalars_sum_to_one_canonical_form_with_plain_keys(self):
+        key, other = ((1,), (0,), 0), ((0,), (1,), 0)
+        poly = PhasePolynomial(1, [(MultiIndex(*key), 0.25), (key, Fraction(1, 3)),
+                                   (key, 1j), (other, True), (other, ComplexFraction(-1))])
+        assert (poly._den, poly._terms) == (12, {key: (7, 12)})
+        assert [type(k) for k in poly._terms] == [tuple]
+        assert [type(k) for k in poly.terms] == [MultiIndex]
 
     def test_exponent_length_must_match_dimension(self):
         with pytest.raises(ValueError):
@@ -137,6 +177,15 @@ class TestAddition:
     def test_scalar_minus_polynomial(self):
         assert 1 - q() == PhasePolynomial.constant(1, 1) - q()
         assert 2j - p() == -(p() - ComplexFraction(0, 2))
+
+    @pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul],
+                             ids=["add", "sub", "mul"])
+    def test_complex_fraction_on_the_left_reaches_the_polynomial(self, combine):
+        assert combine(ComplexFraction(0, 2), p()) == combine(2j, p())
+
+    def test_complex_fraction_over_a_polynomial_raises(self):
+        with pytest.raises(TypeError):
+            ComplexFraction(1) / p()
 
 
 class TestMultiplication:

@@ -1,9 +1,9 @@
 """Arguments of the wrong type at every entry point.
 
-A polynomial, source text, exponent vector, deformation parameter, unit
-system, oscillator or cavity spec, mode list or amplitude table of the wrong
-type raises a ValueError that names the argument, not an AttributeError or
-TypeError from deep inside the call.
+A polynomial, source text, bindings mapping, evaluation point, exponent
+vector, deformation parameter, unit system, oscillator or cavity spec, mode
+list or amplitude table of the wrong type raises a ValueError that names the
+argument, not an AttributeError or TypeError from deep inside the call.
 Numpy integers and floats are numbers wherever the algebra reads one exactly:
 ``exact_fraction`` turns them into the Fraction they denote, and only a value
 that is no real number keeps its TypeError.
@@ -22,7 +22,8 @@ from phasestar.blackbody import (spectral_density, spectrum_sweep, stefan_boltzm
 from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy, mode_count_vs_asymptotic)
 from phasestar.checks import run_all_checks
-from phasestar.expressions import format_canonical, parse_expression
+from phasestar.expressions import (format_canonical, parse_expression, tokenize,
+                                   validate_bindings)
 from phasestar.oscillator import (OscillatorSpec, energy_level, ladder,
                                   oscillator_square_form_energy, oscillator_star_energy)
 from phasestar.star import (DeformationParameter, classical_limit_bracket, poisson_bracket,
@@ -49,12 +50,18 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: format_canonical(3), "poly must be a PhasePolynomial, got 3"),
     (lambda: parse_expression(5, 1), "source must be a string, got 5"),
     (lambda: parse_expression(b"q1", 1), "source must be a string, got b'q1'"),
+    (lambda: tokenize(5), "source must be a string, got 5"),
+    (lambda: validate_bindings(5), "bindings must be a mapping of names to numbers, got 5"),
+    (lambda: parse_expression("q1", 1, 5),
+     "bindings must be a mapping of names to numbers, got 5"),
+    (lambda: validate_bindings({1: 2}), "bindings must map names to numbers, got the name 1"),
     (lambda: PhasePolynomial.monomial(1, 5, (0,)),
      "q_exponents must be a sequence of integers, got 5"),
     (lambda: PhasePolynomial.monomial(1, (0,), 2.0),
      "p_exponents must be a sequence of integers, got 2.0"),
     (lambda: (Q * P).evaluate(["a", 1]), "point must hold real numbers, got ('a', 1)"),
     (lambda: (Q * P).evaluate([1j, 1]), "point must hold real numbers, got (1j, 1)"),
+    (lambda: (Q * P).evaluate(5), "point must be a sequence of 2 real numbers, got 5"),
     (lambda: enumerate_modes(None, 3.0), "spec must be a CavitySpec, got None"),
     (lambda: mode_count_vs_asymptotic("standing", 30.0),
      "spec must be a CavitySpec, got 'standing'"),
@@ -89,8 +96,9 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: star_commutator(Q, P, 2), PARAM + "2"),
     (lambda: classical_limit_bracket(Q, P, None), PARAM + "None"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
-        "format", "parse-int", "parse-bytes", "monomial-q", "monomial-p", "evaluate-str",
-        "evaluate-complex", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
+        "format", "parse-int", "parse-bytes", "tokenize-int", "bindings-int",
+        "parse-bindings-int", "bindings-int-name", "monomial-q", "monomial-p", "evaluate-str",
+        "evaluate-complex", "evaluate-int", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
         "field-modes-generator", "field-amplitudes-int", "field-row-none",
         "field-amplitude-none", "field-plain-tuples", "density-units", "sweep-units",
         "wien-units", "integral-units", "cutoff-units", "cutoff-free-limit-units",

@@ -166,6 +166,22 @@ class TestCounting:
         oracle = triple_loop_count(radius, convention == STANDING)
         assert report.exact_count == 2 * oracle
 
+    def test_shell_bound_steps_down_from_a_float_guess_above_omega_max(self):
+        # (omega_max/scale)**2 truncates to 77, but the |n|**2 = 77 shell, e.g.
+        # (2, 3, 8), has omega 91.89121218314385, one step above omega_max
+        spec = CavitySpec(side_length=0.3)
+        omega_max = 91.89121218314384
+        scale = math.pi * NATURAL.c_light / spec.side_length
+        assert int((omega_max / scale) ** 2) == 77 and scale * math.sqrt(77) > omega_max
+        axis = range(1, 10)
+        inside = sum(scale * math.sqrt(a * a + b * b + c * c) <= omega_max
+                     for a in axis for b in axis for c in axis)
+        modes = enumerate_modes(spec, omega_max)
+        assert len(modes) == inside == 266
+        assert all(mode.omega <= omega_max for mode in modes)
+        with pytest.warns(UserWarning, match="only 532 modes"):
+            assert mode_count_vs_asymptotic(spec, omega_max).exact_count == 2 * inside
+
     def test_matches_enumeration(self):
         spec = CavitySpec(boundary_convention=STANDING)
         omega_max = 45.0

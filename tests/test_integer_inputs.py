@@ -27,6 +27,7 @@ from phasestar.oscillator import OscillatorSpec, energy_level, ladder
 BAD_VALUES = (1.5, "3", None, 2j, math.nan)
 SPEC = OscillatorSpec()
 Q = PhasePolynomial.variable_q(2, 1)
+GRADED = Q + PhasePolynomial.hbar(2, 1, 3)
 
 
 def term(q, p=0, hbar_power=0):
@@ -47,6 +48,7 @@ ENTRY_POINTS = [
     ("constant", "dimension", 1, lambda v: PhasePolynomial.constant(v, 5), 2),
     ("partial_q", "index", 0, lambda v: (Q * Q).partial_q(v), 1),
     ("partial_p", "index", 0, lambda v: (Q * Q).partial_p(v), 1),
+    ("hbar_component", "power", 0, GRADED.hbar_component, 1),
     ("parse_expression", "dimension", 1, lambda v: parse_expression("q1*p1", v), 2),
     ("energy_level", "n", 0, lambda v: energy_level(v, SPEC), 3),
     ("ladder", "n_max", 0, lambda v: ladder(v, SPEC), 3),
