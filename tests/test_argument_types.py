@@ -111,6 +111,19 @@ def test_wrong_type_names_the_argument(call, message):
         call()
 
 
+Q2 = PhasePolynomial.variable_q(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: star_product(Q, Q2), lambda: star_first_order(Q, Q2),
+    lambda: star_commutator(Q, Q2), lambda: classical_limit_bracket(Q, Q2),
+    lambda: poisson_bracket(Q, Q2), lambda: Q + Q2, lambda: Q * Q2,
+], ids=["star", "first-order", "commutator", "classical-limit", "poisson", "add", "mul"])
+def test_dimension_mismatch_names_both_dimensions(call):
+    with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+        call()
+
+
 def test_iterable_exponents_still_build_a_monomial():
     assert PhasePolynomial.monomial(2, iter((1, 0)), [0, 2]) == \
         PhasePolynomial.monomial(2, (1, 0), (0, 2))

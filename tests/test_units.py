@@ -4,8 +4,31 @@ import math
 
 import pytest
 
+from phasestar.algebra import PhasePolynomial
 from phasestar.blackbody import spectral_density
+from phasestar.cavity import CavitySpec, enumerate_modes
+from phasestar.oscillator import OscillatorSpec, ladder
+from phasestar.star import DeformationParameter, star_product
 from phasestar.units import NATURAL, UnitSystem
+
+Q = PhasePolynomial.variable_q(1)
+
+# One entry point per object argument class, with the whole message it raises
+# for a value of the wrong type.
+OBJECT_MESSAGES = [
+    (lambda: spectral_density(1.0, 1.0, None), "units", None, UnitSystem,
+     "units must be a UnitSystem, got None"),
+    (lambda: ladder(3, "spec"), "spec", "spec", OscillatorSpec,
+     "spec must be an OscillatorSpec, got 'spec'"),
+    (lambda: star_product(Q, Q, 2.0), "param", 2.0, DeformationParameter,
+     "param must be a DeformationParameter, got 2.0"),
+    (lambda: enumerate_modes(None, 3.0), "spec", None, CavitySpec,
+     "spec must be a CavitySpec, got None"),
+    (lambda: star_product(Q, 3), "g", 3, PhasePolynomial,
+     "g must be a PhasePolynomial, got 3"),
+]
+OBJECT_IDS = ["UnitSystem", "OscillatorSpec", "DeformationParameter", "CavitySpec",
+              "PhasePolynomial"]
 
 
 def test_natural_units_are_all_one():
@@ -43,3 +66,10 @@ def test_no_overflow_up_to_700():
     inside = spectral_density(650.0, 1.0)
     assert math.isfinite(inside.thermal_density)
     assert inside.thermal_density > 0
+
+
+@pytest.mark.parametrize("call, name, value, kind, message", OBJECT_MESSAGES, ids=OBJECT_IDS)
+def test_object_argument_message_is_exact(call, name, value, kind, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
