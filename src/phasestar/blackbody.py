@@ -46,7 +46,7 @@ from itertools import repeat
 from typing import Optional
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem, finite, integer, positive
+from .units import NATURAL, UnitSystem, finite, instance, integer, positive
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
 X_OVERFLOW = 700.0
@@ -108,8 +108,7 @@ _SPECTRUM_SLOTS = tuple(getattr(SpectrumPoint, field.name) for field in fields(S
 
 
 def _check_temperature(temperature: float, units: UnitSystem) -> float:
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     kt = finite("k*T at temperature {1!r}", operator.mul, units.k_boltzmann,
                 positive("temperature", temperature))
     if kt == 0:
@@ -403,8 +402,7 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     the cache is bounded), which speeds up only a node count this process
     has asked for before; the check itself runs on every call.
     """
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     quadrature_points = integer("quadrature_points", quadrature_points, 64)
     if quadrature_points > MAX_QUADRATURE_POINTS:
         raise ValueError(f"quadrature_points {quadrature_points} exceeds the "
@@ -433,8 +431,7 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     exactly zero, the one case with no divergence.
     """
     positive("omega_cutoff", omega_cutoff)
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
     return finite("zero-point energy below omega_cutoff = {!r}", _zero_point_below,

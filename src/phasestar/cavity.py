@@ -48,7 +48,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .oscillator import ground_energy
-from .units import NATURAL, UnitSystem, integer, positive
+from .units import NATURAL, UnitSystem, instance, integer, positive
 
 STANDING = "standing"
 PERIODIC = "periodic"
@@ -121,8 +121,7 @@ class ModeCountResult(NamedTuple):
 
 
 def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     factor = math.pi if spec.boundary_convention == STANDING else 2 * math.pi
     return factor * units.c_light / spec.side_length
 
@@ -130,8 +129,7 @@ def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
 def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
     """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
     is computed from: a triple n is inside exactly when |n|**2 <= m."""
-    if not isinstance(spec, CavitySpec):
-        raise ValueError(f"spec must be a CavitySpec, got {spec!r}")
+    instance("spec", spec, CavitySpec)
     scale = _wavenumber_scale(spec, units)
     radius = positive("omega_max", omega_max, finite=False) / scale if scale else math.inf
     if not radius <= MAX_LATTICE_RADIUS:
@@ -345,8 +343,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     Python loop over modes and polarizations bit for bit.
     """
     positive("N", N, finite=False)
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     import numpy as np
     try:
         if len(amplitudes) != len(modes):

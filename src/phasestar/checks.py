@@ -18,7 +18,7 @@ from .blackbody import (QuadratureError, spectral_density,
                         spectral_density_ladder_sum, stefan_boltzmann_integral)
 from .cavity import CavitySpec, PERIODIC, STANDING, mode_count_vs_asymptotic
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem
+from .units import NATURAL, UnitSystem, instance
 
 ASSOCIATIVITY_SAMPLES = 25
 
@@ -135,8 +135,7 @@ def _mode_count_check(units: UnitSystem) -> CheckResult:
 
 def run_all_checks(seed: int = 0, units: UnitSystem = NATURAL) -> list:
     """Run the whole suite; deterministic for a given seed."""
-    if not isinstance(units, UnitSystem):
-        raise ValueError(f"units must be a UnitSystem, got {units!r}")
+    instance("units", units, UnitSystem)
     rng = random.Random(seed)
     return [
         _associativity_check(rng),

@@ -5,7 +5,8 @@ Output is deterministic given the arguments and seed.  Exit status 0 on
 success, 1 on domain or parse errors, 2 when an internal check fails.
 Tabular output (spectrum, modes, level tables) supports text, CSV
 (RFC-4180-style with a header row) and JSON (an array of flat objects);
-polynomial results print canonically in text or wrapped in JSON.  Every
+polynomial results print canonically in text or wrapped in JSON; ``star`` and
+``commutator`` share one handler, which selects on the command name.  Every
 table is one dict of equal-length columns, the library's own (the checked
 columns of ``spectrum_sweep`` and ``enumerate_modes``); ``_emit_columns``
 formats each column with one builtin call, ``"{:.<p>g}".format`` or ``str``.
@@ -180,38 +181,25 @@ def _emit_columns(columns: dict, fmt: str, render, out) -> None:
         out.writelines("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in table)
 
 
-def _polynomial_output(poly, fmt: str, out) -> None:
-    text = format_canonical(poly)
-    if fmt == "json":
-        json.dump({"canonical": text}, out)
-        out.write("\n")
-    else:
-        out.write(text + "\n")
-
-
 def _units_from_args(args) -> UnitSystem:
     return UnitSystem.si() if args.units == "si" else UnitSystem.natural()
 
 
-def _cmd_star(args, out, err) -> int:
+def _cmd_product(args, out, err) -> int:
     bindings = validate_bindings(dict(args.param))
     f = parse_expression(args.expr1, args.dims, bindings)
     g = parse_expression(args.expr2, args.dims, bindings)
     param = DeformationParameter(N=args.deformation)
-    combine = star_first_order if args.first_order else star_product
-    _polynomial_output(combine(f, g, param), args.format, out)
-    return 0
-
-
-def _cmd_commutator(args, out, err) -> int:
-    bindings = validate_bindings(dict(args.param))
-    f = parse_expression(args.expr1, args.dims, bindings)
-    g = parse_expression(args.expr2, args.dims, bindings)
-    if args.poisson:
-        result = poisson_bracket(f, g)
+    if args.command == "star":
+        result = (star_first_order if args.first_order else star_product)(f, g, param)
     else:
-        result = star_commutator(f, g, DeformationParameter(N=args.deformation))
-    _polynomial_output(result, args.format, out)
+        result = poisson_bracket(f, g) if args.poisson else star_commutator(f, g, param)
+    text = format_canonical(result)
+    if args.format == "json":
+        json.dump({"canonical": text}, out)
+        out.write("\n")
+    else:
+        out.write(text + "\n")
     return 0
 
 
@@ -297,8 +285,8 @@ def _cmd_checks(args, out, err) -> int:
 
 
 _COMMANDS = {
-    "star": _cmd_star,
-    "commutator": _cmd_commutator,
+    "star": _cmd_product,
+    "commutator": _cmd_product,
     "oscillator": _cmd_oscillator,
     "spectrum": _cmd_spectrum,
     "modes": _cmd_modes,

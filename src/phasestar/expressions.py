@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .algebra import MultiIndex, PhasePolynomial, _gaussian, _reduced, _sum, exact_fraction
-from .units import integer
+from .units import instance, integer
 
 GRAMMAR_VERSION = "1.0"
 
@@ -407,8 +407,7 @@ def format_canonical(poly: PhasePolynomial) -> str:
     different rational.  Rendering that parse gives the same text again.
     A non-integer coefficient beyond the float range raises ValueError.
     """
-    if not isinstance(poly, PhasePolynomial):
-        raise ValueError(f"poly must be a PhasePolynomial, got {poly!r}")
+    instance("poly", poly, PhasePolynomial)
     if poly.is_zero:
         return "0"
     pieces = []

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import ComplexFraction, PhasePolynomial, exact_fraction
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem, finite, integer, positive
+from .units import NATURAL, UnitSystem, finite, instance, integer, positive
 
 # Highest level ladder() lists (about 0.05 s and 3 MB of floats).
 MAX_LADDER_LEVEL = 100_000
@@ -49,13 +49,11 @@ class OscillatorSpec:
     def __post_init__(self):
         positive("omega", self.omega)
         positive("N", self.N, finite=False)
-        if not isinstance(self.units, UnitSystem):
-            raise ValueError(f"units must be a UnitSystem, got {self.units!r}")
+        instance("units", self.units, UnitSystem)
 
 
 def _factors(spec: OscillatorSpec):
-    if not isinstance(spec, OscillatorSpec):
-        raise ValueError(f"spec must be an OscillatorSpec, got {spec!r}")
+    instance("spec", spec, OscillatorSpec)
     x = PhasePolynomial.variable_q(1, 0)
     p = PhasePolynomial.variable_p(1, 0)
     i_omega = ComplexFraction(0, exact_fraction(spec.omega))
@@ -90,8 +88,7 @@ def oscillator_square_form_energy(spec: OscillatorSpec) -> PhasePolynomial:
     from the factored form precisely because the two orderings disagree
     about the zero point.
     """
-    if not isinstance(spec, OscillatorSpec):
-        raise ValueError(f"spec must be an OscillatorSpec, got {spec!r}")
+    instance("spec", spec, OscillatorSpec)
     x = PhasePolynomial.variable_q(1, 0)
     p = PhasePolynomial.variable_p(1, 0)
     param = DeformationParameter(N=spec.N)
@@ -112,8 +109,7 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
 def _level_energies(levels: range, spec: OscillatorSpec) -> list:
     """n*hbar*w + hbar*w/N for each n of a non-empty ascending range; the
     energies rise with n, so only the last one is checked for overflow."""
-    if not isinstance(spec, OscillatorSpec):
-        raise ValueError(f"spec must be an OscillatorSpec, got {spec!r}")
+    instance("spec", spec, OscillatorSpec)
     quantum = spec.units.hbar * spec.omega
     ground = ground_energy(quantum, spec.N)
     finite("energy of level {} at omega = {!r}", _level_energy,

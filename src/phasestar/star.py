@@ -20,7 +20,9 @@ some of its layers k, with the step 1/N (times hbar when hbar is numeric):
 all layers for the star product, the odd layers doubled for the commutator
 (layer k of g (star) f is (-1)**k times layer k of f (star) g, so the even
 ones cancel), that pass over 2i*hbar/N for the classical-limit bracket, and
-layer 1 without its factor i*hbar/N for the Poisson bracket.
+layer 1 without its factor i*hbar/N for the Poisson bracket.  ``_series``
+checks the operands once and passes the layers start, start + stride, ...
+below a stop, by default the lower total degree plus one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import PhasePolynomial, _moyal_product, exact_fraction
-from .units import nonnegative, positive
+from .units import instance, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -65,39 +67,30 @@ class DeformationParameter:
 
 
 def _check_operands(f: PhasePolynomial, g: PhasePolynomial) -> None:
-    for name, poly in (("f", f), ("g", g)):
-        if not isinstance(poly, PhasePolynomial):
-            raise ValueError(f"{name} must be a PhasePolynomial, got {poly!r}")
-    if f.dimension != g.dimension:
-        raise ValueError(f"dimension mismatch: {f.dimension} vs {g.dimension}")
-
-
-def _top_layer(f: PhasePolynomial, g: PhasePolynomial) -> int:
-    """The highest layer k of f (star) g that can be nonzero."""
-    _check_operands(f, g)
-    return min(f.total_degree(), g.total_degree())
+    instance("f", f, PhasePolynomial)
+    f._coerce(instance("g", g, PhasePolynomial))  # the dimension rule
 
 
 def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
-            layers: range, **selection) -> PhasePolynomial:
-    """One kernel pass over the selected layers of f (star) g."""
+            start: int = 0, stride: int = 1, stop: Optional[int] = None,
+            **selection) -> PhasePolynomial:
+    """One kernel pass over layers start, start + stride, ... below ``stop`` of
+    f (star) g; no layer above the lower total degree can be nonzero."""
     _check_operands(f, g)
-    if not isinstance(param, DeformationParameter):
-        raise ValueError(f"param must be a DeformationParameter, got {param!r}")
+    instance("param", param, DeformationParameter)
+    if stop is None:
+        stop = min(f.total_degree(), g.total_degree()) + 1
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
-    return _moyal_product(f, g, step, layers, param.symbolic_hbar, **selection)
-
-
-def _odd_layers(f: PhasePolynomial, g: PhasePolynomial) -> range:
-    return range(1, _top_layer(f, g) + 1, 2)
+    return _moyal_product(f, g, step, range(start, stop, stride), param.symbolic_hbar,
+                          **selection)
 
 
 def star_product(f: PhasePolynomial, g: PhasePolynomial,
                  param: DeformationParameter = DeformationParameter()) -> PhasePolynomial:
     """The full star product f (star) g, exact to all orders."""
-    return _series(f, g, param, range(_top_layer(f, g) + 1))
+    return _series(f, g, param)
 
 
 def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
@@ -107,7 +100,7 @@ def star_first_order(f: PhasePolynomial, g: PhasePolynomial,
     Agrees exactly with :func:`star_product` whenever either argument has
     phase degree at most one; otherwise they differ from grade hbar**2 up.
     """
-    return _series(f, g, param, range(2))
+    return _series(f, g, param, stop=2)
 
 
 def star_commutator(f: PhasePolynomial, g: PhasePolynomial,
@@ -117,7 +110,7 @@ def star_commutator(f: PhasePolynomial, g: PhasePolynomial,
     For canonical pairs this is i*hbar*(2/N)*delta_ij, which reduces to the
     canonical commutation value i*hbar*delta_ij exactly when N = 2.
     """
-    return _series(f, g, param, _odd_layers(f, g), factor=2)
+    return _series(f, g, param, 1, 2, factor=2)
 
 
 def poisson_bracket(f: PhasePolynomial, g: PhasePolynomial) -> PhasePolynomial:
@@ -137,10 +130,9 @@ def classical_limit_bracket(f: PhasePolynomial, g: PhasePolynomial,
     correspondence that makes the deformation a quantization.  Requires the
     symbolic hbar treatment (the grading must be lowered) and finite N.
     """
-    if not isinstance(param, DeformationParameter):
-        raise ValueError(f"param must be a DeformationParameter, got {param!r}")
+    instance("param", param, DeformationParameter)
     if not param.symbolic_hbar:
         raise ValueError("classical_limit_bracket requires symbolic hbar treatment")
     if math.isinf(param.N):
         raise ValueError("classical_limit_bracket requires finite N")
-    return _series(f, g, param, _odd_layers(f, g), lower=1)
+    return _series(f, g, param, 1, 2, lower=1)

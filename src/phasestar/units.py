@@ -51,6 +51,14 @@ def integer(name: str, value, low: int = 0) -> int:
     raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def instance(name: str, value, kind: type):
+    """``value`` if it is a ``kind``."""
+    if isinstance(value, kind):
+        return value
+    article = "an" if kind.__name__[0] in "AEIO" else "a"
+    raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
 def finite(what: str, formula, *args):
     """``formula(*args)`` if it is a finite double, else a ValueError saying
     that ``what``, formatted with ``args``, overflows a double."""

@@ -9,7 +9,7 @@ from phasestar.blackbody import spectral_density
 from phasestar.cavity import CavitySpec, enumerate_modes
 from phasestar.oscillator import OscillatorSpec, ladder
 from phasestar.star import DeformationParameter, star_product
-from phasestar.units import NATURAL, UnitSystem
+from phasestar.units import NATURAL, UnitSystem, instance
 
 Q = PhasePolynomial.variable_q(1)
 
@@ -73,3 +73,19 @@ def test_object_argument_message_is_exact(call, name, value, kind, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("call, name, value, kind, message", OBJECT_MESSAGES, ids=OBJECT_IDS)
+def test_instance_message_is_the_entry_points(call, name, value, kind, message):
+    with pytest.raises(ValueError) as raised:
+        instance(name, value, kind)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value, kind", [
+    (NATURAL, UnitSystem), (OscillatorSpec(), OscillatorSpec),
+    (DeformationParameter(), DeformationParameter), (CavitySpec(), CavitySpec),
+    (Q, PhasePolynomial), (True, int),
+], ids=OBJECT_IDS + ["subclass"])
+def test_instance_returns_the_value_itself(value, kind):
+    assert instance("x", value, kind) is value
