@@ -42,6 +42,7 @@ coefficient of ``f`` is exactly representable as a float or an integer.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -101,7 +102,8 @@ _TOKEN_PATTERN = re.compile(r"""
 
 
 def tokenize(source: str) -> list:
-    """Split source text into tokens, or raise ParseError at the first bad byte."""
+    """Split source text into tokens, or raise ParseError at the first bad byte
+    or at a decimal literal whose double overflows to inf or underflows to 0."""
     if not isinstance(source, str):
         raise ValueError(f"source must be a string, got {source!r}")
     tokens = []
@@ -113,7 +115,11 @@ def tokenize(source: str) -> list:
             raise ParseError("digit expected after decimal point", match.end() - 1)
         if kind == "invalid":
             raise ParseError(f"invalid character {match.group()!r}", match.start())
-        tokens.append(Token(kind, match.group(), match.start()))
+        text = match.group()
+        if (kind == "number" and not text.isdigit() and float(text) in (0, math.inf)
+                and text.lower().partition("e")[0].strip("0.")):
+            raise ParseError(f"number {text} is outside the double range", match.start())
+        tokens.append(Token(kind, text, match.start()))
     return tokens
 
 
@@ -129,7 +135,11 @@ def validate_bindings(bindings: Optional[Mapping]) -> dict:
             raise ValueError(f"bindings must map names to numbers, got the name {name!r}")
         if _RESERVED_PATTERN.match(name):
             raise ValueError(f"cannot bind reserved identifier {name!r}")
-        clean[name] = exact_fraction(value)
+        try:
+            clean[name] = exact_fraction(value)
+        except TypeError:
+            raise ValueError(
+                f"bindings must map names to real numbers, got {value!r} for {name!r}") from None
     return clean
 
 

@@ -1,6 +1,6 @@
 """Physical constants, selectable between SI and natural units.
 
-Four rules check values; each raises a ValueError saying which value failed.
+Five rules check values; each raises a ValueError saying which value failed.
 ``positive`` is the rule for physical inputs: a real number in (0, inf).
 Only N (inf is the commutative limit) and upper bounds that a later check
 handles accept inf.  ``nonnegative`` is the rule for hbar values, which may
@@ -10,7 +10,9 @@ numpy's included, of at least a lower bound, returned as a plain int.
 ``finite`` is the rule for results and derived scales (k*T, hbar*w,
 pi**2 c**3) beyond the double range: an OverflowError, a ZeroDivisionError
 from a denominator that underflowed to 0, inf and nan all raise a
-ValueError.
+ValueError.  ``instance`` is the rule for object arguments (unit systems,
+oscillator and cavity specs, deformation parameters, polynomials): an
+instance of the named class, with "a" or "an" before its name.
 """
 
 from __future__ import annotations

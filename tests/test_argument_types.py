@@ -36,6 +36,7 @@ PAIRS = [(0.5, 0.5), (0.5, 0.5)]
 UNITS = "units must be a UnitSystem, got "
 SPEC = "spec must be an OscillatorSpec, got "
 PARAM = "param must be a DeformationParameter, got "
+REAL_BINDINGS = "bindings must map names to real numbers, got "
 ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q, P) "
         "pairs per mode: ")
 
@@ -95,6 +96,9 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: star_first_order(Q, P, 2.0), PARAM + "2.0"),
     (lambda: star_commutator(Q, P, 2), PARAM + "2"),
     (lambda: classical_limit_bracket(Q, P, None), PARAM + "None"),
+    (lambda: validate_bindings({"a": 1j}), REAL_BINDINGS + "1j for 'a'"),
+    (lambda: validate_bindings({"a": np.complex64(1)}), REAL_BINDINGS),
+    (lambda: parse_expression("a*q1", 1, {"a": 2 + 1j}), REAL_BINDINGS + "(2+1j) for 'a'"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
         "format", "parse-int", "parse-bytes", "tokenize-int", "bindings-int",
         "parse-bindings-int", "bindings-int-name", "monomial-q", "monomial-p", "evaluate-str",
@@ -105,7 +109,8 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "enumerate-units", "count-units", "field-units", "checks-units",
         "oscillator-spec-units", "ladder-spec", "level-spec", "star-energy-spec",
         "square-form-spec", "star-param", "first-order-param", "commutator-param",
-        "classical-limit-param"])
+        "classical-limit-param", "bindings-complex", "bindings-numpy-complex",
+        "parse-bindings-complex"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -1,8 +1,10 @@
 """Tokenizer, parser and canonical-rendering tests."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phasestar.algebra import ComplexFraction, PhasePolynomial
 from phasestar.expressions import (MAX_NESTING, ParseError, format_canonical,
@@ -174,6 +176,45 @@ class TestParse:
         assert parse_expression("-(" * half + "q1" + ")" * half, 1) == q() * (-1) ** half
         with pytest.raises(ParseError):
             parse_expression("-" + "-(" * half + "q1" + ")" * half, 1)
+
+
+    @pytest.mark.parametrize("source, offset", [
+        ("q1 + 1e-400", 5), ("1e999*q1", 0), ("q1 - 2.5E-330*p1", 5), ("(q1 + 7e+400)^2", 6),
+        ("2.4e-324", 0), ("q1*1.8e308", 3),
+    ])
+    def test_literal_outside_the_double_range_is_rejected_at_its_offset(self, source, offset):
+        with pytest.raises(ParseError, match="outside the double range") as info:
+            parse_expression(source, 1)
+        assert info.value.position == offset
+
+    @pytest.mark.parametrize("source, value", [
+        ("1e-320*q1", Fraction(1e-320)), ("0.0*q1", 0), ("0e5*q1", 0), ("0.000e-999*q1", 0),
+        ("1.7e308*q1", Fraction(1.7e308)), ("1" + "0" * 400 + "*q1", 10 ** 400),
+    ])
+    def test_literal_within_the_double_range_keeps_its_double(self, source, value):
+        assert parse_expression(source, 1) == q() * value
+
+
+LITERALS = st.builds(
+    "{}{}{}".format, st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{1,4}", fullmatch=True)),
+    st.one_of(st.just(""), st.builds("e{}".format, st.integers(-420, 420))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LITERALS)
+def test_every_number_literal_is_exact_or_rejected_at_its_offset(literal):
+    source = "q1 + " + literal
+    if literal.isdigit():
+        assert parse_expression(source, 1) == q() + int(literal)
+        return
+    value = float(literal)
+    if value in (0, float("inf")) and Decimal(literal) != 0:
+        with pytest.raises(ParseError) as info:
+            parse_expression(source, 1)
+        assert info.value.position == len("q1 + ")
+    else:
+        assert parse_expression(source, 1) == q() + Fraction(value)
 
 
 class TestFormatCanonical:
