@@ -19,9 +19,11 @@ for ``hbar`` is exact too: every nonzero term is kept.
 Pointwise multiplication and every star-product route are one kernel,
 ``_moyal_product``: the closed-form product of two monomials with integer
 weights from ``_moyal_weights``, summed on integers and made canonical by
-one gcd pass.  A range of layers selects what it computes: layer 0 is
-pointwise multiplication, the odd layers doubled the star commutator and
-layer 1 the Poisson bracket.
+one gcd pass.  The weights factor by dimension, so the kernel reads each
+dimension's split table (layer, exponents, weight) from one bounded cache,
+``_moyal_splits``, and combines the tables of a term pair.  A range of
+layers selects what it computes: layer 0 is pointwise multiplication, the
+odd layers doubled the star commutator and layer 1 the Poisson bracket.
 """
 
 from __future__ import annotations
@@ -477,7 +479,6 @@ def _sum(dimension: int, parts: Sequence) -> PhasePolynomial:
     return _reduced(dimension, den, acc)
 
 
-@functools.lru_cache(maxsize=4096)
 def _moyal_weights(a: int, b: int, c: int, d: int) -> tuple:
     """Integer weights (w_0, w_1, ...) of the one-dimensional product
 
@@ -495,6 +496,24 @@ def _moyal_weights(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(weights)
 
 
+# One shared (n,) per small exponent, so the cached split tables hold no
+# copies of them; a larger exponent gets its own tuple.
+_EXPONENTS = tuple((n,) for n in range(256))
+
+
+def _exponent(n: int) -> tuple:
+    return _EXPONENTS[n] if n < len(_EXPONENTS) else (n,)
+
+
+@functools.lru_cache(maxsize=4096)
+def _moyal_splits(a: int, b: int, c: int, d: int) -> tuple:
+    """The split table of q^a p^b (star) q^c p^d: (j, (a + c - j,),
+    (b + d - j,), w_j) for each nonzero weight of ``_moyal_weights``, in
+    ascending j."""
+    return tuple((j, _exponent(a + c - j), _exponent(b + d - j), w)
+                 for j, w in enumerate(_moyal_weights(a, b, c, d)) if w)
+
+
 def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
                    step: Union[int, Fraction], layers: range, graded: bool,
                    lower: int = 0, factor: int = 1) -> PhasePolynomial:
@@ -504,10 +523,13 @@ def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
     one-dimensional layers k_1 + ... + k_d = k.  ``graded`` raises layer k by
     k - lower steps of the hbar grade.  ``star`` lists the selections.
 
-    With step = sn/sd and e = k - lower, layer k is weighted by the integer
-    factor * w * sn**e * sd**(top - k), top the last layer, its factor i**e
-    applied by swapping and negating the pair; the integer sums stand over
-    D_f * D_g * sd**(top - lower).
+    Each dimension of a term pair contributes its cached ``_moyal_splits``
+    table.  In one dimension that table is the pair's split list, read up to
+    the top layer; in more, the tables are combined, keeping the splits with
+    k <= top.  With step = sn/sd and e = k - lower, layer k is weighted by
+    the integer factor * w * sn**e * sd**(top - k), top the last layer, its
+    factor i**e applied by swapping and negating the pair; the integer sums
+    stand over D_f * D_g * sd**(top - lower).
     """
     sn, sd = step.numerator, step.denominator
     if not sn:  # a zero step leaves only the layer k = lower
@@ -515,28 +537,36 @@ def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
     if not layers:
         return PhasePolynomial._from_rows(f._dimension, 1, {})
     top = layers[-1]
-    # sign of i**e folded in; odd e also swaps (re, im) -> (-im, re)
-    layer_scale = [factor * (-1) ** ((k - lower) // 2) * sn ** (k - lower) * sd ** (top - k)
-                   if k in layers else 0 for k in range(top + 1)]
+    # per layer k: (scale, hbar grade shift, odd e), the sign of i**e folded
+    # into the scale; odd e also swaps (re, im) -> (-im, re)
+    layer = [(factor * (-1) ** ((k - lower) // 2) * sn ** (k - lower) * sd ** (top - k),
+              k - lower if graded else 0, (k - lower) & 1)
+             if k in layers else None for k in range(top + 1)]
     acc = {}
+    get = acc.get
     for (q1, p1, h1), (x1, y1) in f._terms.items():
         for (q2, p2, h2), (x2, y2) in g._terms.items():
-            splits = [(0, (), (), 1)]  # (k, q exponents, p exponents, weight)
-            for a, b, c, d in zip(q1, p1, q2, p2):
-                weights = _moyal_weights(a, b, c, d)
-                splits = [(k + j, q + (a + c - j,), p + (b + d - j,), w * wj)
+            dims = zip(q1, p1, q2, p2)
+            splits = _moyal_splits(*next(dims))
+            for a, b, c, d in dims:
+                table = _moyal_splits(a, b, c, d)
+                splits = [(k + j, q + qj, p + pj, w * wj)
                           for k, q, p, w in splits
-                          for j, wj in enumerate(weights[:top - k + 1]) if wj]
+                          for j, qj, pj, wj in table if k + j <= top]
             re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
             grade = h1 + h2
             for k, q, p, w in splits:
-                w *= layer_scale[k]
-                if not w:
+                if k > top:  # only a one-dimensional table runs past the top
+                    break
+                entry = layer[k]
+                if entry is None:
                     continue
-                e = k - lower
-                key = (q, p, grade + e if graded else grade)
-                u, v = (-im * w, re * w) if e & 1 else (re * w, im * w)
-                prev = acc.setdefault(key, [0, 0])
-                prev[0] += u
-                prev[1] += v
+                scale, shift, odd = entry
+                w *= scale
+                key = (q, p, grade + shift)
+                u, v = get(key, (0, 0))
+                if odd:
+                    acc[key] = (u - im * w, v + re * w)
+                else:
+                    acc[key] = (u + re * w, v + im * w)
     return _reduced(f._dimension, f._den * g._den * sd ** (top - lower), acc)

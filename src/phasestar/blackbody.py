@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
 
-from .oscillator import ground_energy
+from .oscillator import _ground_energy
 from .units import NATURAL, UnitSystem, finite, instance, integer, positive
 
 # x beyond which exp(x) - 1 would overflow a double; thermal part is 0 there.
@@ -145,7 +145,7 @@ def mean_oscillator_energy(omega: float, temperature: float,
     thermal = 0.0 if x > X_OVERFLOW else kt if x < X_UNDERFLOW else quantum / math.expm1(x)
     if thermal < THERMAL_FLUSH:
         thermal = 0.0
-    return thermal + ground_energy(quantum) if include_zero_point else thermal
+    return thermal + _ground_energy(quantum) if include_zero_point else thermal
 
 
 def _square(omega: float) -> float:
@@ -199,7 +199,7 @@ def _density_point(omega: float, temperature: float, units: UnitSystem,
     """One mode's thermal energy and zero point hbar*w/2 times the density of states."""
     prefactor = _density_prefactor(_square(omega), units)
     thermal = prefactor * thermal_energy
-    zero_point = prefactor * ground_energy(units.hbar * omega) if include_zero_point else 0.0
+    zero_point = prefactor * _ground_energy(units.hbar * omega) if include_zero_point else 0.0
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -495,7 +495,7 @@ def _sweep_columns(temperature: float, omega_min: float, omega_max: float, point
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
         prefactor = _density_prefactor(np.float_power(grid, 2.0), units)
         thermal *= prefactor
-        zero_point = (prefactor * ground_energy(quantum) if include_zero_point
+        zero_point = (prefactor * _ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
         total = thermal + zero_point
         # Rows spectral_density rejects: omega not above 0, hbar*w or total not

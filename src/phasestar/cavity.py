@@ -47,7 +47,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .oscillator import ground_energy
+from .oscillator import _ground_energy
 from .units import NATURAL, UnitSystem, instance, integer, positive
 
 STANDING = "standing"
@@ -380,7 +380,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
         # hbar*w/(2N) per polarization is the ground energy at 2N.
-        zero_point_half[1:] = ground_energy(polarizations * units.hbar * omega, 2 * N)
+        zero_point_half[1:] = _ground_energy(polarizations * units.hbar * omega, 2 * N)
         classical = np.add.accumulate(classical)
         zero_point_half = np.add.accumulate(zero_point_half)
     if not (math.isfinite(classical[-1]) and math.isfinite(zero_point_half[-1])):

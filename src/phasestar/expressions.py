@@ -140,6 +140,9 @@ def validate_bindings(bindings: Optional[Mapping]) -> dict:
         except TypeError:
             raise ValueError(
                 f"bindings must map names to real numbers, got {value!r} for {name!r}") from None
+        except ValueError:
+            raise ValueError(f"bindings must map names to finite real numbers, "
+                             f"got {value!r} for {name!r}") from None
     return clean
 
 

@@ -23,6 +23,7 @@ The oscillator lives at dimension 1 with x aliased to q1 and p to p1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,8 +102,18 @@ def ground_energy(quantum: float, N: float = 2.0) -> float:
     """The zero-point energy hbar*w/N of an oscillator of quantum hbar*w.
 
     It is the shift of the factored star product above: hbar*w/2 at the
-    calibrated N = 2 and exactly 0.0 in the free limit N = inf.
+    calibrated N = 2 and exactly 0.0 in the free limit N = inf.  ``quantum``
+    must be a real number of at least 0.  inf and nan are not rejected: at
+    finite N they give inf and nan.
     """
+    if not isinstance(quantum, numbers.Real) or quantum < 0:
+        raise ValueError(f"quantum must be a non-negative real number, got {quantum!r}")
+    return _ground_energy(quantum, N)
+
+
+def _ground_energy(quantum, N: float = 2.0):
+    """``ground_energy`` without its check of ``quantum``, for callers that
+    have checked it already or pass a numpy column."""
     return 0.0 if positive("N", N, finite=False) == math.inf else quantum / N
 
 
@@ -111,7 +122,7 @@ def _level_energies(levels: range, spec: OscillatorSpec) -> list:
     energies rise with n, so only the last one is checked for overflow."""
     instance("spec", spec, OscillatorSpec)
     quantum = spec.units.hbar * spec.omega
-    ground = ground_energy(quantum, spec.N)
+    ground = _ground_energy(quantum, spec.N)
     finite("energy of level {} at omega = {!r}", _level_energy,
            levels[-1], spec.omega, quantum, ground)
     return [quantum * n + ground for n in levels]

@@ -37,6 +37,7 @@ UNITS = "units must be a UnitSystem, got "
 SPEC = "spec must be an OscillatorSpec, got "
 PARAM = "param must be a DeformationParameter, got "
 REAL_BINDINGS = "bindings must map names to real numbers, got "
+FINITE_BINDINGS = "bindings must map names to finite real numbers, got "
 ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q, P) "
         "pairs per mode: ")
 
@@ -99,6 +100,12 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: validate_bindings({"a": 1j}), REAL_BINDINGS + "1j for 'a'"),
     (lambda: validate_bindings({"a": np.complex64(1)}), REAL_BINDINGS),
     (lambda: parse_expression("a*q1", 1, {"a": 2 + 1j}), REAL_BINDINGS + "(2+1j) for 'a'"),
+    (lambda: validate_bindings({"a": math.inf}), FINITE_BINDINGS + "inf for 'a'"),
+    (lambda: validate_bindings({"b": -math.inf}), FINITE_BINDINGS + "-inf for 'b'"),
+    (lambda: validate_bindings({"a": math.nan}), FINITE_BINDINGS + "nan for 'a'"),
+    (lambda: validate_bindings({"a": np.float32("inf")}),
+     FINITE_BINDINGS + "np.float32(inf) for 'a'"),
+    (lambda: parse_expression("a*q1", 1, {"a": math.nan}), FINITE_BINDINGS + "nan for 'a'"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
         "format", "parse-int", "parse-bytes", "tokenize-int", "bindings-int",
         "parse-bindings-int", "bindings-int-name", "monomial-q", "monomial-p", "evaluate-str",
@@ -110,7 +117,8 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "oscillator-spec-units", "ladder-spec", "level-spec", "star-energy-spec",
         "square-form-spec", "star-param", "first-order-param", "commutator-param",
         "classical-limit-param", "bindings-complex", "bindings-numpy-complex",
-        "parse-bindings-complex"])
+        "parse-bindings-complex", "bindings-inf", "bindings-minus-inf", "bindings-nan",
+        "bindings-numpy-inf", "parse-bindings-nan"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

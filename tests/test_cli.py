@@ -331,6 +331,8 @@ class TestModesCommand:
     ("spectrum", "-T", "1e-310", "--units", "si", "--omega-min", "1", "--omega-max", "2",
      "--points", "3"),
     ("oscillator", "--omega", "1e308", "--levels", "3"),
+    ("star", "--param", "a=inf", "a*q1", "q1"),
+    ("commutator", "--param", "a=nan", "a*q1", "p1"),
 ])
 def test_out_of_range_input_is_prompt_domain_error(argv):
     started = time.perf_counter()
@@ -441,6 +443,11 @@ class TestGlobalBehavior:
     def test_bad_param_syntax(self):
         code, _, _ = run_cli("star", "q1", "p1", "--param", "omega")
         assert code == 1
+
+    def test_infinite_binding_is_named(self):
+        code, out, err = run_cli("star", "--param", "a=inf", "a*q1", "q1")
+        assert (code, out) == (1, "")
+        assert err == "error: bindings must map names to finite real numbers, got inf for 'a'\n"
 
     def test_param_value_must_be_a_number(self):
         code, out, err = run_cli("star", "q1", "p1", "--param", "a=x")

@@ -99,6 +99,21 @@ class TestGroundEnergy:
             with pytest.raises(ValueError):
                 ground_energy(1.0, n_value)
 
+    @pytest.mark.parametrize("quantum", ["a", None, 2j, -1.0, -math.inf, -5e-324], ids=repr)
+    def test_rejects_a_quantum_that_is_no_non_negative_real(self, quantum):
+        message = f"quantum must be a non-negative real number, got {quantum!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ground_energy(quantum)
+
+    def test_infinite_and_nan_quanta_pass_through(self):
+        # tests/field_energy_oracle.py sums the ground energy of inf and nan
+        # quanta and relies on getting inf and nan back
+        assert ground_energy(math.inf) == math.inf
+        assert math.isnan(ground_energy(math.nan))
+        assert math.isnan(ground_energy(math.nan, 3.0))
+        assert ground_energy(math.nan, math.inf) == 0.0
+        assert ground_energy(0.0) == 0.0
+
 
 class TestEnergyLevels:
     def test_ground_state_at_physical_default(self):

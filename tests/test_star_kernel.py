@@ -7,6 +7,7 @@ grades.  The kernel sums on integers over one common denominator, so these
 cases exercise its conversion in and out.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,8 +15,9 @@ from fractions import Fraction
 import pytest
 from star_oracle import oracle_star_first_order, oracle_star_product
 
-from phasestar.algebra import ComplexFraction, PhasePolynomial, _moyal_weights
-from phasestar.star import DeformationParameter, star_first_order, star_product
+from phasestar.algebra import ComplexFraction, PhasePolynomial, _moyal_splits, _moyal_weights
+from phasestar.star import (DeformationParameter, star_commutator, star_first_order,
+                            star_product)
 
 DIMENSIONS = (1, 2, 3)
 DEFORMATIONS = (2, 3, math.inf)
@@ -147,3 +149,32 @@ def test_inputs_carry_complex_coefficients_and_hbar_grades():
 ])
 def test_hand_computed_weights(exponents, weights):
     assert _moyal_weights(*exponents) == weights
+
+
+def test_split_tables_list_the_nonzero_weights():
+    # the expected table is built in ascending j, so == also checks the order
+    for a, b, c, d in itertools.product(range(7), repeat=4):
+        assert _moyal_splits(a, b, c, d) == tuple(
+            (j, (a + c - j,), (b + d - j,), w)
+            for j, w in enumerate(_moyal_weights(a, b, c, d)) if w)
+
+
+@pytest.mark.parametrize("N", (2, 3))
+@pytest.mark.parametrize("dimension", (4, 5))
+def test_products_over_four_and_five_dimensions_match_oracle(dimension, N):
+    # the tables of three or more dimensions are combined under truncation:
+    # first order keeps layers 0 and 1, the commutator the odd ones
+    param = DeformationParameter(N=N)
+    for f, g in _pairs(dimension, seed=4000 + 10 * dimension + N):
+        product = oracle_star_product(f, g, param)
+        assert star_product(f, g, param) == product
+        assert star_first_order(f, g, param) == oracle_star_first_order(f, g, param)
+        assert star_commutator(f, g, param) == product - oracle_star_product(g, f, param)
+
+
+def test_products_from_a_cleared_table_cache_equal_the_warm_ones():
+    pairs = _pairs(2, seed=5000) + _pairs(3, seed=5001)
+    param = DeformationParameter(N=3)
+    warm = [star_product(f, g, param) for f, g in pairs]
+    _moyal_splits.cache_clear()
+    assert [star_product(f, g, param) for f, g in pairs] == warm
