@@ -164,6 +164,19 @@ class TestParse:
                 parse_expression(source, 1)
             assert 0 <= info.value.position <= len(source)
 
+    @pytest.mark.parametrize("source, message, offset", [
+        ("", "empty expression", 0),
+        ("   ", "empty expression", 0),
+        ("q1 +  ", "unexpected end of expression", 6),
+        ("(q1  ", "missing closing parenthesis", 5),
+        ("q1^ ", "unexpected end of expression", 4),
+        ("-", "unexpected end of expression", 1),
+    ])
+    def test_end_of_input_errors_name_their_offset(self, source, message, offset):
+        with pytest.raises(ParseError) as info:
+            parse_expression(source, 1)
+        assert (info.value.message, info.value.position) == (message, offset)
+
     def test_nesting_limit_is_inclusive(self):
         deepest = "(" * MAX_NESTING + "q1" + ")" * MAX_NESTING
         assert parse_expression(deepest, 1) == q()
