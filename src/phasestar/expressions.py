@@ -24,8 +24,8 @@ The parser builds each term directly, on the integer storage of
 ``algebra``.  A product of atoms (numbers, ``i``, ``hbar``, variables and
 bound names, each with an optional power, under any unary minus) becomes one
 term as it is parsed: exponents add, and the coefficient, a Gaussian integer
-over a positive integer denominator, is multiplied only by factors other
-than 1, powers by squaring.  Numbers and bound names enter as the triple
+over a positive integer denominator, starts at 1 and takes each scalar
+factor, powers by squaring.  Numbers and bound names enter as the triple
 (x, y, D) that ``algebra._gaussian`` reads, as every scalar of the algebra
 does.  The terms of an expression are summed by ``algebra._sum`` over the
 lcm of their denominators and made canonical once, at the end.  Only a
@@ -152,29 +152,23 @@ class _Product:
     Atoms fold in as they are parsed.  ``exponents`` holds the q exponents,
     the p exponents and last the hbar grade, and a power of an atom adds to
     them.  ``coefficient`` is the Gaussian-integer triple (x, y, D) standing
-    for (x + i*y)/D, None while it is 1.  Parenthesised sums of more than one
-    term wait in ``sums``; only they go through the multiplication kernel,
-    when the term is finished.
+    for (x + i*y)/D, (1, 0, 1) before any factor.  Parenthesised sums of
+    more than one term wait in ``sums``; only they go through the
+    multiplication kernel, when the term is finished.
     """
 
     __slots__ = ("dimension", "coefficient", "exponents", "sums")
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.coefficient = None
+        self.coefficient = (1, 0, 1)
         self.exponents = [0] * (2 * dimension + 1)
         self.sums = []
 
     def scale(self, x: int, y: int, den: int = 1) -> None:
         """Multiply the coefficient by (x + i*y)/den."""
-        if self.coefficient is None:
-            self.coefficient = (x, y, den)
-            return
         a, b, d = self.coefficient
-        if y:
-            self.coefficient = (a * x - b * y, a * y + b * x, d * den)
-        else:
-            self.coefficient = (a * x, b * x, d * den)
+        self.coefficient = (a * x - b * y, a * y + b * x, d * den)
 
     def include(self, base, power: int) -> None:
         """Multiply in base**power.  ``base`` is an exponent slot, a scalar
@@ -202,7 +196,7 @@ class _Product:
         d = self.dimension
         e = self.exponents
         key = (tuple(e[:d]), tuple(e[d:-1]), e[-1])
-        x, y, den = self.coefficient or (1, 0, 1)
+        x, y, den = self.coefficient
         if not self.sums:
             return den, {key: (x, y)}
         result = _reduced(d, den, {key: (x, y)})
@@ -229,22 +223,21 @@ def _power(re, im, n: int) -> tuple:
 
 
 class _Parser:
+    """Recursive descent; the end of input is one more token, ``end``."""
+
     def __init__(self, source: str, dimension: int, bindings: Optional[Mapping]):
-        self.source = source
-        self.tokens = tokenize(source)
-        self.pos = 0
+        self.tokens = iter([*tokenize(source), Token("end", "", len(source))])
+        self.token = next(self.tokens)
         self.dimension = integer("dimension", dimension, 1)
         self.bindings = validate_bindings(bindings)
         self.depth = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def advance(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of expression", len(self.source))
-        self.pos += 1
+        """Consume and return the next token, which must not be the end."""
+        token = self.token
+        if token.kind == "end":
+            raise ParseError("unexpected end of expression", token.position)
+        self.token = next(self.tokens)
         return token
 
     def nested(self, opener: Token, parse):
@@ -257,21 +250,20 @@ class _Parser:
         return result
 
     def parse(self) -> PhasePolynomial:
-        if not self.tokens:
+        if self.token.kind == "end":
             raise ParseError("empty expression", 0)
         result = self.expr()
-        leftover = self.peek()
-        if leftover is not None:
-            raise ParseError(f"unexpected token {leftover.text!r}", leftover.position)
+        if self.token.kind != "end":
+            raise ParseError(f"unexpected token {self.token.text!r}", self.token.position)
         return result
 
     def expr(self) -> PhasePolynomial:
         """The sum of every summand, made canonical once."""
         parts = [self.term().rows()]
-        while (token := self.peek()) is not None and token.kind in ("plus", "minus"):
+        while (kind := self.token.kind) in ("plus", "minus"):
             self.advance()
             product = self.term()
-            if token.kind == "minus":
+            if kind == "minus":
                 product.scale(-1, 0)
             parts.append(product.rows())
         return _sum(self.dimension, parts)
@@ -279,31 +271,29 @@ class _Parser:
     def term(self) -> _Product:
         product = _Product(self.dimension)
         self.factor(product)
-        while (token := self.peek()) is not None and token.kind == "times":
+        while self.token.kind == "times":
             self.advance()
             self.factor(product)
         return product
 
     def factor(self, product: _Product) -> None:
-        token = self.peek()
-        if token is not None and token.kind == "minus":
+        token = self.token
+        if token.kind == "minus":
             self.advance()
             self.nested(token, lambda: self.factor(product))
             product.scale(-1, 0)
             return
         base = self.atom()
-        token = self.peek()
-        if token is not None and token.kind == "caret":
+        if self.token.kind == "caret":
             self.advance()
             product.include(base, self.exponent())
         else:
             product.include(base, 1)
 
     def exponent(self) -> int:
-        token = self.peek()
-        if token is not None and token.kind == "minus":
-            raise ParseError("negative exponent not allowed", token.position)
         token = self.advance()
+        if token.kind == "minus":
+            raise ParseError("negative exponent not allowed", token.position)
         if token.kind != "number":
             raise ParseError("integer exponent expected after '^'", token.position)
         if any(c in token.text for c in ".eE"):
@@ -320,10 +310,8 @@ class _Parser:
             return self.identifier(token)
         if token.kind == "lparen":
             inner = self.nested(token, self.expr)
-            closing = self.peek()
-            if closing is None or closing.kind != "rparen":
-                position = len(self.source) if closing is None else closing.position
-                raise ParseError("missing closing parenthesis", position)
+            if self.token.kind != "rparen":
+                raise ParseError("missing closing parenthesis", self.token.position)
             self.advance()
             return inner
         raise ParseError(f"unexpected token {token.text!r}", token.position)
@@ -393,21 +381,19 @@ def _monomial_text(key) -> str:
 def _term_text(x: int, y: int, den: int, monomial: str):
     """Return (negative, body) for the term (x + i*y)/den * monomial; the
     sign is handled by the joiner."""
-    if y == 0:
-        negative = x < 0
-        magnitude = -x if negative else x
-        if monomial and magnitude == den:
-            return negative, monomial
-        body = _value_text(magnitude, den)
-        return negative, f"{body}*{monomial}" if monomial else body
-    if x == 0:
-        negative = y < 0
-        magnitude = -y if negative else y
-        body = "i" if magnitude == den else f"{_value_text(magnitude, den)}*i"
-        return negative, f"{body}*{monomial}" if monomial else body
-    joiner = "-" if y < 0 else "+"
-    body = f"({_value_text(x, den)} {joiner} {_value_text(abs(y), den)}*i)"
-    return False, f"{body}*{monomial}" if monomial else body
+    if x and y:
+        joiner = "-" if y < 0 else "+"
+        negative = False
+        body = f"({_value_text(x, den)} {joiner} {_value_text(abs(y), den)}*i)"
+    else:
+        value = x or y
+        negative = value < 0
+        body = _value_text(abs(value), den)
+        if y:
+            body = "i" if body == "1" else f"{body}*i"
+    if not monomial:
+        return negative, body
+    return negative, monomial if body == "1" else f"{body}*{monomial}"
 
 
 def format_canonical(poly: PhasePolynomial) -> str:
