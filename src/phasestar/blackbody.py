@@ -275,14 +275,17 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
 
     which is how it is computed here, keeping the thermal part free of
     cancellation.  When n_max is None it comes from the documented tail
-    bound.  The half-quantum the sums inherently contain goes to the
-    zero-point field; ``include_zero_point=False`` drops it from the total.
+    bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  The
+    half-quantum the sums inherently contain goes to the zero-point field;
+    ``include_zero_point=False`` drops it from the total.
     Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
     """
     quantum, kt = _check_domain(omega, temperature, units)
     x = quantum / kt
     if n_max is not None:
         n_max = integer("n_max", n_max)
+        if n_max > LADDER_TERM_CAP:
+            raise ValueError(f"n_max {n_max} exceeds the limit of {LADDER_TERM_CAP}")
     if x > X_OVERFLOW:
         return _density_point(omega, temperature, units, 0.0, include_zero_point)
     if n_max is None:

@@ -47,7 +47,7 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .oscillator import _ground_energy
+from .oscillator import _ground_energy, ground_energy
 from .units import NATURAL, UnitSystem, instance, integer, positive
 
 STANDING = "standing"
@@ -337,7 +337,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     zero-point parts depend only on the mode frequencies and vanish
     identically in the commutative limit N = inf.  Sums that are not finite
     doubles (an overflow, or a nan or inf input) raise ValueError naming the
-    mode after which they stopped being finite.  The terms are numpy columns
+    mode after which they stopped being finite.  A mode whose quantum
+    ``polarization_count * hbar * omega`` is below 0 raises ``ground_energy``'s
+    ValueError; nan and -0.0 pass, as in the loop.  The terms are numpy columns
     squared by ``np.float_power(x, 2.0)`` (the libm pow of ``x ** 2``) and
     summed by the sequential ``np.add.accumulate``, so each sum equals the
     Python loop over modes and polarizations bit for bit.
@@ -376,11 +378,14 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     classical = np.zeros(total + 1)
     zero_point_half = np.zeros(len(modes) + 1)
     with np.errstate(all="ignore"):
+        quantum = polarizations * units.hbar * omega
+        if (quantum < 0).any():
+            ground_energy(float(quantum[(quantum < 0).argmax()]))
         squares = np.float_power(values, 2.0)
         omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
         # hbar*w/(2N) per polarization is the ground energy at 2N.
-        zero_point_half[1:] = _ground_energy(polarizations * units.hbar * omega, 2 * N)
+        zero_point_half[1:] = _ground_energy(quantum, 2 * N)
         classical = np.add.accumulate(classical)
         zero_point_half = np.add.accumulate(zero_point_half)
     if not (math.isfinite(classical[-1]) and math.isfinite(zero_point_half[-1])):

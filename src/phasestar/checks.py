@@ -18,7 +18,7 @@ from .blackbody import (QuadratureError, spectral_density,
                         spectral_density_ladder_sum, stefan_boltzmann_integral)
 from .cavity import CavitySpec, PERIODIC, STANDING, mode_count_vs_asymptotic
 from .star import DeformationParameter, star_product
-from .units import NATURAL, UnitSystem, instance
+from .units import NATURAL, UnitSystem, instance, integer
 
 ASSOCIATIVITY_SAMPLES = 25
 
@@ -38,8 +38,14 @@ def random_phase_polynomial(rng: random.Random, dimension: int,
 
     Exponent vectors are drawn by scattering a random total degree over the
     2*dimension variables, so sparsity stays roughly constant as the
-    dimension grows.
+    dimension grows.  Every argument is checked before the first draw, so a
+    valid call draws the same stream of ``rng`` whatever types it is given.
     """
+    instance("rng", rng, random.Random)
+    dimension = integer("dimension", dimension, 1)
+    max_degree = integer("max_degree", max_degree)
+    max_terms = integer("max_terms", max_terms, 1)
+    coefficient_bound = integer("coefficient_bound", coefficient_bound, 1)
     nonzero = [c for c in range(-coefficient_bound, coefficient_bound + 1) if c]
     terms = []
     for _ in range(rng.randint(1, max_terms)):

@@ -21,7 +21,7 @@ from phasestar.blackbody import (spectral_density, spectrum_sweep, stefan_boltzm
                                  wien_peak, zero_point_cutoff_energy)
 from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy, mode_count_vs_asymptotic)
-from phasestar.checks import run_all_checks
+from phasestar.checks import random_phase_polynomial, run_all_checks
 from phasestar.expressions import (format_canonical, parse_expression, tokenize,
                                    validate_bindings)
 from phasestar.oscillator import (OscillatorSpec, energy_level, ladder,
@@ -88,6 +88,7 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: mode_count_vs_asymptotic(CavitySpec(), 50.0, None), UNITS + "None"),
     (lambda: field_energy([], [], 2.0, None), UNITS + "None"),
     (lambda: run_all_checks(0, None), UNITS + "None"),
+    (lambda: random_phase_polynomial("seed", 1), "rng must be a Random, got 'seed'"),
     (lambda: OscillatorSpec(units=None), UNITS + "None"),
     (lambda: ladder(3, None), SPEC + "None"),
     (lambda: energy_level(1, "spec"), SPEC + "'spec'"),
@@ -114,6 +115,7 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "field-amplitude-none", "field-plain-tuples", "density-units", "sweep-units",
         "wien-units", "integral-units", "cutoff-units", "cutoff-free-limit-units",
         "enumerate-units", "count-units", "field-units", "checks-units",
+        "random-polynomial-rng",
         "oscillator-spec-units", "ladder-spec", "level-spec", "star-energy-spec",
         "square-form-spec", "star-param", "first-order-param", "commutator-param",
         "classical-limit-param", "bindings-complex", "bindings-numpy-complex",

@@ -201,6 +201,20 @@ class TestLadderSumRoute:
         with pytest.raises(ValueError):
             spectral_density_ladder_sum(1.0, 1.0, n_max=-1)
 
+    def test_explicit_n_max_above_the_cap_rejected_before_allocating(self):
+        cap = blackbody.LADDER_TERM_CAP
+        for n_max in (cap + 1, 10 ** 12):
+            with pytest.raises(ValueError) as info:
+                spectral_density_ladder_sum(1.0, 1.0, n_max=n_max)
+            assert str(info.value) == f"n_max {n_max} exceeds the limit of {cap}"
+
+    def test_explicit_n_max_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(blackbody, "LADDER_TERM_CAP", 5)
+        assert (spectral_density_ladder_sum(1.0, 1.0, n_max=5)
+                == spectral_density_ladder_sum(1.0, 1.0, n_max=np.int64(5)))
+        with pytest.raises(ValueError, match="^n_max 6 exceeds the limit of 5$"):
+            spectral_density_ladder_sum(1.0, 1.0, n_max=6)
+
 
 class TestClassicalLimit:
     def test_rayleigh_jeans_recovery_at_tiny_x(self):

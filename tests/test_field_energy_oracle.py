@@ -144,6 +144,18 @@ class TestFieldEnergyMatchesLoop:
                       [ModeAmplitude(0.5, 0.5)]]
         assert_same_error(modes, amplitudes, N)
 
+    @pytest.mark.parametrize("omega", [-1.0, -5e-324, -math.inf])
+    def test_negative_frequency_is_rejected_by_its_quantum(self, omega):
+        modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), omega, 2),
+                 Mode((1, 2, 2), -3.0, 1)]
+        amplitudes = [[ModeAmplitude(0.5, 0.5)], [ModeAmplitude(1.0, 2.0)] * 2,
+                      [ModeAmplitude(0.5, 0.5)]]
+        assert_same_error(modes, amplitudes)
+        assert_same_error(modes[1:2], amplitudes[1:2], N=math.inf)
+        with pytest.raises(ValueError, match=r"^quantum must be a non-negative real "
+                                             rf"number, got {2 * omega!r}$"):
+            field_energy(modes, amplitudes)
+
     def test_sum_overflow(self):
         modes = [Mode((1, 1, n), 1.0, 1) for n in range(1, 5)]
         assert_same_error(modes, [[ModeAmplitude(0.0, 1.2e154)]] * 4)

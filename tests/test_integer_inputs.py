@@ -10,6 +10,7 @@ messages, pinned where each module is tested.
 
 import io
 import math
+import random
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from phasestar.algebra import PhasePolynomial
 from phasestar.blackbody import (spectral_density_ladder_sum, spectrum_sweep,
                                  stefan_boltzmann_integral)
 from phasestar.cavity import CavitySpec, enumerate_modes
+from phasestar.checks import random_phase_polynomial
 from phasestar.cli import main
 from phasestar.expressions import parse_expression
 from phasestar.oscillator import OscillatorSpec, energy_level, ladder
@@ -32,6 +34,10 @@ GRADED = Q + PhasePolynomial.hbar(2, 1, 3)
 
 def term(q, p=0, hbar_power=0):
     return PhasePolynomial(1, [(((q,), (p,), hbar_power), 3)])
+
+
+def random_polynomial(dimension=2, **counts):
+    return random_phase_polynomial(random.Random(5), dimension, **counts)
 
 
 # (label, argument named in the error, its lower bound, call with the value,
@@ -61,6 +67,11 @@ ENTRY_POINTS = [
      lambda v: CavitySpec(polarizations_per_mode=v), 3),
     ("enumerate_modes", "cap", 0, lambda v: enumerate_modes(CavitySpec(), 10.0, cap=v),
      1000),
+    ("random_phase_polynomial", "dimension", 1, lambda v: random_polynomial(dimension=v), 2),
+    ("random_phase_polynomial", "max_degree", 0, lambda v: random_polynomial(max_degree=v), 3),
+    ("random_phase_polynomial", "max_terms", 1, lambda v: random_polynomial(max_terms=v), 4),
+    ("random_phase_polynomial", "coefficient_bound", 1,
+     lambda v: random_polynomial(coefficient_bound=v), 5),
 ]
 
 # n_max=None asks the ladder sum to choose n_max from its tail bound
