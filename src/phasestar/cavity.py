@@ -380,6 +380,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     with np.errstate(all="ignore"):
         quantum = polarizations * units.hbar * omega
         if (quantum < 0).any():
+            # raises the public rule's message for the first negative quantum
             ground_energy(float(quantum[(quantum < 0).argmax()]))
         squares = np.float_power(values, 2.0)
         omega_squared = np.repeat(np.float_power(omega, 2.0), rows)

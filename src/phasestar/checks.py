@@ -39,7 +39,7 @@ def random_phase_polynomial(rng: random.Random, dimension: int,
     Exponent vectors are drawn by scattering a random total degree over the
     2*dimension variables, so sparsity stays roughly constant as the
     dimension grows.  Every argument is checked before the first draw, so a
-    valid call draws the same stream of ``rng`` whatever types it is given.
+    rejected call draws nothing from ``rng``.
     """
     instance("rng", rng, random.Random)
     dimension = integer("dimension", dimension, 1)

@@ -202,7 +202,7 @@ class TestLadderSumRoute:
             spectral_density_ladder_sum(1.0, 1.0, n_max=-1)
 
     def test_explicit_n_max_limit(self, monkeypatch):
-        # rejected before the levels are allocated: 10**12 asked numpy for 7.28 TiB
+        # checked before the levels are allocated: 10**12 of them would take 7.28 TiB
         cap = blackbody.LADDER_TERM_CAP
         for n_max in (cap + 1, 10 ** 12):
             with pytest.raises(ValueError) as info:
