@@ -32,6 +32,7 @@ from phasestar.blackbody import (SpectrumPoint, X_OVERFLOW, dimensionless_x,
 from phasestar.cavity import (CavitySpec, ModeCountResult,
                               electromagnetic_standing_mode_count,
                               mode_count_vs_asymptotic)
+from phasestar.oscillator import OscillatorSpec, energy_level
 from phasestar.units import UnitSystem
 
 VALUES = (1e-320, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e308)
@@ -138,3 +139,49 @@ def test_infinite_pi_squared_c_cubed_raises_instead_of_zero_densities(call):
 def test_exact_values_beyond_the_double_range_raise(call):
     with pytest.raises(ValueError, match="overflows a double"):
         call()
+
+
+# (name, call, its exact message): every finite() site whose message no other test pins in full
+OVERFLOW_MESSAGES = [
+    ("dimensionless_x-kT",
+     lambda: dimensionless_x(1.0, 1e200, UnitSystem(k_boltzmann=1e200)),
+     "k*T at temperature 1e+200 overflows a double"),
+    ("dimensionless_x-quantum",
+     lambda: dimensionless_x(1e200, 1.0, UnitSystem(hbar=1e200)),
+     "hbar*omega at omega = 1e+200 overflows a double"),
+    ("spectral_density-reciprocal",
+     lambda: spectral_density(1.0, 1.0, UnitSystem(c_light=1e-200)),
+     "density of states at c_light = 1e-200 overflows a double"),
+    ("rayleigh_jeans_density",
+     lambda: rayleigh_jeans_density(1e200, 1e200),
+     "spectral density at omega = 1e+200 overflows a double"),
+    ("stefan_boltzmann_integral-k",
+     lambda: stefan_boltzmann_integral(UnitSystem(k_boltzmann=1e200)),
+     "T**4 coefficient of units = UnitSystem(hbar=1.0, k_boltzmann=1e+200, c_light=1.0, "
+     "mode='natural') overflows a double"),
+    ("stefan_boltzmann_integral-hbar",
+     lambda: stefan_boltzmann_integral(UnitSystem(hbar=1e-200)),
+     "T**4 coefficient of units = UnitSystem(hbar=1e-200, k_boltzmann=1.0, c_light=1.0, "
+     "mode='natural') overflows a double"),
+    ("zero_point_cutoff_energy-omega",
+     lambda: zero_point_cutoff_energy(1e100),
+     "zero-point energy below omega_cutoff = 1e+100 overflows a double"),
+    ("zero_point_cutoff_energy-c",
+     lambda: zero_point_cutoff_energy(1.0, UnitSystem(c_light=1e-200)),
+     "zero-point energy below omega_cutoff = 1.0 overflows a double"),
+    # an int too large for a double: the OverflowError branch of finite()
+    ("energy_level-int",
+     lambda: energy_level(10 ** 400, OscillatorSpec()),
+     f"energy of level {10 ** 400} at omega = 1.0 overflows a double"),
+    ("evaluate",
+     lambda: PhasePolynomial.hbar(1, 0, 10 ** 400).evaluate([1.0, 2.0], hbar_value=1.0),
+     "the value at (1.0, 2.0) with hbar_value = 1.0 overflows a double"),
+]
+
+
+@pytest.mark.parametrize("name, call, message", OVERFLOW_MESSAGES,
+                         ids=[name for name, _, _ in OVERFLOW_MESSAGES])
+def test_overflow_message_in_full(name, call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
