@@ -156,21 +156,13 @@ def _square(omega: float) -> float:
         return math.inf
 
 
-def _pi_squared_c_cubed(c_light: float) -> float:
-    return math.pi ** 2 * c_light ** 3
-
-
-def _states_per_omega_squared(c_light: float) -> float:
-    return 1 / _pi_squared_c_cubed(c_light)
-
-
 @functools.lru_cache(maxsize=64)
 def _states_denominator(c_light: float) -> float:
     """pi**2 c**3, once per c_light, after checking that it and the density
     of states per w**2, its reciprocal, are both finite doubles."""
     what = "density of states at c_light = {!r}"
-    finite(what, _states_per_omega_squared, c_light)
-    return finite(what, _pi_squared_c_cubed, c_light)
+    finite(what, lambda c: 1 / (math.pi ** 2 * c ** 3), c_light)
+    return finite(what, lambda c: math.pi ** 2 * c ** 3, c_light)
 
 
 def _density_prefactor(omega_squared, units: UnitSystem):
@@ -310,12 +302,9 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     cures.
     """
     _check_domain(omega, temperature, units)
-    return finite("spectral density at omega = {!r}", _rayleigh_jeans,
-                  omega, temperature, units)
-
-
-def _rayleigh_jeans(omega: float, temperature: float, units: UnitSystem) -> float:
-    return _density_prefactor(_square(omega), units) * units.k_boltzmann * temperature
+    return finite("spectral density at omega = {!r}",
+                  lambda w: _density_prefactor(_square(w), units) * units.k_boltzmann * temperature,
+                  omega)
 
 
 def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
@@ -327,11 +316,8 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     excluded: it grows without bound in w and has no peak.
     """
     _check_temperature(temperature, units)
-    return finite("Wien peak at temperature {!r}", _wien_peak, temperature, units)
-
-
-def _wien_peak(temperature: float, units: UnitSystem) -> float:
-    return wien_x_constant() * units.k_boltzmann * temperature / units.hbar
+    return finite("Wien peak at temperature {!r}",
+                  lambda t: wien_x_constant() * units.k_boltzmann * t / units.hbar, temperature)
 
 
 @functools.cache
@@ -415,13 +401,9 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     estimate = abs(integral - refined) / abs(integral)
     if estimate > 1e-8:
         raise QuadratureError(estimate)
-    return integral, finite("T**4 coefficient of units = {!r}", _t4_coefficient,
-                            units, integral)
-
-
-def _t4_coefficient(units: UnitSystem, integral: float) -> float:
-    return integral * units.k_boltzmann ** 4 / (
-        units.hbar ** 3 * units.c_light ** 3 * math.pi ** 2)
+    return integral, finite("T**4 coefficient of units = {!r}",
+                            lambda u: integral * u.k_boltzmann ** 4 / (
+                                u.hbar ** 3 * u.c_light ** 3 * math.pi ** 2), units)
 
 
 def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
@@ -437,12 +419,9 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     instance("units", units, UnitSystem)
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
-    return finite("zero-point energy below omega_cutoff = {!r}", _zero_point_below,
-                  omega_cutoff, units, N)
-
-
-def _zero_point_below(omega_cutoff: float, units: UnitSystem, N: float) -> float:
-    return units.hbar * omega_cutoff ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3)
+    return finite("zero-point energy below omega_cutoff = {!r}",
+                  lambda wc: units.hbar * wc ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3),
+                  omega_cutoff)
 
 
 # ----------------------------------------------------------------------

@@ -123,14 +123,9 @@ def _level_energies(levels: range, spec: OscillatorSpec) -> list:
     instance("spec", spec, OscillatorSpec)
     quantum = spec.units.hbar * spec.omega
     ground = _ground_energy(quantum, spec.N)
-    finite("energy of level {} at omega = {!r}", _level_energy,
-           levels[-1], spec.omega, quantum, ground)
+    finite("energy of level {} at omega = {!r}", lambda n, omega: quantum * n + ground,
+           levels[-1], spec.omega)
     return [quantum * n + ground for n in levels]
-
-
-def _level_energy(n: int, omega: float, quantum: float, ground: float) -> float:
-    """n*hbar*w + hbar*w/N; omega only names the oscillator in the overflow message."""
-    return quantum * n + ground
 
 
 def energy_level(n: int, spec: OscillatorSpec) -> float:
