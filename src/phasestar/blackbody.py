@@ -205,7 +205,8 @@ def spectral_density_per_frequency(nu: float, temperature: float,
     angular-frequency form at w = 2*pi*nu.
     """
     scale = 2 * math.pi
-    point = spectral_density(scale * positive("nu", nu), temperature, units, include_zero_point)
+    omega = finite("2*pi*nu at nu = {1!r}", operator.mul, scale, positive("nu", nu))
+    point = spectral_density(omega, temperature, units, include_zero_point)
     thermal, zero_point = scale * point.thermal_density, scale * point.zero_point_density
     return SpectrumPoint(nu, temperature, thermal, zero_point, thermal + zero_point)
 

@@ -621,3 +621,10 @@ class TestFrequencyView:
         assert per_nu.total_density == pytest.approx(
             2 * math.pi * per_omega.total_density, rel=1e-15)
         assert per_nu.omega == nu
+
+    @pytest.mark.parametrize("nu", [1e308, 3e307])
+    def test_overflowing_angular_frequency_names_nu(self, nu):
+        # nu is finite and valid; only 2*pi*nu leaves the double range
+        with pytest.raises(ValueError, match=re.escape(
+                f"2*pi*nu at nu = {nu!r} overflows a double")):
+            spectral_density_per_frequency(nu, 1.0)
