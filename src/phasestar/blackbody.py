@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import sys
 from collections import deque
@@ -95,6 +96,11 @@ class SpectrumPoint:
     total_density: float
 
     def __post_init__(self):
+        for index, value in enumerate((self.omega, self.temperature, self.thermal_density,
+                                       self.zero_point_density, self.total_density)):
+            # float and int first, as in units.positive; a bool reads as 0 or 1
+            if not isinstance(value, (float, int, numbers.Real)):
+                raise ValueError(f"{SPECTRUM_FIELDS[index]} must be a real number, got {value!r}")
         if not math.isfinite(self.total_density):
             raise ValueError(f"spectral density at omega = {self.omega!r} overflows a double")
         if self.thermal_density < 0 or self.zero_point_density < 0:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from phasestar.algebra import PhasePolynomial, exact_fraction
-from phasestar.blackbody import (spectral_density, spectrum_sweep, stefan_boltzmann_integral,
-                                 wien_peak, zero_point_cutoff_energy)
+from phasestar.blackbody import (SpectrumPoint, spectral_density, spectrum_sweep,
+                                 stefan_boltzmann_integral, wien_peak, zero_point_cutoff_energy)
 from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy, mode_count_vs_asymptotic)
 from phasestar.checks import random_phase_polynomial, run_all_checks
@@ -107,6 +107,16 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
     (lambda: validate_bindings({"a": np.float32("inf")}),
      FINITE_BINDINGS + "np.float32(inf) for 'a'"),
     (lambda: parse_expression("a*q1", 1, {"a": math.nan}), FINITE_BINDINGS + "nan for 'a'"),
+    (lambda: SpectrumPoint(1.0, 1.0, "a", 0.0, "a"),
+     "thermal_density must be a real number, got 'a'"),
+    (lambda: SpectrumPoint(1.0, 1.0, None, 0.0, None),
+     "thermal_density must be a real number, got None"),
+    (lambda: SpectrumPoint(1.0, 1.0, 1.0, "a", 1.0),
+     "zero_point_density must be a real number, got 'a'"),
+    (lambda: SpectrumPoint(1.0, 1.0, 1.0, 0.0, 1j), "total_density must be a real number, got 1j"),
+    (lambda: SpectrumPoint("x", None, 1.0, 0.0, 1.0), "omega must be a real number, got 'x'"),
+    (lambda: SpectrumPoint(1.0, None, 1.0, 0.0, 1.0),
+     "temperature must be a real number, got None"),
 ], ids=["star-g", "star-f", "first-order", "commutator", "classical-limit", "poisson",
         "format", "parse-int", "parse-bytes", "tokenize-int", "bindings-int",
         "parse-bindings-int", "bindings-int-name", "monomial-q", "monomial-p", "evaluate-str",
@@ -120,7 +130,8 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "square-form-spec", "star-param", "first-order-param", "commutator-param",
         "classical-limit-param", "bindings-complex", "bindings-numpy-complex",
         "parse-bindings-complex", "bindings-inf", "bindings-minus-inf", "bindings-nan",
-        "bindings-numpy-inf", "parse-bindings-nan"])
+        "bindings-numpy-inf", "parse-bindings-nan", "point-thermal-str", "point-thermal-none",
+        "point-zero-point-str", "point-total-complex", "point-omega-str", "point-temperature-none"])
 def test_wrong_type_names_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -7,6 +7,7 @@ import pickle
 import random
 import re
 from dataclasses import FrozenInstanceError, astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -599,6 +600,11 @@ class TestRowType:
     def test_direct_construction_still_checks(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             SpectrumPoint(*fields)
+
+    def test_direct_construction_reads_any_real_number(self):
+        # a bool reads as 0 or 1, and numpy and exact reals are real numbers too
+        point = SpectrumPoint(np.float32(2.0), True, 0, Fraction(1, 2), Fraction(1, 2))
+        assert (point.temperature, point.total_density) == (1, 0.5)
 
     @pytest.mark.parametrize("include_zero_point", [True, False])
     def test_sweep_error_names_the_first_overflowing_row(self, include_zero_point):
