@@ -41,6 +41,10 @@ from .units import finite, integer, nonnegative
 
 Scalar = Union[int, float, complex, Fraction, "ComplexFraction"]
 
+# Largest phase-space dimension d any polynomial, parse or random draw accepts;
+# star_product(q1, p1) takes about 11 ms at d = 1000 and grows as d**2.
+MAX_DIMENSION = 1000
+
 
 def exact_fraction(value: Union[int, float, Fraction]) -> Fraction:
     """Convert a real number to the exact Fraction it denotes.
@@ -184,6 +188,15 @@ class MultiIndex(NamedTuple):
         return (hbar_power, sum(exps), tuple(-e for e in exps))
 
 
+def _checked_dimension(dimension) -> int:
+    """``dimension`` as a plain int by the integer rule, at least 1 and at
+    most ``MAX_DIMENSION``."""
+    dimension = integer("dimension", dimension, 1)
+    if dimension > MAX_DIMENSION:
+        raise ValueError(f"dimension {dimension} exceeds the limit of {MAX_DIMENSION}")
+    return dimension
+
+
 def _validated_index(index, dimension: int) -> tuple:
     try:
         q_exponents, p_exponents, hbar_power = index
@@ -224,7 +237,7 @@ class PhasePolynomial:
 
     def __init__(self, dimension: int,
                  terms: Union[Mapping, Iterable] = ()):
-        dimension = integer("dimension", dimension, 1)
+        dimension = _checked_dimension(dimension)
         items = terms.items() if isinstance(terms, Mapping) else terms
         # each key is validated before its coefficient is read
         read = [(_validated_index(index, dimension), _gaussian(coefficient))
@@ -277,7 +290,7 @@ class PhasePolynomial:
 
     @classmethod
     def hbar(cls, dimension: int, power: int = 1, coefficient: Scalar = 1) -> "PhasePolynomial":
-        zero_exp = (0,) * integer("dimension", dimension, 1)
+        zero_exp = (0,) * _checked_dimension(dimension)
         return cls(dimension, [(MultiIndex(zero_exp, zero_exp, power), coefficient)])
 
     @classmethod
@@ -292,7 +305,7 @@ class PhasePolynomial:
 
     @staticmethod
     def _check_variable_index(index: int, dimension: int) -> None:
-        if integer("index", index) >= integer("dimension", dimension, 1):
+        if integer("index", index) >= _checked_dimension(dimension):
             raise ValueError(
                 f"variable index {index} out of range for dimension {dimension}")
 

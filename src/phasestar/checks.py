@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebra import ComplexFraction, PhasePolynomial
+from .algebra import ComplexFraction, PhasePolynomial, _checked_dimension
 from .blackbody import (QuadratureError, spectral_density,
                         spectral_density_ladder_sum, stefan_boltzmann_integral)
 from .cavity import CavitySpec, PERIODIC, STANDING, mode_count_vs_asymptotic
@@ -42,7 +42,7 @@ def random_phase_polynomial(rng: random.Random, dimension: int,
     rejected call draws nothing from ``rng``.
     """
     instance("rng", rng, random.Random)
-    dimension = integer("dimension", dimension, 1)
+    dimension = _checked_dimension(dimension)
     max_degree = integer("max_degree", max_degree)
     max_terms = integer("max_terms", max_terms, 1)
     coefficient_bound = integer("coefficient_bound", coefficient_bound, 1)

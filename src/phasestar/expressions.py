@@ -48,8 +48,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .algebra import MultiIndex, PhasePolynomial, _gaussian, _reduced, _sum, exact_fraction
-from .units import instance, integer
+from .algebra import (MultiIndex, PhasePolynomial, _checked_dimension, _gaussian, _reduced, _sum,
+                      exact_fraction)
+from .units import instance
 
 GRAMMAR_VERSION = "1.0"
 
@@ -228,7 +229,7 @@ class _Parser:
     def __init__(self, source: str, dimension: int, bindings: Optional[Mapping]):
         self.tokens = iter([*tokenize(source), Token("end", "", len(source))])
         self.token = next(self.tokens)
-        self.dimension = integer("dimension", dimension, 1)
+        self.dimension = _checked_dimension(dimension)
         self.bindings = validate_bindings(bindings)
         self.depth = 0
 

@@ -63,6 +63,10 @@ class TestStarCommand:
         assert code == 1
         assert "exceeds dimension" in err
 
+    def test_dimension_above_the_limit_is_domain_error(self):
+        assert run_cli("star", "--dims", "1001", "q1", "p1") == (
+            1, "", "error: dimension 1001 exceeds the limit of 1000\n")
+
     def test_dims_flag(self):
         code, out, _ = run_cli("star", "q2", "p2", "--dims", "2", "--N", "2")
         assert code == 0

@@ -5,7 +5,8 @@ number of points, nodes, polarizations or modes) must be an integer of at
 least its lower bound; numpy integers count, and a bool reads as 0 or 1.
 Every other value raises a ValueError that names the argument, and the count
 that is kept is a plain int.  Upper limits have their own checks and
-messages, pinned where each module is tested.
+messages, pinned where each module is tested; the dimension limit, which
+every module that reads a dimension shares, is pinned here.
 """
 
 import io
@@ -16,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from phasestar import units
+from phasestar import algebra, units
 from phasestar.algebra import PhasePolynomial
 from phasestar.blackbody import (spectral_density_ladder_sum, spectrum_sweep,
                                  stefan_boltzmann_integral)
@@ -91,6 +92,27 @@ def test_bad_count_is_a_value_error_naming_the_argument(name, low, call, value):
                                          for label, name, _, call, value in ENTRY_POINTS])
 def test_numpy_integer_gives_the_same_result(call, value):
     assert call(np.int64(value)) == call(value)
+
+
+# (label, call with the dimension): every entry point that reads a dimension
+DIMENSION_ENTRY_POINTS = [
+    ("PhasePolynomial", PhasePolynomial),
+    ("hbar", PhasePolynomial.hbar),
+    ("variable_q", PhasePolynomial.variable_q),
+    ("variable_p", PhasePolynomial.variable_p),
+    ("constant", lambda v: PhasePolynomial.constant(v, 5)),
+    ("parse_expression", lambda v: parse_expression("q1*p1", v)),
+    ("random_phase_polynomial", lambda v: random_polynomial(dimension=v)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in DIMENSION_ENTRY_POINTS],
+                         ids=[label for label, _ in DIMENSION_ENTRY_POINTS])
+def test_dimension_limit_is_inclusive(call):
+    limit = algebra.MAX_DIMENSION
+    assert call(limit).dimension == limit
+    with pytest.raises(ValueError, match=f"^dimension {limit + 1} exceeds the limit of {limit}$"):
+        call(limit + 1)
 
 
 def test_stored_counts_are_plain_ints():
