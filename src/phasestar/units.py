@@ -63,7 +63,12 @@ def instance(name: str, value, kind: type):
 
 def finite(what: str, formula, *args):
     """``formula(*args)`` if it is a finite double, else a ValueError saying
-    that ``what``, formatted with ``args``, overflows a double."""
+    that ``what``, formatted with ``args``, overflows a double.
+
+    ``formula`` is usually a lambda written at its call site, taking the
+    values the message names as ``args`` and closing over the rest, so the
+    message is formatted only when the check fails.
+    """
     try:
         value = formula(*args)
         if math.isfinite(value):  # an OverflowError for an int beyond the double range
