@@ -57,7 +57,12 @@ X_UNDERFLOW = sys.float_info.min
 # Thermal occupations below this are flushed to exactly zero.
 THERMAL_FLUSH = 1e-300
 # Hard cap on ladder-sum terms; beyond it the required length is reported.
+# The sum runs over blocks of _LADDER_BLOCK levels, so its temporaries stay
+# near 2 MB at any length (153 blocks at the cap); above one block the
+# result can differ from a one-shot sum in its last bits.
 LADDER_TERM_CAP = 10_000_000
+# Levels per ladder-sum block, 2**16 like cavity._BLOCK_ENTRIES.
+_LADDER_BLOCK = 1 << 16
 # Most points one spectrum_sweep returns (about 0.3 s and 30 MB of rows).
 MAX_SWEEP_POINTS = 100_000
 # Most Gauss-Legendre nodes stefan_boltzmann_integral accepts; building the
@@ -274,8 +279,12 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
 
     which is how it is computed here, keeping the thermal part free of
     cancellation.  When n_max is None it comes from the documented tail
-    bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  The
-    half-quantum the sums inherently contain goes to the zero-point field;
+    bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  Both sums
+    run over consecutive blocks of at most 2**16 levels (about 2 MB of
+    temporaries at any n_max), adding each block's ``np.sum`` in block
+    order; up to 2**16 levels that is one block, bit for bit the one-shot
+    sum, and above it only the association changes, so the last bits may.
+    The half-quantum the sums inherently contain goes to the zero-point field;
     ``include_zero_point=False`` drops it from the total.
     Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
     """
@@ -290,9 +299,13 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     if n_max is None:
         n_max = ladder_terms_for_tolerance(x)
     import numpy as np
-    levels = np.arange(n_max + 1, dtype=np.float64)
-    weights = np.exp(-x * levels)
-    thermal = quantum * float(np.sum(levels * weights)) / float(np.sum(weights))
+    numerator = denominator = 0.0
+    for start in range(0, n_max + 1, _LADDER_BLOCK):
+        levels = np.arange(start, min(start + _LADDER_BLOCK, n_max + 1), dtype=np.float64)
+        weights = np.exp(-x * levels)
+        numerator += float(np.sum(levels * weights))
+        denominator += float(np.sum(weights))
+    thermal = quantum * numerator / denominator
     return _density_point(omega, temperature, units, thermal, include_zero_point)
 
 

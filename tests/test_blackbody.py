@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
 
@@ -29,6 +30,21 @@ X_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 def temperature_for_x(x, omega=1.0, units=NATURAL):
     return units.hbar * omega / (units.k_boltzmann * x)
+
+
+def one_shot_ladder_energy(x, n_max):
+    """sum(n e^(-n x)) / sum(e^(-n x)) over every level at once, one numpy
+    call per step, as the ladder sum ran before it summed in blocks."""
+    levels = np.arange(n_max + 1, dtype=np.float64)
+    weights = np.exp(-x * levels)
+    return float(np.sum(levels * weights)) / float(np.sum(weights))
+
+
+def ladder_energy(monkeypatch, temperature, n_max=None):
+    """The thermal energy the ladder sum hands to the density at omega = 1,
+    before the density of states scales it."""
+    monkeypatch.setattr(blackbody, "_density_point", lambda *args: args[3])
+    return spectral_density_ladder_sum(1.0, temperature, n_max=n_max)
 
 
 class TestMeanOscillatorEnergy:
@@ -214,6 +230,39 @@ class TestLadderSumRoute:
                 == spectral_density_ladder_sum(1.0, 1.0, n_max=np.int64(5)))
         with pytest.raises(ValueError, match="^n_max 6 exceeds the limit of 5$"):
             spectral_density_ladder_sum(1.0, 1.0, n_max=6)
+
+
+class TestBlockedLadderSum:
+    """The ladder sum adds per-block sums of at most 2**16 levels."""
+
+    @pytest.mark.parametrize("terms", [1, 65_535, 65_536])
+    def test_one_block_is_the_one_shot_sum_bit_for_bit(self, monkeypatch, terms):
+        # T = 1024 makes x = 2**-10 exactly
+        energy = ladder_energy(monkeypatch, 1024.0, n_max=terms - 1)
+        assert energy == one_shot_ladder_energy(2.0 ** -10, terms - 1)
+
+    @pytest.mark.parametrize("temperature,n_max", [(1024.0, 65_536), (1e4, None)])
+    def test_several_blocks_agree_with_the_one_shot_sum_and_the_closed_form(
+            self, monkeypatch, temperature, n_max):
+        # 65 537 levels is two blocks; x = 1e-4 takes 640 268 levels, 10 blocks
+        closed = spectral_density(1.0, temperature).thermal_density
+        summed = spectral_density_ladder_sum(1.0, temperature, n_max=n_max).thermal_density
+        assert summed == pytest.approx(closed, rel=1e-14)
+        x = 1.0 / temperature
+        energy = ladder_energy(monkeypatch, temperature, n_max=n_max)
+        one_shot = one_shot_ladder_energy(x, ladder_terms_for_tolerance(x)
+                                          if n_max is None else n_max)
+        assert energy == pytest.approx(one_shot, rel=1e-14)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # x = 1e-5 takes 7 103 821 levels; all at once they peaked at about 163 MiB
+        tracemalloc.start()
+        try:
+            spectral_density_ladder_sum(1.0, 1e5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestClassicalLimit:
