@@ -44,7 +44,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, ne
 from typing import NamedTuple, Sequence
 
 from .oscillator import _ground_energy, ground_energy
@@ -352,14 +352,16 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
             raise ValueError(
                 f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
         omega = np.fromiter(map(attrgetter("omega"), modes), float, len(modes))
-        polarizations = np.fromiter(map(attrgetter("polarization_count"), modes), float,
-                                    len(modes))
-        rows = np.fromiter(map(len, amplitudes), np.intp, len(modes))
-        if (rows != polarizations).any():
-            index = int((rows != polarizations).argmax())
+        # compared as Python values, as the loop does, so "1" is no count of 1
+        counts = list(map(attrgetter("polarization_count"), modes))
+        lengths = list(map(len, amplitudes))
+        if counts != lengths:
+            index = list(map(ne, counts, lengths)).index(True)
             raise ValueError(
-                f"mode {modes[index].lattice_triple} needs {modes[index].polarization_count} "
-                f"polarization amplitudes, got {len(amplitudes[index])}")
+                f"mode {modes[index].lattice_triple} needs {counts[index]} "
+                f"polarization amplitudes, got {lengths[index]}")
+        rows = np.array(lengths, np.intp)
+        polarizations = rows.astype(float)
         total = int(rows.sum())
         pairs = np.fromiter(map(len, chain.from_iterable(amplitudes)), np.intp, total)
         if (pairs != 2).any():

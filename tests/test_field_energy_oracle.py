@@ -170,6 +170,14 @@ class TestFieldEnergyMatchesLoop:
         amplitudes = [[ModeAmplitude(0.5, 0.5)] * 2, [ModeAmplitude(0.5, 0.5)] * rows]
         assert_same_error(modes, amplitudes)
 
+    def test_text_polarization_count(self):
+        # a count is compared as a value, as the loop compares it, so "1" is no 1
+        modes, amplitudes = [Mode((1, 1, 1), 2.0, "1")], [[ModeAmplitude(1.0, 2.0)]]
+        assert_same_error(modes, amplitudes)
+        with pytest.raises(ValueError, match=r"^mode \(1, 1, 1\) needs 1 polarization "
+                                             r"amplitudes, got 1$"):
+            field_energy(modes, amplitudes)
+
     def test_row_length_mismatch_after_a_nan(self):
         modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), 2.0, 2)]
         amplitudes = [[ModeAmplitude(math.nan, 0.0)], [ModeAmplitude(0.5, 0.5)]]
