@@ -282,8 +282,9 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  Both sums
     run over consecutive blocks of at most 2**16 levels (about 2 MB of
     temporaries at any n_max), adding each block's ``np.sum`` in block
-    order; up to 2**16 levels that is one block, bit for bit the one-shot
-    sum, and above it only the association changes, so the last bits may.
+    order.  Up to 2**16 levels that is one block, bit for bit the sum over
+    all levels at once; above it the sums associate differently, which can
+    change the last bits.
     The half-quantum the sums inherently contain goes to the zero-point field;
     ``include_zero_point=False`` drops it from the total.
     Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
