@@ -20,7 +20,8 @@ For x > 700 the thermal part is flushed to exactly zero (underflow
 policy), as it is whenever it falls below 1e-300.
 Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
 result or scale beyond the double range follows ``units.finite`` (a density
-names omega); only x may be inf, and is then past X_OVERFLOW.
+names omega, or nu per unit frequency); only x may be inf, and is then past
+X_OVERFLOW.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks).
@@ -57,9 +58,9 @@ X_UNDERFLOW = sys.float_info.min
 # Thermal occupations below this are flushed to exactly zero.
 THERMAL_FLUSH = 1e-300
 # Hard cap on ladder-sum terms; beyond it the required length is reported.
-# The sum runs over blocks of _LADDER_BLOCK levels, so its temporaries stay
-# near 2 MB at any length (153 blocks at the cap); above one block the
-# result can differ from a one-shot sum in its last bits.
+# The sum runs over blocks of _LADDER_BLOCK levels in two block buffers,
+# about 1 MB allocated once per call, at any length (153 blocks at the cap);
+# above one block the result can differ from a one-shot sum in its last bits.
 LADDER_TERM_CAP = 10_000_000
 # Levels per ladder-sum block, 2**16 like cavity._BLOCK_ENTRIES.
 _LADDER_BLOCK = 1 << 16
@@ -213,13 +214,18 @@ def spectral_density_per_frequency(nu: float, temperature: float,
     """Density per unit ordinary frequency nu = w/(2*pi).
 
     Derived view: the 2*pi Jacobian is applied to every density field of the
-    angular-frequency form at w = 2*pi*nu.
+    angular-frequency form at w = 2*pi*nu.  A density that overflows, at w
+    or only once scaled, names nu.
     """
     scale = 2 * math.pi
     omega = finite("2*pi*nu at nu = {1!r}", operator.mul, scale, positive("nu", nu))
-    point = spectral_density(omega, temperature, units, include_zero_point)
-    thermal, zero_point = scale * point.thermal_density, scale * point.zero_point_density
-    return SpectrumPoint(nu, temperature, thermal, zero_point, thermal + zero_point)
+    thermal_energy = mean_oscillator_energy(omega, temperature, units, include_zero_point=False)
+    prefactor = _density_prefactor(_square(omega), units)
+    thermal = scale * (prefactor * thermal_energy)
+    zero_point = (scale * (prefactor * _ground_energy(units.hbar * omega))
+                  if include_zero_point else 0.0)
+    total = finite("spectral density at nu = {!r}", lambda _: thermal + zero_point, nu)
+    return SpectrumPoint(nu, temperature, thermal, zero_point, total)
 
 
 # ----------------------------------------------------------------------
@@ -280,11 +286,12 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     which is how it is computed here, keeping the thermal part free of
     cancellation.  When n_max is None it comes from the documented tail
     bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  Both sums
-    run over consecutive blocks of at most 2**16 levels (about 2 MB of
-    temporaries at any n_max), adding each block's ``np.sum`` in block
-    order.  Up to 2**16 levels that is one block, bit for bit the sum over
-    all levels at once; above it the sums associate differently, which can
-    change the last bits.
+    run over consecutive blocks of at most 2**16 levels, adding each block's
+    ``np.sum`` in block order.  Every block is computed in place in two
+    block buffers, about 1 MB allocated once per call at any n_max: the
+    levels, advanced by one block each step, and the terms.  Up to 2**16
+    levels that is one block, bit for bit the sum over all levels at once;
+    above it the sums associate differently, which can change the last bits.
     The half-quantum the sums inherently contain goes to the zero-point field;
     ``include_zero_point=False`` drops it from the total.
     Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
@@ -300,12 +307,17 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     if n_max is None:
         n_max = ladder_terms_for_tolerance(x)
     import numpy as np
+    levels = np.arange(min(n_max + 1, _LADDER_BLOCK), dtype=np.float64)
+    terms = np.empty_like(levels)
     numerator = denominator = 0.0
     for start in range(0, n_max + 1, _LADDER_BLOCK):
-        levels = np.arange(start, min(start + _LADDER_BLOCK, n_max + 1), dtype=np.float64)
-        weights = np.exp(-x * levels)
-        numerator += float(np.sum(levels * weights))
-        denominator += float(np.sum(weights))
+        if start:
+            levels += _LADDER_BLOCK
+        size = min(_LADDER_BLOCK, n_max + 1 - start)
+        level, block = levels[:size], terms[:size]
+        # e^(-n x), then n e^(-n x), each written over the last in one buffer
+        denominator += float(np.sum(np.exp(np.multiply(level, -x, out=block), out=block)))
+        numerator += float(np.sum(np.multiply(block, level, out=block)))
     thermal = quantum * numerator / denominator
     return _density_point(omega, temperature, units, thermal, include_zero_point)
 

@@ -40,6 +40,19 @@ def one_shot_ladder_energy(x, n_max):
     return float(np.sum(levels * weights)) / float(np.sum(weights))
 
 
+def blockwise_ladder_energy(x, n_max, block=1 << 16):
+    """The same ratio with fresh arrays for each block of 2**16 levels, each
+    block's sums added in block order, as the ladder sum ran before it reused
+    two buffers."""
+    numerator = denominator = 0.0
+    for start in range(0, n_max + 1, block):
+        levels = np.arange(start, min(start + block, n_max + 1), dtype=np.float64)
+        weights = np.exp(-x * levels)
+        numerator += float(np.sum(levels * weights))
+        denominator += float(np.sum(weights))
+    return numerator / denominator
+
+
 def ladder_energy(monkeypatch, temperature, n_max=None):
     """The thermal energy the ladder sum hands to the density at omega = 1,
     before the density of states scales it."""
@@ -253,6 +266,28 @@ class TestBlockedLadderSum:
         one_shot = one_shot_ladder_energy(x, ladder_terms_for_tolerance(x)
                                           if n_max is None else n_max)
         assert energy == pytest.approx(one_shot, rel=1e-14)
+
+    @pytest.mark.parametrize("temperature,n_max", [
+        (1024.0, 65_536), (1024.0, 131_071), (1024.0, 131_072), (1e4, None)])
+    def test_reused_buffers_keep_the_blockwise_sum_bit_for_bit(
+            self, monkeypatch, temperature, n_max):
+        # 65 537, 131 072 and 131 073 levels at x = 2**-10, and 10 blocks at x = 1e-4
+        x = 1.0 / temperature
+        blockwise = blockwise_ladder_energy(x, ladder_terms_for_tolerance(x)
+                                            if n_max is None else n_max)
+        assert ladder_energy(monkeypatch, temperature, n_max=n_max) == blockwise
+
+    @pytest.mark.parametrize("temperature", [1e4, 1e5])
+    def test_one_call_holds_two_block_buffers(self, temperature):
+        # two float64 buffers of 2**16 levels are 1 MiB; fresh arrays for
+        # each block step peaked at 2 MiB
+        tracemalloc.start()
+        try:
+            spectral_density_ladder_sum(1.0, temperature)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2 ** 20
 
     def test_memory_is_bounded_by_the_block(self):
         # x = 1e-5 takes 7 103 821 levels; all at once they peaked at about 163 MiB

@@ -7,7 +7,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from phasestar.blackbody import spectral_density
+from phasestar.blackbody import spectral_density, spectral_density_ladder_sum
 from phasestar.cavity import PERIODIC, STANDING, CavitySpec, enumerate_modes
 from phasestar.checks import random_phase_polynomial
 from phasestar.star import DeformationParameter, star_product
@@ -45,6 +45,24 @@ def test_concurrent_spectrum_evaluations_are_deterministic():
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = list(pool.map(lambda w: spectral_density(w, 1.0), grid))
     assert concurrent == sequential
+
+
+def test_concurrent_ladder_sums_match_sequential():
+    # x from 1e-4 to 1e-3 takes 57 005 to 640 268 levels, up to 10 blocks,
+    # each summed in the buffers of its own call
+    calls = [(temperature, include_zero_point)
+             for temperature in (1e3, 2e3, 5e3, 1e4)
+             for include_zero_point in (True, False)]
+
+    def ladder_sum(call):
+        temperature, include_zero_point = call
+        return spectral_density_ladder_sum(1.0, temperature,
+                                           include_zero_point=include_zero_point)
+
+    sequential = list(map(ladder_sum, calls))
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        concurrent = list(pool.map(ladder_sum, calls * 2))
+    assert concurrent == sequential * 2
 
 
 def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():

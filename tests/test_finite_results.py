@@ -163,6 +163,14 @@ OVERFLOW_MESSAGES = [
      lambda: stefan_boltzmann_integral(UnitSystem(hbar=1e-200)),
      "T**4 coefficient of units = UnitSystem(hbar=1e-200, k_boltzmann=1.0, c_light=1.0, "
      "mode='natural') overflows a double"),
+    # the angular density overflows at 2*pi*nu = 6.3e100
+    ("spectral_density_per_frequency-density",
+     lambda: spectral_density_per_frequency(1e100, 1e200),
+     "spectral density at nu = 1e+100 overflows a double"),
+    # the angular density is a finite 5.07e307; only the 2*pi Jacobian overflows
+    ("spectral_density_per_frequency-jacobian",
+     lambda: spectral_density_per_frequency(1e100 / (2 * math.pi), 5e108),
+     f"spectral density at nu = {1e100 / (2 * math.pi)!r} overflows a double"),
     ("zero_point_cutoff_energy-omega",
      lambda: zero_point_cutoff_energy(1e100),
      "zero-point energy below omega_cutoff = 1e+100 overflows a double"),
