@@ -40,13 +40,13 @@ def one_shot_ladder_energy(x, n_max):
     return float(np.sum(levels * weights)) / float(np.sum(weights))
 
 
-def blockwise_ladder_energy(x, n_max, block=1 << 16):
+def blockwise_ladder_energy(x, n_max):
     """The same ratio with fresh arrays for each block of 2**16 levels, each
     block's sums added in block order, as the ladder sum ran before it reused
     two buffers."""
     numerator = denominator = 0.0
-    for start in range(0, n_max + 1, block):
-        levels = np.arange(start, min(start + block, n_max + 1), dtype=np.float64)
+    for start in range(0, n_max + 1, 1 << 16):
+        levels = np.arange(start, min(start + (1 << 16), n_max + 1), dtype=np.float64)
         weights = np.exp(-x * levels)
         numerator += float(np.sum(levels * weights))
         denominator += float(np.sum(weights))

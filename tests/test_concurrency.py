@@ -61,7 +61,7 @@ def test_concurrent_ladder_sums_match_sequential():
 
     sequential = list(map(ladder_sum, calls))
     with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(ladder_sum, calls * 2))
+        concurrent = list(pool.map(ladder_sum, calls * 2, timeout=60))
     assert concurrent == sequential * 2
 
 
