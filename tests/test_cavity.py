@@ -266,15 +266,26 @@ class TestCounting:
 
     @pytest.mark.parametrize("ratio,exact_count", [
         (1000, 1044840698), (4000, 66982925602),
+        (MAX_LATTICE_RADIUS, 1046961910988),
     ])
     def test_large_standing_census(self, ratio, exact_count):
         # many census blocks of the default size
         report = mode_count_vs_asymptotic(CavitySpec(), ratio * math.pi)
         assert report.exact_count == exact_count
 
+    @pytest.mark.parametrize("ratio,exact_count", [
+        (4000, 536164948784), (MAX_LATTICE_RADIUS, 8377580122216),
+    ])
+    def test_large_periodic_census(self, ratio, exact_count):
+        spec = CavitySpec(boundary_convention=PERIODIC)
+        report = mode_count_vs_asymptotic(spec, ratio * 2 * math.pi)
+        assert report.exact_count == exact_count
+
     def test_large_electromagnetic_budget(self):
         assert electromagnetic_standing_mode_count(CavitySpec(), 1000 * math.pi) == \
             1047193859
+        assert electromagnetic_standing_mode_count(
+            CavitySpec(), MAX_LATTICE_RADIUS * math.pi) == 1047197500277
 
     @pytest.mark.parametrize("omega_max", [
         math.pi * (MAX_LATTICE_RADIUS + 1), 1e12, 1e300, math.inf,
