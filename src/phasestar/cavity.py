@@ -24,8 +24,10 @@ one integer shell bound m shared by census, budget and enumeration.  With T
 positive triples and P positive pairs inside m, the octant count is T, the full
 lattice is 8*T + 12*P + 6*isqrt(m) (octants, quarter planes, half axes) and the
 electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
-roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in blocks of a
-fixed size; the enumeration expands each (n1, n2) row into its n3 range from
+roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in float64 blocks
+of a fixed size: below 2**52 the truncated float root is already exact.  T and
+P are cached per shell bound, so the count, the budget and the enumeration's
+cap check of one radius share one census pass.  The enumeration expands each (n1, n2) row into its n3 range from
 the same roots and orders the triples with one stable sort on omega.  It
 builds its ``Mode`` rows with the cyclic garbage collector paused and then
 restores the collector state it found; concurrent enumerations take the pause
@@ -43,6 +45,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter, ne
 from typing import NamedTuple, Sequence
@@ -58,7 +61,8 @@ PERIODIC = "periodic"
 # 98157 modes), so the cap bounds one enumeration near 2.4 GB.
 MODE_COUNT_CAP = 10_000_000
 
-# Largest lattice radius omega_max/scale counted: about ten seconds of census.
+# Largest lattice radius omega_max/scale counted: one census pass there takes
+# about 0.2 s (2-core VM, Python 3.11, numpy 2.4), and every root stays exact.
 MAX_LATTICE_RADIUS = 10_000
 
 # Held from reading the collector state to restoring it, so that concurrent
@@ -144,46 +148,58 @@ def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
 
 
 def _isqrt_rows(values):
-    """Exact floor(sqrt(v)) of a numpy int64 array of values in [0, 2**53).
+    """Exact floor(sqrt(v)) of a numpy array of integers v in [0, 2**52).
 
-    Such values convert to float64 exactly and the IEEE square root is
-    correctly rounded, so the truncated root is off by at most one, and one
-    integer correction each way makes it exact.
+    Such v convert to float64 exactly and IEEE 754 rounds the square root
+    correctly.  With k = floor(sqrt(v)), sqrt(v) <= sqrt((k+1)**2 - 1) lies
+    more than 1/(2(k+1)) > 2**-27 below k + 1, while half an ulp there is at
+    most 2**-28, so the root rounds below k + 1 and truncates to k.  The
+    first failure is at v = (2**26 + 1)**2 - 1; ``MAX_LATTICE_RADIUS`` keeps
+    every v at most 10**8.
     """
     import numpy as np
-    root = np.sqrt(values).astype(np.int64)
-    root -= root * root > values
-    root += (root + 1) * (root + 1) <= values
-    return root
+    return np.sqrt(values).astype(np.int64)
 
 
 # Entries of (a, b) per census block, so temporaries do not grow with m.
 _BLOCK_ENTRIES = 1 << 16
 
 
+@lru_cache(maxsize=256)
 def _positive_pairs(m: int) -> int:
     """#{(a, b) : a, b >= 1, a*a + b*b <= m}."""
     return sum(math.isqrt(m - a * a) for a in range(1, math.isqrt(m) + 1))
 
 
+@lru_cache(maxsize=256)
 def _positive_triples(m: int) -> int:
     """#{(a, b, c) : a, b, c >= 1, a*a + b*b + c*c <= m}.
 
     Sums isqrt(m - a*a - b*b) over blocks of rows a, each row b = 1..width
     with the width of the block's first (widest) row; slack below zero is
-    clipped to 0, whose root adds nothing.
+    clipped to 0, whose root adds nothing.  Every block is computed in
+    float64, in place in one buffer allocated per call, and exactly: each
+    slack is an integer below 2**52, so its floored root is isqrt (see
+    ``_isqrt_rows``), and a block's sum of integers stays below
+    2**16 * 10**4.  Cached, so one operation's count, budget and cap check
+    share one pass.
     """
     import numpy as np
     reach = math.isqrt(m)
-    b_squared = np.arange(1, reach + 1, dtype=np.int64) ** 2
+    b_squared = np.arange(1, reach + 1, dtype=float) ** 2
+    buffer = np.empty(max(_BLOCK_ENTRIES, reach))
     total = 0
     a = 1
     while a * a < m:
         width = math.isqrt(m - a * a)
         stop = min(a + max(1, _BLOCK_ENTRIES // width), reach + 1)
-        a_squared = np.arange(a, stop, dtype=np.int64)[:, None] ** 2
-        slack = np.maximum(m - a_squared - b_squared[:width], 0)
-        total += int(_isqrt_rows(slack).sum())
+        rest = m - np.arange(a, stop, dtype=float)[:, None] ** 2
+        slack = buffer[:(stop - a) * width].reshape(stop - a, width)
+        np.subtract(rest, b_squared[:width], out=slack)
+        np.maximum(slack, 0, out=slack)
+        np.sqrt(slack, out=slack)
+        np.floor(slack, out=slack)
+        total += int(slack.sum())
         a = stop
     return total
 
@@ -339,7 +355,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     doubles (an overflow, or a nan or inf input) raise ValueError naming the
     mode after which they stopped being finite.  A mode whose quantum
     ``polarization_count * hbar * omega`` is below 0 raises ``ground_energy``'s
-    ValueError; nan and -0.0 pass, as in the loop.  The terms are numpy columns
+    ValueError; nan and -0.0 pass, as in the loop.  A frequency or amplitude
+    given as text is no number, as in the loop, and raises ValueError.  The
+    terms are numpy columns
     squared by ``np.float_power(x, 2.0)`` (the libm pow of ``x ** 2``) and
     summed by the sequential ``np.add.accumulate``, so each sum equals the
     Python loop over modes and polarizations bit for bit.
@@ -351,7 +369,10 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         if len(amplitudes) != len(modes):
             raise ValueError(
                 f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
-        omega = np.fromiter(map(attrgetter("omega"), modes), float, len(modes))
+        omegas = list(map(attrgetter("omega"), modes))
+        omega = np.fromiter(omegas, float, len(modes))
+        # fromiter parses text; float addition, as the loop's arithmetic, does not
+        sum(omegas, 0.0)
         # compared as Python values, as the loop does, so "1" is no count of 1
         counts = list(map(attrgetter("polarization_count"), modes))
         lengths = list(map(len, amplitudes))
@@ -363,7 +384,8 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         rows = np.array(lengths, np.intp)
         polarizations = rows.astype(float)
         total = int(rows.sum())
-        pairs = np.fromiter(map(len, chain.from_iterable(amplitudes)), np.intp, total)
+        flat = list(chain.from_iterable(amplitudes))
+        pairs = np.fromiter(map(len, flat), np.intp, total)
         if (pairs != 2).any():
             index = int((pairs != 2).argmax())
             mode = int(np.searchsorted(np.cumsum(rows), index, side="right"))
@@ -371,8 +393,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
                 f"mode {modes[mode].lattice_triple} needs (Q, P) amplitude pairs, got "
                 f"{amplitudes[mode][index - int(rows[:mode].sum())]!r}")
         # Q, P interleaved, in ModeAmplitude's field order
-        values = np.fromiter(chain.from_iterable(chain.from_iterable(amplitudes)), float,
-                             2 * total)
+        scalars = list(chain.from_iterable(flat))
+        values = np.fromiter(scalars, float, 2 * total)
+        sum(scalars, 0.0)
     except (AttributeError, TypeError) as error:
         raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
                          f"of (Q, P) pairs per mode: {error}") from None

@@ -19,8 +19,9 @@ import pytest
 from phasestar.algebra import PhasePolynomial, exact_fraction
 from phasestar.blackbody import (SpectrumPoint, spectral_density, spectrum_sweep,
                                  stefan_boltzmann_integral, wien_peak, zero_point_cutoff_energy)
-from phasestar.cavity import (CavitySpec, Mode, electromagnetic_standing_mode_count,
-                              enumerate_modes, field_energy, mode_count_vs_asymptotic)
+from phasestar.cavity import (CavitySpec, Mode, ModeAmplitude,
+                              electromagnetic_standing_mode_count, enumerate_modes,
+                              field_energy, mode_count_vs_asymptotic)
 from phasestar.checks import random_phase_polynomial, run_all_checks
 from phasestar.expressions import (format_canonical, parse_expression, tokenize,
                                    validate_bindings)
@@ -78,6 +79,12 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
      ROWS + "object of type 'NoneType' has no len()"),
     (lambda: field_energy([tuple(MODE)], [PAIRS]),
      ROWS + "'tuple' object has no attribute 'omega'"),
+    (lambda: field_energy([Mode((1, 1, 1), "2.0", 1)], [[ModeAmplitude(1.0, 2.0)]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
+    (lambda: field_energy([Mode((1, 1, 1), 1.0, 1)], [[ModeAmplitude("1.5", "2")]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
+    (lambda: field_energy([Mode((1, 1, 1), 1.0, 1)], [[ModeAmplitude(0.5, b"2")]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'bytes'"),
     (lambda: spectral_density(1.0, 1.0, "si"), UNITS + "'si'"),
     (lambda: spectrum_sweep(1.0, 1.0, 2.0, 5, units=None), UNITS + "None"),
     (lambda: wien_peak(1.0, None), UNITS + "None"),
@@ -122,7 +129,8 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "parse-bindings-int", "bindings-int-name", "monomial-q", "monomial-p", "evaluate-str",
         "evaluate-complex", "evaluate-int", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
         "field-modes-generator", "field-amplitudes-int", "field-row-none",
-        "field-amplitude-none", "field-plain-tuples", "density-units", "sweep-units",
+        "field-amplitude-none", "field-plain-tuples", "field-omega-text",
+        "field-amplitude-text", "field-amplitude-bytes", "density-units", "sweep-units",
         "wien-units", "integral-units", "cutoff-units", "cutoff-free-limit-units",
         "enumerate-units", "count-units", "field-units", "checks-units",
         "random-polynomial-rng",

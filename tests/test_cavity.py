@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from cavity_oracle import oracle_enumerate_modes
@@ -261,8 +262,29 @@ class TestCounting:
         rows = math.isqrt(m - 1)
         monkeypatch.setattr(cavity, "_BLOCK_ENTRIES", rows * (rows + extra_rows))
         spec = CavitySpec(boundary_convention=convention)
-        assert cavity._lattice_point_count(spec, m) == \
-            triple_loop_count(radius, convention == STANDING)
+        # a cached count would skip the blocks under test, and one counted
+        # here must not outlive the patched block size
+        cavity._positive_triples.cache_clear()
+        try:
+            assert cavity._lattice_point_count(spec, m) == \
+                triple_loop_count(radius, convention == STANDING)
+        finally:
+            cavity._positive_triples.cache_clear()
+
+    def test_one_census_pass_per_shell(self):
+        spec, omega_max = CavitySpec(), 20 * math.pi
+        cavity._positive_triples.cache_clear()
+        mode_count_vs_asymptotic(spec, omega_max)
+        electromagnetic_standing_mode_count(spec, omega_max)
+        enumerate_modes(spec, omega_max)
+        info = cavity._positive_triples.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_float_roots_cover_the_radius_limit(self):
+        assert MAX_LATTICE_RADIUS ** 2 < 2 ** 52
+        k = np.arange(1, MAX_LATTICE_RADIUS + 2, dtype=np.int64)
+        assert (cavity._isqrt_rows(k * k - 1) == k - 1).all()
+        assert (cavity._isqrt_rows(k * k) == k).all()
 
     @pytest.mark.parametrize("ratio,exact_count", [
         (1000, 1044840698), (4000, 66982925602),

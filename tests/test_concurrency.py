@@ -8,7 +8,10 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from phasestar.blackbody import spectral_density, spectral_density_ladder_sum
-from phasestar.cavity import PERIODIC, STANDING, CavitySpec, enumerate_modes
+from phasestar import cavity
+from phasestar.cavity import (PERIODIC, STANDING, CavitySpec,
+                              electromagnetic_standing_mode_count, enumerate_modes,
+                              mode_count_vs_asymptotic)
 from phasestar.checks import random_phase_polynomial
 from phasestar.star import DeformationParameter, star_product
 
@@ -87,3 +90,37 @@ def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
     assert len(results) == 8
     assert all(modes == sequential[spec] for spec, modes in results)
     assert gc.isenabled()
+
+
+def test_concurrent_census_and_budget_calls_match_sequential():
+    # the threads fill the shared shell cache together
+    calls = [(mode_count_vs_asymptotic, convention, omega_max)
+             for convention in (STANDING, PERIODIC) for omega_max in (120.0, 270.0, 450.0)]
+    calls += [(electromagnetic_standing_mode_count, STANDING, omega_max)
+              for omega_max in (120.0, 270.0, 450.0)]
+
+    def census(call):
+        count, convention, omega_max = call
+        return count(CavitySpec(boundary_convention=convention), omega_max)
+
+    cavity._positive_triples.cache_clear()
+    cavity._positive_pairs.cache_clear()
+    sequential = list(map(census, calls))
+    cavity._positive_triples.cache_clear()
+    cavity._positive_pairs.cache_clear()
+    barrier = threading.Barrier(8)
+
+    def census_after_barrier(index):
+        barrier.wait(timeout=30)
+        return [census(call) for call in calls[index % 3:] + calls[:index % 3]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(census_after_barrier, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for index, result in enumerate(results):
+        assert result == sequential[index % 3:] + sequential[:index % 3]
