@@ -27,15 +27,15 @@ electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
 roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in float64 blocks
 of a fixed size: below 2**52 the truncated float root is already exact.  T and
 P are cached per shell bound, so the count, the budget and the enumeration's
-cap check of one radius share one census pass.  The enumeration expands each (n1, n2) row into its n3 range from
-the same roots and orders the triples with one stable sort on omega.  It
-builds its ``Mode`` rows with the cyclic garbage collector paused and then
-restores the collector state it found; concurrent enumerations take the pause
-in turn under one lock, but another thread that switches the collector during
-the build may find its setting undone.  The census is O(m)
-entries, so a lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a
-ValueError.  The field energy is a sequential accumulate over numpy columns of
-the per-mode terms.
+cap check at one radius share one census pass.  The enumeration expands each
+(n1, n2) row into its n3 range from the same roots and orders the triples with
+one stable sort on omega.  It builds its ``Mode`` rows with the cyclic garbage
+collector paused and then restores the collector state it found; concurrent
+enumerations take the pause in turn under one lock, but another thread that
+switches the collector during the build may find its setting undone.  The
+census is O(m) entries, so a lattice radius omega_max/scale above
+``MAX_LATTICE_RADIUS`` is a ValueError.  The field energy is a sequential
+accumulate over numpy columns of the per-mode terms.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _isqrt_rows(values):
 
     Such v convert to float64 exactly and IEEE 754 rounds the square root
     correctly.  With k = floor(sqrt(v)), sqrt(v) <= sqrt((k+1)**2 - 1) lies
-    more than 1/(2(k+1)) > 2**-27 below k + 1, while half an ulp there is at
+    more than 1/(2(k+1)) >= 2**-27 below k + 1, while half an ulp there is at
     most 2**-28, so the root rounds below k + 1 and truncates to k.  The
     first failure is at v = (2**26 + 1)**2 - 1; ``MAX_LATTICE_RADIUS`` keeps
     every v at most 10**8.
@@ -357,10 +357,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     ``polarization_count * hbar * omega`` is below 0 raises ``ground_energy``'s
     ValueError; nan and -0.0 pass, as in the loop.  A frequency or amplitude
     given as text is no number, as in the loop, and raises ValueError.  The
-    terms are numpy columns
-    squared by ``np.float_power(x, 2.0)`` (the libm pow of ``x ** 2``) and
-    summed by the sequential ``np.add.accumulate``, so each sum equals the
-    Python loop over modes and polarizations bit for bit.
+    terms are numpy columns squared by ``np.float_power(x, 2.0)`` (the libm
+    pow of ``x ** 2``) and summed by the sequential ``np.add.accumulate``, so
+    each sum equals the Python loop over modes and polarizations bit for bit.
     """
     positive("N", N, finite=False)
     instance("units", units, UnitSystem)
@@ -399,6 +398,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     except (AttributeError, TypeError) as error:
         raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
                          f"of (Q, P) pairs per mode: {error}") from None
+    # freed before the arrays below, so the lists (about 1 MB at 17 566 modes)
+    # do not raise the call's peak
+    del omegas, flat, scalars
     # Each running sum starts at 0.0, as the loop's does.
     classical = np.zeros(total + 1)
     zero_point_half = np.zeros(len(modes) + 1)
