@@ -37,6 +37,7 @@ from it in the last ulp (at x = 0.5231812103833013).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -160,14 +161,6 @@ def mean_oscillator_energy(omega: float, temperature: float,
     return thermal + _ground_energy(quantum) if include_zero_point else thermal
 
 
-def _square(omega: float) -> float:
-    """omega ** 2 through libm pow, or inf where it overflows."""
-    try:
-        return omega ** 2
-    except OverflowError:
-        return math.inf
-
-
 @functools.lru_cache(maxsize=64)
 def _states_denominator(c_light: float) -> float:
     """pi**2 c**3, once per c_light, after checking that it and the density
@@ -177,12 +170,19 @@ def _states_denominator(c_light: float) -> float:
     return finite(what, lambda c: math.pi ** 2 * c ** 3, c_light)
 
 
-def _density_prefactor(omega_squared, units: UnitSystem):
-    """w**2/(pi**2 c**3) from w**2, for one float or a numpy column; a c out of
-    range raises ValueError for both.  An overflowed square gives an infinite
-    prefactor, and the SpectrumPoint built from it raises the error naming omega.
-    """
-    return omega_squared / _states_denominator(units.c_light)
+def _densities(omega: float, units: UnitSystem, energy: float,
+               include_zero_point: bool = False) -> tuple:
+    """The density of states w**2/(pi**2 c**3) times one mode's energy, and
+    times its zero point hbar*w/2 when asked (else 0.0).  A c out of range
+    raises ValueError first; an overflowed square gives an infinite prefactor,
+    and the caller's check raises the error naming the frequency."""
+    states = _states_denominator(units.c_light)
+    try:
+        prefactor = omega ** 2 / states
+    except OverflowError:
+        prefactor = math.inf
+    return (prefactor * energy,
+            prefactor * _ground_energy(units.hbar * omega) if include_zero_point else 0.0)
 
 
 def spectral_density(omega: float, temperature: float,
@@ -201,9 +201,7 @@ def spectral_density(omega: float, temperature: float,
 def _density_point(omega: float, temperature: float, units: UnitSystem,
                    thermal_energy: float, include_zero_point: bool) -> SpectrumPoint:
     """One mode's thermal energy and zero point hbar*w/2 times the density of states."""
-    prefactor = _density_prefactor(_square(omega), units)
-    thermal = prefactor * thermal_energy
-    zero_point = prefactor * _ground_energy(units.hbar * omega) if include_zero_point else 0.0
+    thermal, zero_point = _densities(omega, units, thermal_energy, include_zero_point)
     return SpectrumPoint(omega, temperature, thermal, zero_point,
                          thermal + zero_point)
 
@@ -220,10 +218,8 @@ def spectral_density_per_frequency(nu: float, temperature: float,
     scale = 2 * math.pi
     omega = finite("2*pi*nu at nu = {1!r}", operator.mul, scale, positive("nu", nu))
     thermal_energy = mean_oscillator_energy(omega, temperature, units, include_zero_point=False)
-    prefactor = _density_prefactor(_square(omega), units)
-    thermal = scale * (prefactor * thermal_energy)
-    zero_point = (scale * (prefactor * _ground_energy(units.hbar * omega))
-                  if include_zero_point else 0.0)
+    thermal, zero_point = _densities(omega, units, thermal_energy, include_zero_point)
+    thermal, zero_point = scale * thermal, scale * zero_point
     total = finite("spectral density at nu = {!r}", lambda _: thermal + zero_point, nu)
     return SpectrumPoint(nu, temperature, thermal, zero_point, total)
 
@@ -241,7 +237,7 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14) -> int:
 
         (n_max + 2) * exp(-n_max * x) <= rel_tol * (1 - exp(-x))**2
 
-    which is monotone in n_max and solved by bisection.  Raises
+    which is monotone in n_max and solved with ``bisect``.  Raises
     LadderTermCapExceeded (reporting the required length) past
     ``LADDER_TERM_CAP``, and also when x is so small that no n_max up to
     2**60 closes the bound.
@@ -254,17 +250,12 @@ def ladder_terms_for_tolerance(x: float, rel_tol: float = 1e-14) -> int:
     def satisfied(n: int) -> bool:
         return math.log(n + 2) - n * x <= target
 
-    low, high = 0, 1
+    high = 1
     while not satisfied(high):
         if high > 2 ** 60:
             raise LadderTermCapExceeded(high + 1, LADDER_TERM_CAP, x)
         high *= 2
-    while low < high:
-        mid = (low + high) // 2
-        if satisfied(mid):
-            high = mid
-        else:
-            low = mid + 1
+    low = bisect.bisect_left(range(high), True, key=satisfied)
     if low > LADDER_TERM_CAP:
         raise LadderTermCapExceeded(low, LADDER_TERM_CAP, x)
     return low
@@ -336,7 +327,7 @@ def rayleigh_jeans_density(omega: float, temperature: float,
     """
     _check_domain(omega, temperature, units)
     return finite("spectral density at omega = {!r}",
-                  lambda w: _density_prefactor(_square(w), units) * units.k_boltzmann * temperature,
+                  lambda w: _densities(w, units, units.k_boltzmann)[0] * temperature,
                   omega)
 
 
@@ -508,7 +499,7 @@ def _sweep_columns(temperature: float, omega_min: float, omega_max: float, point
         expm1 = np.array(list(map(math.expm1, np.clip(x, X_UNDERFLOW, X_OVERFLOW).tolist())))
         thermal = np.where(x < X_UNDERFLOW, kt, quantum / expm1)
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
-        prefactor = _density_prefactor(np.float_power(grid, 2.0), units)
+        prefactor = np.float_power(grid, 2.0) / _states_denominator(units.c_light)
         thermal *= prefactor
         zero_point = (prefactor * _ground_energy(quantum) if include_zero_point
                       else np.zeros(points))
