@@ -21,7 +21,8 @@ policy), as it is whenever it falls below 1e-300.
 Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
 result or scale beyond the double range follows ``units.finite`` (a density
 names omega, or nu per unit frequency); only x may be inf, and is then past
-X_OVERFLOW.
+X_OVERFLOW.  Overflow means the density itself, not w**2: where w**2 alone
+overflows, the density of states is w/(pi**2 c**3)*w.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks).
@@ -30,9 +31,10 @@ them goes through ``spectral_density`` to raise its error, so the row rules
 live only in ``_check_domain`` and ``SpectrumPoint.__post_init__``.  The
 checked rows are then built from the columns by setting each slot, without
 ``__init__``.  Each row equals ``spectral_density`` at that point bit for
-bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of ``**``.  Only
-expm1 stays per element, through ``math.expm1``: ``np.expm1`` can differ
-from it in the last ulp (at x = 0.5231812103833013).
+bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of ``**``, and
+w/(pi**2 c**3)*w on the rows where it overflows.  Only expm1 stays per
+element, through ``math.expm1``: ``np.expm1`` can differ from it in the
+last ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations
@@ -174,13 +176,13 @@ def _densities(omega: float, units: UnitSystem, energy: float,
                include_zero_point: bool = False) -> tuple:
     """The density of states w**2/(pi**2 c**3) times one mode's energy, and
     times its zero point hbar*w/2 when asked (else 0.0).  A c out of range
-    raises ValueError first; an overflowed square gives an infinite prefactor,
-    and the caller's check raises the error naming the frequency."""
+    raises ValueError first.  Where w**2 overflows, the density of states is
+    w/(pi**2 c**3)*w; the caller's check names a density that still overflows."""
     states = _states_denominator(units.c_light)
     try:
         prefactor = omega ** 2 / states
     except OverflowError:
-        prefactor = math.inf
+        prefactor = omega / states * omega
     return (prefactor * energy,
             prefactor * _ground_energy(units.hbar * omega) if include_zero_point else 0.0)
 
@@ -499,7 +501,11 @@ def _sweep_columns(temperature: float, omega_min: float, omega_max: float, point
         expm1 = np.array(list(map(math.expm1, np.clip(x, X_UNDERFLOW, X_OVERFLOW).tolist())))
         thermal = np.where(x < X_UNDERFLOW, kt, quantum / expm1)
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
-        prefactor = np.float_power(grid, 2.0) / _states_denominator(units.c_light)
+        states = _states_denominator(units.c_light)
+        square = np.float_power(grid, 2.0)
+        prefactor = square / states
+        wide = np.isinf(square)  # w**2 overflowed: w/(pi**2 c**3)*w, as in _densities
+        prefactor[wide] = grid[wide] / states * grid[wide]
         thermal *= prefactor
         zero_point = (prefactor * _ground_energy(quantum) if include_zero_point
                       else np.zeros(points))

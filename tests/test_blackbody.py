@@ -142,6 +142,25 @@ class TestSpectralDensity:
         with pytest.raises(ValueError, match="overflows a double"):
             spectral_density_ladder_sum(omega, 1.0, n_max=1)
 
+    @pytest.mark.parametrize("omega, temperature, c_light", [
+        (1e200, 1.0, 1e100),     # the zero point alone, w**3/(2 pi**2 c**3) = 5.07e298
+        (1e200, 1e200, 1e100),   # x = 1
+        (1e160, 1e-5, 1e60),
+        (3e155, 2e154, 1e53),    # x = 15
+    ])
+    def test_density_where_only_omega_squared_overflows(self, omega, temperature, c_light):
+        # w**2 overflows a double at each row, but the densities do not
+        units = UnitSystem(c_light=c_light)
+        x = omega / temperature
+        # w**2/(pi**2 c**3), grouped so that no factor leaves the double range
+        states = (omega / c_light) ** 2 / (math.pi ** 2 * c_light)
+        point = spectral_density(omega, temperature, units)
+        thermal = 0.0 if x > 700 else states * omega / math.expm1(x)
+        assert point.thermal_density == pytest.approx(thermal, rel=1e-14)
+        assert point.zero_point_density == pytest.approx(states * omega / 2, rel=1e-14)
+        assert rayleigh_jeans_density(omega, temperature, units) == pytest.approx(
+            states * temperature, rel=1e-14)
+
     def test_si_units_magnitude(self):
         units = UnitSystem.si()
         omega = 1e15
@@ -226,6 +245,36 @@ class TestLadderSumRoute:
             ladder_terms_for_tolerance(5e-300)
         assert info.value.required_terms > 2 ** 60
         assert info.value.x == 5e-300
+
+    def test_terms_are_the_least_that_close_the_bound(self):
+        def closes(n, x, rel_tol):  # the docstring's criterion in log form
+            return math.log(n + 2) - n * x <= math.log(rel_tol) + 2 * math.log(-math.expm1(-x))
+
+        rng = random.Random("least-ladder-length")
+        for _ in range(400):
+            x = 10 ** rng.uniform(-9, math.log10(50))
+            rel_tol = rng.choice((1e-14, 10 ** rng.uniform(-300, -0.01)))
+            try:
+                n = ladder_terms_for_tolerance(x, rel_tol)
+            except LadderTermCapExceeded as error:
+                n = error.required_terms  # the exact length: the bound closes below 2**60
+            assert closes(n, x, rel_tol)
+            assert n == 0 or not closes(n - 1, x, rel_tol)
+
+    def test_term_cap_is_inclusive_on_the_tail_bound_route(self, monkeypatch):
+        x = 2.0 ** -6  # temperature_for_x(x) gives back exactly this x
+        n = ladder_terms_for_tolerance(x)
+        temperature = temperature_for_x(x)
+        monkeypatch.setattr(blackbody, "LADDER_TERM_CAP", n)
+        assert ladder_terms_for_tolerance(x) == n
+        assert (spectral_density_ladder_sum(1.0, temperature)
+                == spectral_density_ladder_sum(1.0, temperature, n_max=n))
+        monkeypatch.setattr(blackbody, "LADDER_TERM_CAP", n - 1)
+        for call in (ladder_terms_for_tolerance, lambda x: spectral_density_ladder_sum(
+                1.0, temperature_for_x(x))):
+            with pytest.raises(LadderTermCapExceeded) as info:
+                call(x)
+            assert (info.value.required_terms, info.value.cap) == (n, n - 1)
 
     def test_explicit_negative_n_max_rejected(self):
         with pytest.raises(ValueError):
@@ -604,6 +653,17 @@ class TestSweepMatchesScalarRoute:
             rows = spectrum_sweep(*args, include_zero_point)
             assert bits(rows) == bits(scalar_sweep(*args, include_zero_point))
 
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    def test_rows_where_only_omega_squared_overflows(self, spacing):
+        # w**2 overflows from about w = 1.34e154 on; every density stays finite
+        for include_zero_point in (True, False):
+            args = (1e199, 1e150, 1e200, 41, spacing, UnitSystem(c_light=1e100),
+                    include_zero_point)
+            rows = spectrum_sweep(*args)
+            with np.errstate(over="ignore"):
+                assert np.isinf(np.float_power([row.omega for row in rows], 2.0)).sum() > 20
+            assert bits(rows) == bits(scalar_sweep(*args))
+
     @pytest.mark.parametrize("omega", [
         0.19391198154887967,  # np.expm1 and math.expm1 may differ in the last ulp here
         5.537602076146872e-06,  # w * w and libm pow(w, 2) differ here
@@ -703,14 +763,27 @@ class TestRowType:
 
 
 class TestFrequencyView:
-    def test_jacobian_consistency(self):
-        nu = 0.35
-        temperature = 1.4
-        per_nu = spectral_density_per_frequency(nu, temperature)
-        per_omega = spectral_density(2 * math.pi * nu, temperature)
-        assert per_nu.total_density == pytest.approx(
-            2 * math.pi * per_omega.total_density, rel=1e-15)
-        assert per_nu.omega == nu
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
+    def test_jacobian_consistency(self, units):
+        # each density field is 2*pi times the angular one, bit for bit
+        rng = random.Random(f"jacobian-{units.mode}")
+        cases = [(0.35, 1.4)] if units is NATURAL else []
+        for _ in range(200):
+            temperature = 10 ** rng.uniform(-2, 2) * (300 if units.mode == "si" else 1)
+            x = 10 ** rng.uniform(-4, math.log10(50))
+            cases.append((x * units.k_boltzmann * temperature / (2 * math.pi * units.hbar),
+                          temperature))
+        for nu, temperature in cases:
+            for include_zero_point in (True, False):
+                per_nu = spectral_density_per_frequency(nu, temperature, units,
+                                                        include_zero_point)
+                per_omega = spectral_density(2 * math.pi * nu, temperature, units,
+                                             include_zero_point)
+                assert (per_nu.omega, per_nu.temperature) == (nu, temperature)
+                assert per_nu.thermal_density == 2 * math.pi * per_omega.thermal_density
+                assert per_nu.zero_point_density == 2 * math.pi * per_omega.zero_point_density
+                assert per_nu.total_density == pytest.approx(
+                    2 * math.pi * per_omega.total_density, rel=1e-15)
 
     @pytest.mark.parametrize("nu", [1e308, 3e307])
     def test_overflowing_angular_frequency_names_nu(self, nu):
