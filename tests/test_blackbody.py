@@ -270,10 +270,10 @@ class TestLadderSumRoute:
         assert (spectral_density_ladder_sum(1.0, temperature)
                 == spectral_density_ladder_sum(1.0, temperature, n_max=n))
         monkeypatch.setattr(blackbody, "LADDER_TERM_CAP", n - 1)
-        for call in (ladder_terms_for_tolerance, lambda x: spectral_density_ladder_sum(
-                1.0, temperature_for_x(x))):
+        for call in (lambda: ladder_terms_for_tolerance(x),
+                     lambda: spectral_density_ladder_sum(1.0, temperature)):
             with pytest.raises(LadderTermCapExceeded) as info:
-                call(x)
+                call()
             assert (info.value.required_terms, info.value.cap) == (n, n - 1)
 
     def test_explicit_negative_n_max_rejected(self):
