@@ -6,6 +6,7 @@ that shares no code with the integer shell counters.
 
 import gc
 import math
+import random
 import re
 import threading
 import tracemalloc
@@ -182,6 +183,38 @@ class TestCounting:
         assert all(mode.omega <= omega_max for mode in modes)
         with pytest.warns(UserWarning, match="only 532 modes"):
             assert mode_count_vs_asymptotic(spec, omega_max).exact_count == 2 * inside
+
+    def test_shell_bound_matches_guess_and_fix_loops(self):
+        def guess_and_fix(spec, omega_max, units):
+            # a float guess stepped down, then up, to the largest m with
+            # scale * sqrt(m) <= omega_max
+            scale = cavity._wavenumber_scale(spec, units)
+            radius = omega_max / scale
+            m = int(radius * radius)
+            while m > 0 and scale * math.sqrt(m) > omega_max:
+                m -= 1
+            while scale * math.sqrt(m + 1) <= omega_max:
+                m += 1
+            return m
+
+        rng = random.Random(2024)
+        mismatches = []
+        for convention in (STANDING, PERIODIC):
+            for units in (NATURAL, UnitSystem.si(), UnitSystem(c_light=0.7371)):
+                for exponent in range(-5, 6):
+                    spec = CavitySpec(side_length=10.0 ** exponent,
+                                      boundary_convention=convention)
+                    scale = cavity._wavenumber_scale(spec, units)
+                    shells = [*range(1, 31), *(int(10 ** rng.uniform(1.5, 8)) - 1
+                                               for _ in range(120))]
+                    for k in shells:
+                        on = scale * math.sqrt(k)
+                        for omega_max in (math.nextafter(on, 0), on,
+                                          math.nextafter(on, math.inf)):
+                            expected = guess_and_fix(spec, omega_max, units)
+                            if cavity._shell_bound(spec, omega_max, units) != expected:
+                                mismatches.append((spec, units, omega_max, expected))
+        assert mismatches == []
 
     def test_matches_enumeration(self):
         spec = CavitySpec(boundary_convention=STANDING)
