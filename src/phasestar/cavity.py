@@ -40,6 +40,7 @@ accumulate over numpy columns of the per-mode terms.
 
 from __future__ import annotations
 
+import bisect
 import gc
 import math
 import threading
@@ -50,6 +51,7 @@ from itertools import chain, repeat
 from operator import attrgetter, ne
 from typing import NamedTuple, Sequence
 
+from .algebra import exact_fraction
 from .oscillator import _ground_energy, ground_energy
 from .units import NATURAL, UnitSystem, instance, integer, positive
 
@@ -131,20 +133,16 @@ def _wavenumber_scale(spec: CavitySpec, units: UnitSystem) -> float:
 
 
 def _shell_bound(spec: CavitySpec, omega_max: float, units: UnitSystem) -> int:
-    """Largest m with scale * sqrt(m) <= omega_max, the expression ``Mode.omega``
-    is computed from: a triple n is inside exactly when |n|**2 <= m."""
+    """The largest m, by ``bisect``, with scale * sqrt(m) <= omega_max, as
+    ``Mode.omega`` computes it: a triple n is inside exactly when |n|**2 <= m."""
     instance("spec", spec, CavitySpec)
     scale = _wavenumber_scale(spec, units)
     radius = positive("omega_max", omega_max, finite=False) / scale if scale else math.inf
     if not radius <= MAX_LATTICE_RADIUS:
         raise ValueError(f"lattice radius omega_max/scale = {radius:.6g} exceeds "
                          f"the limit of {MAX_LATTICE_RADIUS}")
-    m = int(radius * radius)
-    while m > 0 and scale * math.sqrt(m) > omega_max:
-        m -= 1
-    while scale * math.sqrt(m + 1) <= omega_max:
-        m += 1
-    return m
+    return bisect.bisect_right(range(int((radius + 1) ** 2) + 1), omega_max,
+                               key=lambda n: scale * math.sqrt(n)) - 1
 
 
 def _isqrt_rows(values):
@@ -281,16 +279,15 @@ def mode_count_vs_asymptotic(spec: CavitySpec, omega_max: float,
     The exact side counts every lattice triple of the chosen convention with
     ``polarizations_per_mode`` polarizations.  The relative error decreases
     toward zero as omega_max grows; for the octant convention it falls off
-    like the surface-to-volume ratio of the lattice region.  Raises
-    ValueError when the asymptote is not a positive finite number.
+    like the surface-to-volume ratio of the lattice region.  The asymptote is
+    (wL/c)**3/(3 pi**2) with wL/c exact; raises ValueError only when it underflows to 0.
     """
     m = _shell_bound(spec, omega_max, units)
-    try:
-        volume = spec.side_length ** 3
-        asymptotic = volume * omega_max ** 3 / (3 * math.pi ** 2 * units.c_light ** 3)
-    except (OverflowError, ZeroDivisionError):  # c**3 may underflow to 0
-        asymptotic = math.inf
-    if not 0 < asymptotic < math.inf:
+    # the shell bound keeps wL/c at most 2*pi*MAX_LATTICE_RADIUS: no cube overflows
+    ratio = float(exact_fraction(omega_max) * exact_fraction(spec.side_length)
+                  / exact_fraction(units.c_light))
+    asymptotic = ratio ** 3 / (3 * math.pi ** 2)
+    if not asymptotic > 0:
         raise ValueError(f"asymptotic count {asymptotic!r} is not positive and finite")
     exact = spec.polarizations_per_mode * _lattice_point_count(spec, m)
     if exact < 1000:
