@@ -11,6 +11,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,15 +353,27 @@ class TestCounting:
             with pytest.raises(ValueError, match=f"limit of {MAX_LATTICE_RADIUS}"):
                 count(spec, omega_max)
 
-    @pytest.mark.parametrize("side_length,omega_max", [
-        (1e-300, 5.0),     # the volume underflows to 0
-        (1e150, 1e-148),   # the volume overflows
-        (1e-300, 1e200),   # omega_max**3 overflows
+    @pytest.mark.parametrize("side_length,omega_max,units", [
+        (1e-300, 5.0, NATURAL),                 # the count is about 4e-900
+        (1.0, 5.0, UnitSystem(c_light=1e120)),  # about 4e-360
     ])
-    def test_asymptote_must_be_positive_and_finite(self, side_length, omega_max):
+    def test_asymptote_must_be_positive_and_finite(self, side_length, omega_max, units):
         spec = CavitySpec(side_length=side_length)
-        with pytest.raises(ValueError, match="not positive and finite"):
-            mode_count_vs_asymptotic(spec, omega_max)
+        with pytest.raises(ValueError, match=re.escape(
+                "asymptotic count 0.0 is not positive and finite")):
+            mode_count_vs_asymptotic(spec, omega_max, units)
+
+    @pytest.mark.parametrize("side_length,omega_max", [
+        (1e150, 1e-148),   # wL/c = 100, where L**3 alone overflows
+        (1e-300, 1e200),   # wL/c = 1e-100, where omega_max**3 alone overflows
+    ])
+    def test_asymptote_that_fits_a_double_is_returned(self, side_length, omega_max):
+        ratio = Fraction(omega_max) * Fraction(side_length) / Fraction(NATURAL.c_light)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the few-modes advisory
+            report = mode_count_vs_asymptotic(CavitySpec(side_length=side_length), omega_max)
+        assert report.asymptotic_count == pytest.approx(
+            float(ratio ** 3 / (3 * Fraction(math.pi) ** 2)), rel=1e-15)
 
     def test_electromagnetic_budget_requires_standing(self):
         with pytest.raises(ValueError):

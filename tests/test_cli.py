@@ -297,6 +297,14 @@ class TestModesCommand:
         assert "table suppressed" in err
         assert "exact_count = 260724" in err
 
+    def test_count_that_fits_where_its_cubes_overflow(self):
+        # wL/c = 1: L**3 and omega_max**3 overflow, the count 1/(3 pi**2) does not
+        code, out, err = run_cli("modes", "-L", "1e-200", "--omega-max", "1e200")
+        assert code == 0, err
+        assert out.split() == list(MODE_FIELDS)
+        assert "advisory: only 0 modes" in err
+        assert "exact_count = 0\n" in err
+
     def test_periodic_convention(self):
         code, out, _ = run_cli("modes", "--omega-max", "6.3",
                                "--convention", "periodic", "--format", "csv")
