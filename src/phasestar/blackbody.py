@@ -22,7 +22,9 @@ Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
 result or scale beyond the double range follows ``units.finite`` (a density
 names omega, or nu per unit frequency); only x may be inf, and is then past
 X_OVERFLOW.  Overflow means the density itself, not w**2: where w**2 alone
-overflows, the density of states is w/(pi**2 c**3)*w.
+overflows, the density of states is w/(pi**2 c**3)*w.  Likewise the T**4
+coefficient and the zero-point cutoff energy take their rational part
+exactly, rounded once, where their float grouping overflows.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks).
@@ -50,6 +52,7 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
 
+from .algebra import exact_fraction
 from .oscillator import _ground_energy
 from .units import NATURAL, UnitSystem, finite, instance, integer, positive
 
@@ -170,6 +173,20 @@ def _states_denominator(c_light: float) -> float:
     what = "density of states at c_light = {!r}"
     finite(what, lambda c: 1 / (math.pi ** 2 * c ** 3), c_light)
     return finite(what, lambda c: math.pi ** 2 * c ** 3, c_light)
+
+
+def _rounded_once(formula, *args):
+    """``formula(*args)`` where that float grouping is a finite double, else
+    ``formula`` of the exact Fractions of ``args``, rounded once: a power that
+    alone overflows rejects no result that fits, and a result outside the
+    double range raises OverflowError for ``finite`` to report."""
+    try:
+        value = formula(*args)
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return float(formula(*map(exact_fraction, args)))
 
 
 def _densities(omega: float, units: UnitSystem, energy: float,
@@ -427,9 +444,9 @@ def stefan_boltzmann_integral(units: UnitSystem = NATURAL,
     estimate = abs(integral - refined) / abs(integral)
     if estimate > 1e-8:
         raise QuadratureError(estimate)
-    return integral, finite("T**4 coefficient of units = {!r}",
-                            lambda u: integral * u.k_boltzmann ** 4 / (
-                                u.hbar ** 3 * u.c_light ** 3 * math.pi ** 2), units)
+    return integral, finite("T**4 coefficient of units = {!r}", lambda u: _rounded_once(
+        lambda i, k, h, c, pi2: i * k ** 4 / (h ** 3 * c ** 3 * pi2),
+        integral, u.k_boltzmann, u.hbar, u.c_light, math.pi ** 2), units)
 
 
 def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
@@ -445,9 +462,9 @@ def zero_point_cutoff_energy(omega_cutoff: float, units: UnitSystem = NATURAL,
     instance("units", units, UnitSystem)
     if math.isinf(positive("N", N, finite=False)):
         return 0.0
-    return finite("zero-point energy below omega_cutoff = {!r}",
-                  lambda wc: units.hbar * wc ** 4 / (4 * N * math.pi ** 2 * units.c_light ** 3),
-                  omega_cutoff)
+    return finite("zero-point energy below omega_cutoff = {!r}", lambda wc: _rounded_once(
+        lambda w, h, n, c, pi2: h * w ** 4 / (4 * n * pi2 * c ** 3),
+        wc, units.hbar, N, units.c_light, math.pi ** 2), omega_cutoff)
 
 
 # ----------------------------------------------------------------------

@@ -509,11 +509,22 @@ class TestStefanBoltzmann:
     @pytest.mark.parametrize("units", [
         UnitSystem(k_boltzmann=1e100),               # k**4 overflows
         UnitSystem(hbar=1e-300, c_light=1e-10),      # hbar**3 c**3 underflows to 0
-        UnitSystem(k_boltzmann=1e77),                # the product overflows to inf
+        UnitSystem(k_boltzmann=1e77, hbar=0.1),      # the product overflows to inf
     ])
     def test_coefficient_beyond_double_range_names_units(self, units):
         with pytest.raises(ValueError, match=re.escape(f"units = {units!r} overflows")):
             stefan_boltzmann_integral(units)
+
+    @pytest.mark.parametrize("units", [
+        UnitSystem(k_boltzmann=1e100, hbar=1e100),                  # k**4 overflows
+        UnitSystem(hbar=1e-110, k_boltzmann=1e-20, c_light=1e-10),  # hbar**3 underflows to 0
+        UnitSystem(k_boltzmann=1e77),   # integral*k**4 overflows to inf, the result is 6.6e307
+    ])
+    def test_coefficient_that_fits_where_a_power_does_not(self, units):
+        integral, coefficient = stefan_boltzmann_integral(units)
+        exact = Fraction(integral) * Fraction(units.k_boltzmann) ** 4 / (
+            Fraction(units.hbar) ** 3 * Fraction(units.c_light) ** 3 * Fraction(math.pi) ** 2)
+        assert coefficient == pytest.approx(float(exact), rel=1e-15)
 
     def test_integrand_limit_at_zero(self):
         from phasestar.blackbody import _bose_integrand
@@ -547,6 +558,17 @@ class TestZeroPointCutoff:
         with pytest.raises(ValueError, match=re.escape(f"omega_cutoff = {omega_cutoff!r}")):
             zero_point_cutoff_energy(omega_cutoff, units)
         assert math.isfinite(zero_point_cutoff_energy(1e77))
+
+    @pytest.mark.parametrize("omega_cutoff, units", [
+        (1e100, UnitSystem(c_light=1e100)),              # wc**4 overflows
+        (1e-100, UnitSystem(c_light=1e-120)),            # c**3 underflows to 0
+        (1e70, UnitSystem(hbar=1e100, c_light=1e100)),   # hbar*wc**4 overflows to inf
+    ])
+    def test_energy_that_fits_where_a_power_does_not(self, omega_cutoff, units):
+        exact = Fraction(units.hbar) * Fraction(omega_cutoff) ** 4 / (
+            8 * Fraction(math.pi) ** 2 * Fraction(units.c_light) ** 3)
+        assert zero_point_cutoff_energy(omega_cutoff, units) == pytest.approx(
+            float(exact), rel=1e-15)
 
 
 class TestSweep:
