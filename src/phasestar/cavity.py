@@ -9,23 +9,25 @@ of two bookkeeping conventions:
 * ``periodic``: k = 2*pi*n/L with n over all nonzero integer triples.
 
 Each lattice mode carries two polarizations.  Both conventions approach the
-same continuum count V w**3 / (3 pi**2 c**3), whose derivative in w is the
-density of states w**2/(pi**2 c**3) entering the radiation law.  The octant
-convention approaches it from below with a surface deficit of order
-(c/(w L)) relative; the full-lattice convention has no surface term and
-converges much faster.  ``electromagnetic_standing_mode_count`` additionally
-reports the conducting-wall budget in which triples with exactly one zero
-component contribute a single polarization; its surface term cancels almost
-entirely.
+same continuum count V w**3 / (3 pi**2 c**3) = (wL/c)**3/(3 pi**2), formed
+from the exact ratio wL/c rounded once, so only a count that underflows to 0
+is rejected.  Its derivative in w is the density of states w**2/(pi**2 c**3)
+entering the radiation law.  The octant convention approaches it from below
+with a surface deficit of order (c/(w L)) relative; the full-lattice
+convention has no surface term and converges much faster.
+``electromagnetic_standing_mode_count`` additionally reports the
+conducting-wall budget in which triples with exactly one zero component
+contribute a single polarization; its surface term cancels almost entirely.
 
 Every count is inclusive: a triple n is below omega_max exactly when its own
 ``Mode.omega`` = scale*sqrt(|n|**2) is at most omega_max, i.e. |n|**2 <= m for
-one integer shell bound m shared by census, budget and enumeration.  With T
-positive triples and P positive pairs inside m, the octant count is T, the full
-lattice is 8*T + 12*P + 6*isqrt(m) (octants, quarter planes, half axes) and the
-electromagnetic budget is 2*T + 3*P.  T is a sum of exact integer square
-roots isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in float64 blocks
-of a fixed size: below 2**52 the truncated float root is already exact.  T and
+one integer shell bound m, found by ``bisect`` on that expression and shared
+by census, budget and enumeration.  With T positive triples and P positive
+pairs inside m, the octant count is T, the full lattice is 8*T + 12*P +
+6*isqrt(m) (octants, quarter planes, half axes) and the electromagnetic
+budget is 2*T + 3*P.  T is a sum of exact integer square roots
+isqrt(m - a*a - b*b) over numpy rows of (a, b), taken in float64 blocks of a
+fixed size: below 2**52 the truncated float root is already exact.  T and
 P are cached per shell bound, so the count, the budget and the enumeration's
 cap check at one radius share one census pass.  The enumeration expands each
 (n1, n2) row into its n3 range from the same roots and orders the triples with
