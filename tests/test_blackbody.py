@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, astuple
 from fractions import Fraction
@@ -160,6 +161,36 @@ class TestSpectralDensity:
         assert point.zero_point_density == pytest.approx(states * omega / 2, rel=1e-14)
         assert rayleigh_jeans_density(omega, temperature, units) == pytest.approx(
             states * temperature, rel=1e-14)
+
+    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si(), UnitSystem(c_light=0.7371)],
+                             ids=["natural", "si", "c=0.7371"])
+    def test_float_grouping_where_every_power_is_normal(self, units):
+        # where w**2 and c**3 are normal doubles, each density is exactly
+        # w**2/(pi**2 c**3), in that grouping, times the mode energy
+        rng = random.Random(30)
+        checked = 0
+        for _ in range(3000):
+            omega = 10 ** rng.uniform(-170, 170) * units.k_boltzmann / units.hbar
+            temperature = 10 ** rng.uniform(-150, 150)
+            try:
+                square, cube = omega ** 2, units.c_light ** 3
+            except OverflowError:
+                continue
+            if not (min(square, cube) >= sys.float_info.min
+                    and math.pi ** 2 * cube < math.inf):
+                continue
+            states = square / (math.pi ** 2 * cube)
+            try:
+                point = spectral_density(omega, temperature, units)
+                classical = rayleigh_jeans_density(omega, temperature, units)
+            except ValueError:
+                continue
+            thermal = mean_oscillator_energy(omega, temperature, units, include_zero_point=False)
+            assert point.thermal_density == states * thermal
+            assert point.zero_point_density == states * (units.hbar * omega / 2)
+            assert classical == states * units.k_boltzmann * temperature
+            checked += 1
+        assert checked > 1000
 
     def test_si_units_magnitude(self):
         units = UnitSystem.si()
