@@ -166,40 +166,32 @@ def mean_oscillator_energy(omega: float, temperature: float,
     return thermal + _ground_energy(quantum) if include_zero_point else thermal
 
 
-@functools.lru_cache(maxsize=64)
-def _states_denominator(c_light: float) -> float:
-    """pi**2 c**3, once per c_light, after checking that it and the density
-    of states per w**2, its reciprocal, are both finite doubles."""
-    what = "density of states at c_light = {!r}"
-    finite(what, lambda c: 1 / (math.pi ** 2 * c ** 3), c_light)
-    return finite(what, lambda c: math.pi ** 2 * c ** 3, c_light)
-
-
 def _rounded_once(formula, *args):
-    """``formula(*args)`` where that float grouping is a finite double, else
-    ``formula`` of the exact Fractions of ``args``, rounded once: a power that
-    alone overflows rejects no result that fits, and a result outside the
-    double range raises OverflowError for ``finite`` to report."""
+    """``formula`` of the exact Fractions of ``args``, rounded once to a double;
+    inf beyond the double range, for the caller's check to report."""
     try:
-        value = formula(*args)
-        if math.isfinite(value):
-            return value
-    except (OverflowError, ZeroDivisionError):
-        pass
-    return float(formula(*map(exact_fraction, args)))
+        return float(formula(*map(exact_fraction, args)))
+    except OverflowError:
+        return math.inf
+
+
+def _states(omega: float, c: float) -> float:
+    """The density of states w**2/(pi**2 c**3): in that float grouping, as
+    ``spectrum_sweep`` forms it per row, where w**2 and c**3 are normal doubles
+    and pi**2 c**3 is finite; elsewhere rounded once by ``_rounded_once``."""
+    if omega * omega < math.inf > c * c * c:  # so neither power raises OverflowError
+        square, cube = omega ** 2, c ** 3
+        if min(square, cube) >= X_UNDERFLOW and math.pi ** 2 * cube < math.inf:
+            return square / (math.pi ** 2 * cube)
+    return _rounded_once(lambda w, c, pi2: w ** 2 / (pi2 * c ** 3), omega, c, math.pi ** 2)
 
 
 def _densities(omega: float, units: UnitSystem, energy: float,
                include_zero_point: bool = False) -> tuple:
-    """The density of states w**2/(pi**2 c**3) times one mode's energy, and
-    times its zero point hbar*w/2 when asked (else 0.0).  A c out of range
-    raises ValueError first.  Where w**2 overflows, the density of states is
-    w/(pi**2 c**3)*w; the caller's check names a density that still overflows."""
-    states = _states_denominator(units.c_light)
-    try:
-        prefactor = omega ** 2 / states
-    except OverflowError:
-        prefactor = omega / states * omega
+    """The density of states ``_states`` times one mode's energy, and times
+    its zero point hbar*w/2 when asked (else 0.0); the caller's check names
+    a density that overflows."""
+    prefactor = _states(omega, units.c_light)
     return (prefactor * energy,
             prefactor * _ground_energy(units.hbar * omega) if include_zero_point else 0.0)
 
@@ -359,8 +351,9 @@ def wien_peak(temperature: float, units: UnitSystem = NATURAL) -> float:
     excluded: it grows without bound in w and has no peak.
     """
     _check_temperature(temperature, units)
-    return finite("Wien peak at temperature {!r}",
-                  lambda t: wien_x_constant() * units.k_boltzmann * t / units.hbar, temperature)
+    return finite("Wien peak at temperature {!r}", lambda temp: _rounded_once(
+        lambda x, k, t, h: x * k * t / h, wien_x_constant(), units.k_boltzmann, temp, units.hbar),
+        temperature)
 
 
 @functools.cache
@@ -518,11 +511,13 @@ def _sweep_columns(temperature: float, omega_min: float, omega_max: float, point
         expm1 = np.array(list(map(math.expm1, np.clip(x, X_UNDERFLOW, X_OVERFLOW).tolist())))
         thermal = np.where(x < X_UNDERFLOW, kt, quantum / expm1)
         thermal[(x > X_OVERFLOW) | (thermal < THERMAL_FLUSH)] = 0.0
-        states = _states_denominator(units.c_light)
-        square = np.float_power(grid, 2.0)
-        prefactor = square / states
-        wide = np.isinf(square)  # w**2 overflowed: w/(pi**2 c**3)*w, as in _densities
-        prefactor[wide] = grid[wide] / states * grid[wide]
+        square, cube = np.float_power(grid, 2.0), np.float_power(units.c_light, 3.0)
+        prefactor = square / (math.pi ** 2 * cube)
+        # rows of finite omega off _states' float grouping take _states itself
+        odd = ~((square >= X_UNDERFLOW) & (square < math.inf) & (cube >= X_UNDERFLOW)
+                & (math.pi ** 2 * cube < math.inf)) & (grid < math.inf)
+        if odd.any():
+            prefactor[odd] = list(map(_states, grid[odd].tolist(), repeat(units.c_light)))
         thermal *= prefactor
         zero_point = (prefactor * _ground_energy(quantum) if include_zero_point
                       else np.zeros(points))

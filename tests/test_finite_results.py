@@ -3,10 +3,13 @@
 The grid is an explicit table: each float argument takes the seven
 magnitudes of ``VALUES`` and the unit system takes the 27 forms of
 ``UNIT_SYSTEMS``, with each of hbar, k and c at 1e-200, 1 or 1e200.  Derived
-scales such as k*T, hbar*w, pi**2 c**3 or the cavity scale pi*c/L then leave
-the double range even though every input is valid, and each call must still
-end in finite numbers or in a ValueError, never in an OverflowError, a
-ZeroDivisionError or an inf or nan result.
+scales such as k*T, hbar*w or the cavity scale pi*c/L then leave the double
+range even though every input is valid, and each call must still end in
+finite numbers or in a ValueError, never in an OverflowError, a
+ZeroDivisionError or an inf or nan result.  Powers such as w**2 and
+pi**2 c**3 leave it too, but they are no checked scale: where one does, the
+rational factor is formed exactly and rounded once, and only a result that
+leaves the double range raises.
 
 The one exemption is ``dimensionless_x``, which may return inf: hbar*w and
 k*T are both finite doubles there, only their ratio x = hbar*w/(k*T)
@@ -19,6 +22,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -119,18 +123,32 @@ def test_infinite_x_flushes_the_thermal_part_in_both_routes():
 
 
 @pytest.mark.parametrize("call", [
-    lambda units: spectral_density(1e100, 1.0, units),
-    lambda units: rayleigh_jeans_density(1e100, 1.0, units),
-    lambda units: spectrum_sweep(1.0, 1e100, 4e100, 3, units=units),
-    lambda units: spectral_density_ladder_sum(1e100, 1.0, units),
+    lambda w, t, units: [spectral_density(w, t, units)],
+    lambda w, t, units: [rayleigh_jeans_density(w, t, units)],
+    lambda w, t, units: spectrum_sweep(t, w, 4 * w, 3, units=units),
+    lambda w, t, units: [spectral_density_ladder_sum(w, t, units)],
 ], ids=["spectral_density", "rayleigh_jeans_density", "spectrum_sweep",
         "spectral_density_ladder_sum"])
-def test_infinite_pi_squared_c_cubed_raises_instead_of_zero_densities(call):
+@pytest.mark.parametrize("omega, temperature, c_light", [
     # c**3 is finite at c = 4e102 but pi**2 c**3 is inf: its reciprocal 0 would
     # make every density 0.0, where w**2/(pi**2 c**3) is 1.6e-109 at w = 1e100
-    with pytest.raises(ValueError, match=re.escape(
-            "density of states at c_light = 4e+102 overflows a double")):
-        call(UnitSystem(c_light=4e102))
+    (1e100, 1.0, 4e102),
+    # c**3 underflows to 0 at c = 1e-110, where w**2/(pi**2 c**3) is 1.0e129
+    # and the density about 1.1e29
+    (1e-100, 1e-100, 1e-110),
+], ids=["c=4e102", "c=1e-110"])
+def test_pi_squared_c_cubed_beyond_the_double_range_keeps_every_density(
+        call, omega, temperature, c_light):
+    def states(w):
+        return Fraction(w) ** 2 / (Fraction(math.pi) ** 2 * Fraction(c_light) ** 3)
+
+    for result in call(omega, temperature, UnitSystem(c_light=c_light)):
+        if isinstance(result, float):  # the classical density w**2 k T/(pi**2 c**3)
+            expected = states(omega) * Fraction(temperature)
+        else:  # the zero-point density of each point, hbar*w/2 times the states
+            result, expected = result.zero_point_density, states(result.omega) * Fraction(
+                result.omega) / 2
+        assert 0 < result == pytest.approx(float(expected), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("call", [
@@ -149,9 +167,10 @@ OVERFLOW_MESSAGES = [
     ("dimensionless_x-quantum",
      lambda: dimensionless_x(1e200, 1.0, UnitSystem(hbar=1e200)),
      "hbar*omega at omega = 1e+200 overflows a double"),
+    # w**2/(pi**2 c**3) is about 1e599
     ("spectral_density-reciprocal",
      lambda: spectral_density(1.0, 1.0, UnitSystem(c_light=1e-200)),
-     "density of states at c_light = 1e-200 overflows a double"),
+     "spectral density at omega = 1.0 overflows a double"),
     ("rayleigh_jeans_density",
      lambda: rayleigh_jeans_density(1e200, 1e200),
      "spectral density at omega = 1e+200 overflows a double"),
