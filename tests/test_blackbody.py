@@ -602,6 +602,88 @@ class TestZeroPointCutoff:
             float(exact), rel=1e-15)
 
 
+PI_SQUARED = Fraction(math.pi ** 2)  # the double the code uses
+
+
+def exact_t4_coefficient(units):
+    integral = Fraction(stefan_boltzmann_integral()[0])  # the same for every unit system
+    return integral * Fraction(units.k_boltzmann) ** 4 / (
+        Fraction(units.hbar) ** 3 * Fraction(units.c_light) ** 3 * PI_SQUARED)
+
+
+def exact_cutoff_energy(omega_cutoff, units, N=2.0):
+    return Fraction(units.hbar) * Fraction(omega_cutoff) ** 4 / (
+        4 * Fraction(N) * PI_SQUARED * Fraction(units.c_light) ** 3)
+
+
+def exact_wien_peak(temperature, units):
+    return (Fraction(wien_x_constant()) * Fraction(units.k_boltzmann) * Fraction(temperature)
+            / Fraction(units.hbar))
+
+
+def assert_rounded_once(call, exact):
+    """``call()`` is ``float(exact)``, or raises where that leaves the double range."""
+    try:
+        expected = float(exact)
+    except OverflowError:
+        with pytest.raises(ValueError, match="overflows a double"):
+            call()
+        return
+    assert call() == expected
+
+
+class TestCorrectRounding:
+    """The T**4 coefficient, the zero-point cutoff energy and the Wien peak are
+    each their exact closed form rounded once, with pi**2 and x* the doubles
+    the code uses."""
+
+    @pytest.mark.parametrize("call, exact", [
+        # a subnormal power or product zeroed or skewed the float grouping here
+        (lambda: stefan_boltzmann_integral(
+            UnitSystem(k_boltzmann=1e76, hbar=1e52, c_light=1e52))[1],      # 6.58e-9
+         lambda: exact_t4_coefficient(UnitSystem(k_boltzmann=1e76, hbar=1e52, c_light=1e52))),
+        (lambda: stefan_boltzmann_integral(
+            UnitSystem(k_boltzmann=1e-100, hbar=1e-30, c_light=1e-50))[1],  # 6.58e-161
+         lambda: exact_t4_coefficient(
+             UnitSystem(k_boltzmann=1e-100, hbar=1e-30, c_light=1e-50))),
+        (lambda: zero_point_cutoff_energy(1e70, UnitSystem(c_light=4e102)),  # 1.98e-30
+         lambda: exact_cutoff_energy(1e70, UnitSystem(c_light=4e102))),
+        (lambda: zero_point_cutoff_energy(1e-10, UnitSystem(c_light=1e-104)),
+         lambda: exact_cutoff_energy(1e-10, UnitSystem(c_light=1e-104))),
+        (lambda: wien_peak(1e-20, UnitSystem(k_boltzmann=1e-300, hbar=1e-300)),
+         lambda: exact_wien_peak(1e-20, UnitSystem(k_boltzmann=1e-300, hbar=1e-300))),
+        # x* k T overflows, the peak is 2.82e307
+        (lambda: wien_peak(1e308, UnitSystem(hbar=10.0)),
+         lambda: exact_wien_peak(1e308, UnitSystem(hbar=10.0))),
+    ], ids=["t4-1e76", "t4-1e-100", "cutoff-4e102", "cutoff-1e-104", "wien-1e-300",
+            "wien-1e308"])
+    def test_row(self, call, exact):
+        assert call() == float(exact())
+
+    def test_zero_point_density_where_omega_squared_is_subnormal(self):
+        # w**2 = 3.1e-323 is subnormal; its float grouping was 5.5 % off
+        units = UnitSystem(c_light=1e-100)
+        point = spectral_density(5.6e-162, 1.0, units)
+        exact = Fraction(5.6e-162) ** 3 / (2 * Fraction(math.pi) ** 2 * Fraction(1e-100) ** 3)
+        assert point.zero_point_density == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    def test_seeded_grid(self):
+        rng = random.Random(30)
+        systems = [NATURAL, UnitSystem.si()] + [
+            UnitSystem(*(10 ** rng.uniform(-320, 300) for _ in range(3))) for _ in range(120)]
+        for units in systems:
+            assert_rounded_once(lambda: stefan_boltzmann_integral(units)[1],
+                                exact_t4_coefficient(units))
+            for _ in range(4):
+                omega_cutoff, N = 10 ** rng.uniform(-320, 307), rng.choice((2.0, 3, 0.75))
+                assert_rounded_once(lambda: zero_point_cutoff_energy(omega_cutoff, units, N),
+                                    exact_cutoff_energy(omega_cutoff, units, N))
+                temperature = 10 ** rng.uniform(-320, 307)
+                if 0 < units.k_boltzmann * temperature < math.inf:  # else a domain error
+                    assert_rounded_once(lambda: wien_peak(temperature, units),
+                                        exact_wien_peak(temperature, units))
+
+
 class TestSweep:
     def test_grid_shapes_and_ordering(self):
         points = spectrum_sweep(1.0, 0.1, 10.0, 25)
