@@ -21,10 +21,11 @@ policy), as it is whenever it falls below 1e-300.
 Omega and T follow ``units.positive``, k*T must not underflow to 0, and a
 result or scale beyond the double range follows ``units.finite`` (a density
 names omega, or nu per unit frequency); only x may be inf, and is then past
-X_OVERFLOW.  Overflow means the density itself, not w**2: where w**2 alone
-overflows, the density of states is w/(pi**2 c**3)*w.  Likewise the T**4
-coefficient and the zero-point cutoff energy take their rational part
-exactly, rounded once, where their float grouping overflows.
+X_OVERFLOW.  A rational factor (the T**4 coefficient, the zero-point cutoff
+energy, the Wien peak) is its exact value rounded once, so only a result
+beyond the double range raises.  So is the density of states w**2/(pi**2 c**3),
+except where w**2 and c**3 are normal doubles and pi**2 c**3 is finite: there
+it keeps that float grouping.
 
 ``spectrum_sweep`` computes the grid as numpy columns (x, prefactor,
 thermal and zero-point energy, with the policy above applied as masks).
@@ -33,10 +34,10 @@ them goes through ``spectral_density`` to raise its error, so the row rules
 live only in ``_check_domain`` and ``SpectrumPoint.__post_init__``.  The
 checked rows are then built from the columns by setting each slot, without
 ``__init__``.  Each row equals ``spectral_density`` at that point bit for
-bit.  w**2 is ``np.float_power(w, 2.0)``, the libm pow of ``**``, and
-w/(pi**2 c**3)*w on the rows where it overflows.  Only expm1 stays per
-element, through ``math.expm1``: ``np.expm1`` can differ from it in the
-last ulp (at x = 0.5231812103833013).
+bit.  w**2 and c**3 are ``np.float_power``, the libm pow of ``**``, and a
+row off the float grouping takes the scalar density of states.  Besides
+those rows only expm1 stays per element, through ``math.expm1``:
+``np.expm1`` can differ from it in the last ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations

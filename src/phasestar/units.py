@@ -7,12 +7,12 @@ handles accept inf.  ``nonnegative`` is the rule for hbar values, which may
 be 0: a real number in [0, inf).  ``integer`` is the rule for counts
 (levels, points, nodes, polarizations, dimensions, exponents): an integer,
 numpy's included, of at least a lower bound, returned as a plain int.
-``finite`` is the rule for results and derived scales (k*T, hbar*w,
-pi**2 c**3) beyond the double range: an OverflowError, a ZeroDivisionError
-from a denominator that underflowed to 0, inf and nan all raise a
-ValueError.  ``instance`` is the rule for object arguments (unit systems,
-oscillator and cavity specs, deformation parameters, polynomials): an
-instance of the named class, with "a" or "an" before its name.
+``finite`` is the rule for results and derived scales (k*T, hbar*w)
+beyond the double range: an OverflowError, a ZeroDivisionError from a
+denominator that underflowed to 0, inf and nan all raise a ValueError.
+``instance`` is the rule for object arguments (unit systems, oscillator
+and cavity specs, deformation parameters, polynomials): an instance of the
+named class, with "a" or "an" before its name.
 """
 
 from __future__ import annotations
