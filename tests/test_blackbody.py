@@ -767,7 +767,13 @@ class TestSweepMatchesScalarRoute:
             assert len(rows) == points
             assert bits(rows) == bits(scalar_sweep(*args))
 
-    @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()], ids=["natural", "si"])
+    @pytest.mark.parametrize("units", [
+        NATURAL, UnitSystem.si(),
+        UnitSystem(c_light=4e102),   # pi**2 c**3 overflows: every row leaves the float grouping
+        UnitSystem(c_light=1e-110),  # c**3 underflows to 0
+        UnitSystem(c_light=1e-104),  # c**3 is subnormal
+        UnitSystem(c_light=1e-100),  # a subnormal w**2 leaves it, c**3 is normal
+    ], ids=["natural", "si", "c=4e102", "c=1e-110", "c=1e-104", "c=1e-100"])
     def test_rows_are_bit_identical_across_the_double_range(self, units):
         rng = random.Random(f"wide-{units.mode}")
         for _ in range(40):
