@@ -605,6 +605,10 @@ class TestZeroPointCutoff:
 PI_SQUARED = Fraction(math.pi ** 2)  # the double the code uses
 
 
+def t4_coefficient(units):
+    return stefan_boltzmann_integral(units)[1]
+
+
 def exact_t4_coefficient(units):
     integral = Fraction(stefan_boltzmann_integral()[0])  # the same for every unit system
     return integral * Fraction(units.k_boltzmann) ** 4 / (
@@ -637,28 +641,21 @@ class TestCorrectRounding:
     each their exact closed form rounded once, with pi**2 and x* the doubles
     the code uses."""
 
-    @pytest.mark.parametrize("call, exact", [
+    @pytest.mark.parametrize("call, exact, args", [
         # a subnormal power or product zeroed or skewed the float grouping here
-        (lambda: stefan_boltzmann_integral(
-            UnitSystem(k_boltzmann=1e76, hbar=1e52, c_light=1e52))[1],      # 6.58e-9
-         lambda: exact_t4_coefficient(UnitSystem(k_boltzmann=1e76, hbar=1e52, c_light=1e52))),
-        (lambda: stefan_boltzmann_integral(
-            UnitSystem(k_boltzmann=1e-100, hbar=1e-30, c_light=1e-50))[1],  # 6.58e-161
-         lambda: exact_t4_coefficient(
-             UnitSystem(k_boltzmann=1e-100, hbar=1e-30, c_light=1e-50))),
-        (lambda: zero_point_cutoff_energy(1e70, UnitSystem(c_light=4e102)),  # 1.98e-30
-         lambda: exact_cutoff_energy(1e70, UnitSystem(c_light=4e102))),
-        (lambda: zero_point_cutoff_energy(1e-10, UnitSystem(c_light=1e-104)),
-         lambda: exact_cutoff_energy(1e-10, UnitSystem(c_light=1e-104))),
-        (lambda: wien_peak(1e-20, UnitSystem(k_boltzmann=1e-300, hbar=1e-300)),
-         lambda: exact_wien_peak(1e-20, UnitSystem(k_boltzmann=1e-300, hbar=1e-300))),
+        (t4_coefficient, exact_t4_coefficient,                             # 6.58e-9
+         (UnitSystem(k_boltzmann=1e76, hbar=1e52, c_light=1e52),)),
+        (t4_coefficient, exact_t4_coefficient,                             # 6.58e-161
+         (UnitSystem(k_boltzmann=1e-100, hbar=1e-30, c_light=1e-50),)),
+        (zero_point_cutoff_energy, exact_cutoff_energy, (1e70, UnitSystem(c_light=4e102))),
+        (zero_point_cutoff_energy, exact_cutoff_energy, (1e-10, UnitSystem(c_light=1e-104))),
+        (wien_peak, exact_wien_peak, (1e-20, UnitSystem(k_boltzmann=1e-300, hbar=1e-300))),
         # x* k T overflows, the peak is 2.82e307
-        (lambda: wien_peak(1e308, UnitSystem(hbar=10.0)),
-         lambda: exact_wien_peak(1e308, UnitSystem(hbar=10.0))),
+        (wien_peak, exact_wien_peak, (1e308, UnitSystem(hbar=10.0))),
     ], ids=["t4-1e76", "t4-1e-100", "cutoff-4e102", "cutoff-1e-104", "wien-1e-300",
             "wien-1e308"])
-    def test_row(self, call, exact):
-        assert call() == float(exact())
+    def test_row(self, call, exact, args):
+        assert call(*args) == float(exact(*args))
 
     def test_zero_point_density_where_omega_squared_is_subnormal(self):
         # w**2 = 3.1e-323 is subnormal; its float grouping was 5.5 % off
@@ -672,8 +669,7 @@ class TestCorrectRounding:
         systems = [NATURAL, UnitSystem.si()] + [
             UnitSystem(*(10 ** rng.uniform(-320, 300) for _ in range(3))) for _ in range(120)]
         for units in systems:
-            assert_rounded_once(lambda: stefan_boltzmann_integral(units)[1],
-                                exact_t4_coefficient(units))
+            assert_rounded_once(lambda: t4_coefficient(units), exact_t4_coefficient(units))
             for _ in range(4):
                 omega_cutoff, N = 10 ** rng.uniform(-320, 307), rng.choice((2.0, 3, 0.75))
                 assert_rounded_once(lambda: zero_point_cutoff_energy(omega_cutoff, units, N),
