@@ -4,23 +4,65 @@ This is the evaluation the library's parser used before it built each term
 directly: every atom becomes a whole ``PhasePolynomial`` through the public
 constructors, and ``+``, ``-``, ``*`` and ``**`` combine them, so every
 product and power goes through the multiplication kernel.  It shares the
-tokenizer and the grammar with ``phasestar.expressions``, and must give the
-same polynomial, or the same ParseError message and offset, for every input.
+grammar with ``phasestar.expressions``, and must give the same polynomial,
+or the same ParseError message and offset, for every input.
+
+``oracle_tokenize`` is the library's tokenizer as it was before it scanned
+in one pass: one ``finditer`` match and one ``Token`` per token, whitespace
+skipped as matches of its own.  ``tokenize`` must give the same tokens, or
+the same ParseError message and offset, for every string.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from typing import Mapping, Optional
 
 from phasestar.algebra import ComplexFraction, PhasePolynomial
 from phasestar.expressions import (MAX_NESTING, ParseError, Token, _VARIABLE_PATTERN,
-                                   _number_value, tokenize, validate_bindings)
+                                   _number_value, validate_bindings)
+
+# One alternative per token kind, tried in order; the group name is the kind.
+# Only ASCII digits, letters and whitespace count: anything else, unicode digit
+# lookalikes included, is an invalid character.
+_TOKEN_PATTERN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<bad_point>[0-9]+\.)(?![0-9])
+  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<plus>\+) | (?P<minus>-) | (?P<times>\*) | (?P<caret>\^)
+  | (?P<lparen>\() | (?P<rparen>\))
+  | (?P<invalid>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def oracle_tokenize(source: str) -> list:
+    """Split source text into tokens, or raise ParseError at the first bad byte
+    or at a decimal literal whose double overflows to inf or underflows to 0."""
+    if not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
+    tokens = []
+    for match in _TOKEN_PATTERN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        if kind == "bad_point":
+            raise ParseError("digit expected after decimal point", match.end() - 1)
+        if kind == "invalid":
+            raise ParseError(f"invalid character {match.group()!r}", match.start())
+        text = match.group()
+        if (kind == "number" and not text.isdigit() and float(text) in (0, math.inf)
+                and text.lower().partition("e")[0].strip("0.")):
+            raise ParseError(f"number {text} is outside the double range", match.start())
+        tokens.append(Token(kind, text, match.start()))
+    return tokens
 
 
 class _Parser:
     def __init__(self, source: str, dimension: int, bindings: dict):
         self.source = source
-        self.tokens = tokenize(source)
+        self.tokens = oracle_tokenize(source)
         self.pos = 0
         self.dimension = dimension
         self.bindings = bindings

@@ -177,6 +177,35 @@ class TestParse:
             parse_expression(source, 1)
         assert (info.value.message, info.value.position) == (message, offset)
 
+    @pytest.mark.parametrize("source, d, message, offset", [
+        ("\t\r\n", 1, "empty expression", 0),
+        ("q1 +\n\t)", 1, "unexpected token ')'", 6),
+        ("q1\t\tp1", 1, "unexpected token 'p1'", 4),
+        ("q1\t)\n", 1, "unexpected token ')'", 3),
+        ("q1 +\n\t", 1, "unexpected end of expression", 6),
+        ("q1^\t\t", 1, "unexpected end of expression", 5),
+        ("(q1\r\n", 1, "missing closing parenthesis", 5),
+        ("((q1)\t\n", 1, "missing closing parenthesis", 7),
+        ("q1^\t-2", 1, "negative exponent not allowed", 4),
+        ("q1^\r\n*", 1, "integer exponent expected after '^'", 5),
+        ("q1^ 2.0", 1, "exponent must be a non-negative integer literal", 4),
+        ("q1^\n1e2", 1, "exponent must be a non-negative integer literal", 4),
+        ("q1 * zz", 1, "unknown identifier 'zz'", 5),
+        ("\t\r\n zz", 1, "unknown identifier 'zz'", 4),
+        ("q1 *  q9", 3, "variable index 9 exceeds dimension 3", 6),
+        ("q1\t*\r\nq0", 1, "variable index 0 exceeds dimension 1", 6),
+        ("q1 *\n\tp4", 3, "variable index 4 exceeds dimension 3", 6),
+        ("\n" + "(\t" * MAX_NESTING + "(q1", 1, f"nesting deeper than {MAX_NESTING} levels",
+         2 * MAX_NESTING + 1),
+        ("\t" + "-\n" * (MAX_NESTING + 1) + "q1", 1, f"nesting deeper than {MAX_NESTING} levels",
+         2 * MAX_NESTING + 1),
+    ])
+    def test_errors_after_tabs_and_line_breaks_name_their_offset(self, source, d, message,
+                                                                 offset):
+        with pytest.raises(ParseError) as info:
+            parse_expression(source, d)
+        assert (info.value.message, info.value.position) == (message, offset)
+
     def test_nesting_limit_is_inclusive(self):
         deepest = "(" * MAX_NESTING + "q1" + ")" * MAX_NESTING
         assert parse_expression(deepest, 1) == q()

@@ -5,20 +5,26 @@ powers of parenthesised sums, ``i``, ``hbar``, bound names and zero
 coefficients at d = 1, 2 and 3.  Both parsers must return equal polynomials
 under ``==``; on malformed mutations of the same texts they must raise the
 same ParseError message at the same offset (or the same other ValueError).
+Seeded strings over the mutation alphabet, other whitespace, non-ASCII
+characters and literals at the edges of the grammar and the double range
+compare ``tokenize`` with ``oracle_tokenize`` the same way.
 """
 
 import random
 
 import pytest
-from parse_oracle import oracle_parse_expression
+from parse_oracle import oracle_parse_expression, oracle_tokenize
 
 from phasestar import algebra
-from phasestar.expressions import ParseError, parse_expression
+from phasestar.expressions import ParseError, parse_expression, tokenize
 
 BINDINGS = {"omega": 1.5, "c": 0.7071067811865476, "z": 0}
 NUMBERS = ("0", "1", "2", "3", "7", "0.5", "2.25", "1e-3", "12.5e1")
 EXPRESSIONS_PER_CASE = 40
 MUTATION_CHARACTERS = "+-*^() 1q2p.ie"
+TOKENIZER_PIECES = (*MUTATION_CHARACTERS, "\t", "\r", "\n", "\x0b", "\x0c", "\u0663", "\u00e9",
+                    "9.", "1.e5", "8e1.", "1e999", "1e-400", "0.0e5")
+TOKENIZER_STRINGS_PER_SEED = 5000
 
 
 def _atom(rng, d, depth):
@@ -105,3 +111,26 @@ def test_kernel_runs_only_for_parenthesised_sums(monkeypatch, text, kernel_calls
     monkeypatch.setattr(algebra, "_moyal_product", counting)
     assert parse_expression(text, 1) == expected
     assert len(calls) == kernel_calls
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return "ok", tokenizer(text)
+    except ParseError as error:
+        return "ParseError", error.message, error.position
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tokenize_agrees_with_oracle(seed):
+    rng = random.Random(f"tokenize-oracle-{seed}")
+    texts = ["", " ", "\t", "\r\n", " \t\r\n  "]
+    texts += ["".join(rng.choices(TOKENIZER_PIECES, k=rng.randint(0, 12)))
+              for _ in range(TOKENIZER_STRINGS_PER_SEED)]
+    messages = set()
+    for text in texts:
+        expected = _tokens_or_error(oracle_tokenize, text)
+        assert _tokens_or_error(tokenize, text) == expected, repr(text)
+        messages.add(expected[0] if expected[0] == "ok" else expected[1].split()[0])
+    # every outcome of the tokenizer is reached: tokens, and the invalid
+    # character, dangling point and double range rejections
+    assert messages == {"ok", "invalid", "digit", "number"}
