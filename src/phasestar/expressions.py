@@ -20,18 +20,16 @@ is the imaginary unit and ``hbar`` is one unit of the formal grading; these
 names are reserved.  Any other identifier must be supplied through a
 bindings mapping of name to real value.
 
-The parser builds each term directly, on the integer storage of
-``algebra``.  A product of atoms (numbers, ``i``, ``hbar``, variables and
-bound names, each with an optional power, under any unary minus) becomes one
-term as it is parsed: exponents add, and the coefficient, a Gaussian integer
-over a positive integer denominator, starts at 1 and takes each scalar
-factor, powers by squaring.  Numbers and bound names enter as the triple
-(x, y, D) that ``algebra._gaussian`` reads, as every scalar of the algebra
-does.  The terms of an expression are summed by ``algebra._sum`` over the
-lcm of their denominators and made canonical once, at the end.  Only a
-parenthesised sum of more than one term goes through the multiplication
-kernel, when it is multiplied or raised to a power; a parenthesised single
-term folds in like an atom.  ``format_canonical`` reads the same pairs.
+One regex ``findall`` scans the source into the texts of its tokens, each
+kind read from its first character; offsets come from a second scan, made
+only for the tokens ``tokenize`` returns or for a ParseError.  The parser
+reads the two lists by index and builds each term on the integer storage
+of ``algebra``: exponents add, and the coefficient (x + i*y)/D, read as
+``algebra._gaussian`` reads every scalar, starts at 1 and takes each scalar
+factor, powers by squaring.  ``algebra._sum`` adds the terms over the lcm
+of their denominators and makes them canonical once.  Only a parenthesised
+sum of more than one term goes through the multiplication kernel; a
+parenthesised single term folds in like an atom.
 
 ``format_canonical`` renders a polynomial deterministically (terms sorted by
 hbar grade, then total degree, then descending exponent order) using the
@@ -42,6 +40,7 @@ coefficient of ``f`` is exactly representable as a float or an integer.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from decimal import Decimal
@@ -88,40 +87,63 @@ class Token(NamedTuple):
     position: int
 
 
-# One alternative per token kind, tried in order; the group name is the kind.
-# Only ASCII digits, letters and whitespace count: anything else, unicode digit
-# lookalikes included, is an invalid character.
-_TOKEN_PATTERN = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<bad_point>[0-9]+\.)(?![0-9])
-  | (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<plus>\+) | (?P<minus>-) | (?P<times>\*) | (?P<caret>\^)
-  | (?P<lparen>\() | (?P<rparen>\))
-  | (?P<invalid>.)
-""", re.VERBOSE | re.DOTALL)
+# One scan finds every token: whitespace is skipped outside the group, which
+# holds a number, an identifier or one other character.  Only ASCII counts, so
+# a unicode digit lookalike, like a point outside a number, is a character
+# that starts no token (no ``_KINDS`` entry) and that ``_check`` rejects.
+_TOKEN_PATTERN = re.compile(
+    r"[ \t\r\n]*([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*|[^ \t\r\n])")
+_KINDS = {**dict.fromkeys("0123456789", "number"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "identifier"),
+          "+": "plus", "-": "minus", "*": "times", "^": "caret", "(": "lparen", ")": "rparen"}
+# A literal beyond the double range has an exponent of three or more digits
+# or, with at most two (at most 1e99), a run of over 200 digits before or
+# after its point or exponent.  Where this finds none, every literal fits.
+_FAR_LITERAL = re.compile(r"[.eE](?:(?<=[eE])[+-]?[0-9]{3}|(?<=\.)[0-9]{200}|(?<=[0-9]{200}.))")
+
+
+def _offsets(source: str) -> list:
+    """The offset of every token of ``source``, then of its end."""
+    return [*(match.start(1) for match in _TOKEN_PATTERN.finditer(source)), len(source)]
+
+
+def _check(source: str, texts: list) -> None:
+    """Raise ParseError at the first text that is no token, or at the first
+    decimal literal whose double overflows to inf or underflows to 0."""
+    for at, text in enumerate(texts):
+        kind = _KINDS.get(text[0])
+        if kind is None:
+            start = _offsets(source)[at]
+            if text == "." and at and texts[at - 1].isdigit() and source[start - 1].isdigit():
+                raise ParseError("digit expected after decimal point", start)
+            raise ParseError(f"invalid character {text!r}", start)
+        if (kind == "number" and not text.isdigit() and float(text) in (0, math.inf)
+                and text.lower().partition("e")[0].strip("0.")):
+            raise ParseError(f"number {text} is outside the double range", _offsets(source)[at])
+
+
+def _scan(source: str) -> tuple:
+    """The kinds and the texts of the tokens of ``source``, as two lists."""
+    if not isinstance(source, str):
+        raise ValueError(f"source must be a string, got {source!r}")
+    texts = _TOKEN_PATTERN.findall(source)
+    try:
+        kinds = [_KINDS[text[0]] for text in texts]
+    except KeyError:
+        kinds = None
+    if kinds is None or _FAR_LITERAL.search(source):
+        _check(source, texts)
+    return kinds, texts
 
 
 def tokenize(source: str) -> list:
     """Split source text into tokens, or raise ParseError at the first bad byte
-    or at a decimal literal whose double overflows to inf or underflows to 0."""
-    if not isinstance(source, str):
-        raise ValueError(f"source must be a string, got {source!r}")
-    tokens = []
-    for match in _TOKEN_PATTERN.finditer(source):
-        kind = match.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad_point":
-            raise ParseError("digit expected after decimal point", match.end() - 1)
-        if kind == "invalid":
-            raise ParseError(f"invalid character {match.group()!r}", match.start())
-        text = match.group()
-        if (kind == "number" and not text.isdigit() and float(text) in (0, math.inf)
-                and text.lower().partition("e")[0].strip("0.")):
-            raise ParseError(f"number {text} is outside the double range", match.start())
-        tokens.append(Token(kind, text, match.start()))
-    return tokens
+    or at a decimal literal whose double overflows to inf or underflows to 0.
+
+    One regex scan finds the texts; offsets come from a second scan, made
+    only for the tokens returned here or for a ParseError."""
+    kinds, texts = _scan(source)
+    return list(map(Token, kinds, texts, _offsets(source)))
 
 
 def validate_bindings(bindings: Optional[Mapping]) -> dict:
@@ -223,46 +245,55 @@ def _power(re, im, n: int) -> tuple:
         re, im = re * re - im * im, 2 * re * im
 
 
+@functools.lru_cache(maxsize=8)
+def _reserved_names(dimension: int) -> dict:
+    """What each reserved name stands for at ``dimension``: q1..qd and
+    p1..pd their exponent slots, hbar the grade slot and i its scalar."""
+    names = {f"{letter}{k}": first + k - 1 for letter, first in (("q", 0), ("p", dimension))
+             for k in range(1, dimension + 1)}
+    return {**names, "hbar": 2 * dimension, "i": (0, 1, 1)}
+
+
 class _Parser:
-    """Recursive descent; the end of input is one more token, ``end``."""
+    """Recursive descent over the columns ``kinds`` and ``texts`` of the
+    tokens, read by index ``at``; the end of input is one more kind, ``end``."""
 
     def __init__(self, source: str, dimension: int, bindings: Optional[Mapping]):
-        self.tokens = iter([*tokenize(source), Token("end", "", len(source))])
-        self.token = next(self.tokens)
+        kinds, texts = _scan(source)
+        self.kinds, self.texts = [*kinds, "end"], [*texts, ""]
+        self.source = source
+        self.at = 0
         self.dimension = _checked_dimension(dimension)
+        self.names = _reserved_names(self.dimension)
         self.bindings = validate_bindings(bindings)
         self.depth = 0
 
-    def advance(self) -> Token:
-        """Consume and return the next token, which must not be the end."""
-        token = self.token
-        if token.kind == "end":
-            raise ParseError("unexpected end of expression", token.position)
-        self.token = next(self.tokens)
-        return token
+    def error(self, message: str, at: int) -> ParseError:
+        """The ParseError ``message`` at the offset of token ``at``."""
+        return ParseError(message, _offsets(self.source)[at])
 
-    def nested(self, opener: Token, parse):
-        """Run one nested parse step below ``opener``, within MAX_NESTING."""
+    def nested(self, opener: int, parse):
+        """Run one nested parse step below token ``opener``, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", opener.position)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
         result = parse()
         self.depth -= 1
         return result
 
     def parse(self) -> PhasePolynomial:
-        if self.token.kind == "end":
+        if self.kinds[0] == "end":
             raise ParseError("empty expression", 0)
         result = self.expr()
-        if self.token.kind != "end":
-            raise ParseError(f"unexpected token {self.token.text!r}", self.token.position)
+        if self.kinds[self.at] != "end":
+            raise self.error(f"unexpected token {self.texts[self.at]!r}", self.at)
         return result
 
     def expr(self) -> PhasePolynomial:
         """The sum of every summand, made canonical once."""
         parts = [self.term().rows()]
-        while (kind := self.token.kind) in ("plus", "minus"):
-            self.advance()
+        while (kind := self.kinds[self.at]) in ("plus", "minus"):
+            self.at += 1
             product = self.term()
             if kind == "minus":
                 product.scale(-1, 0)
@@ -272,68 +303,67 @@ class _Parser:
     def term(self) -> _Product:
         product = _Product(self.dimension)
         self.factor(product)
-        while self.token.kind == "times":
-            self.advance()
+        while self.kinds[self.at] == "times":
+            self.at += 1
             self.factor(product)
         return product
 
     def factor(self, product: _Product) -> None:
-        token = self.token
-        if token.kind == "minus":
-            self.advance()
-            self.nested(token, lambda: self.factor(product))
+        at = self.at
+        if self.kinds[at] == "minus":
+            self.at = at + 1
+            self.nested(at, lambda: self.factor(product))
             product.scale(-1, 0)
             return
         base = self.atom()
-        if self.token.kind == "caret":
-            self.advance()
+        if self.kinds[self.at] == "caret":
+            self.at += 1
             product.include(base, self.exponent())
         else:
             product.include(base, 1)
 
     def exponent(self) -> int:
-        token = self.advance()
-        if token.kind == "minus":
-            raise ParseError("negative exponent not allowed", token.position)
-        if token.kind != "number":
-            raise ParseError("integer exponent expected after '^'", token.position)
-        if any(c in token.text for c in ".eE"):
-            raise ParseError("exponent must be a non-negative integer literal",
-                             token.position)
-        return int(token.text)
+        at = self.at
+        kind, text = self.kinds[at], self.texts[at]
+        self.at = at + 1
+        if kind == "number" and text.isdigit():
+            return int(text)
+        message = {"end": "unexpected end of expression", "minus": "negative exponent not allowed",
+                   "number": "exponent must be a non-negative integer literal"}
+        raise self.error(message.get(kind, "integer exponent expected after '^'"), at)
 
     def atom(self):
         """An exponent slot, a scalar (x, y, D) or a parenthesised polynomial."""
-        token = self.advance()
-        if token.kind == "number":
-            return _gaussian(_number_value(token.text))
-        if token.kind == "identifier":
-            return self.identifier(token)
-        if token.kind == "lparen":
-            inner = self.nested(token, self.expr)
-            if self.token.kind != "rparen":
-                raise ParseError("missing closing parenthesis", self.token.position)
-            self.advance()
+        at = self.at
+        kind = self.kinds[at]
+        self.at = at + 1
+        if kind == "identifier":
+            base = self.names.get(self.texts[at])
+            return self.identifier(at) if base is None else base
+        if kind == "number":
+            return _gaussian(_number_value(self.texts[at]))
+        if kind == "lparen":
+            inner = self.nested(at, self.expr)
+            if self.kinds[self.at] != "rparen":
+                raise self.error("missing closing parenthesis", self.at)
+            self.at += 1
             return inner
-        raise ParseError(f"unexpected token {token.text!r}", token.position)
+        if kind == "end":
+            raise self.error("unexpected end of expression", at)
+        raise self.error(f"unexpected token {self.texts[at]!r}", at)
 
-    def identifier(self, token: Token):
-        name = token.text
-        if name == "i":
-            return 0, 1, 1
-        if name == "hbar":
-            return 2 * self.dimension
+    def identifier(self, at: int):
+        """A name the reserved table lacks: q01, q0, qN past d, or a bound name."""
+        name = self.texts[at]
         match = _VARIABLE_PATTERN.match(name)
         if match:
             index = int(match.group(2))
             if index < 1 or index > self.dimension:
-                raise ParseError(
-                    f"variable index {index} exceeds dimension {self.dimension}",
-                    token.position)
+                raise self.error(f"variable index {index} exceeds dimension {self.dimension}", at)
             return index - 1 if match.group(1) == "q" else self.dimension + index - 1
         if name in self.bindings:
             return _gaussian(self.bindings[name])
-        raise ParseError(f"unknown identifier {name!r}", token.position)
+        raise self.error(f"unknown identifier {name!r}", at)
 
 
 def _number_value(text: str) -> Union[int, Fraction]:
