@@ -71,13 +71,13 @@ class TestMeanOscillatorEnergy:
         omega = 1.0
         value = mean_oscillator_energy(omega, temperature_for_x(math.log(2)),
                                        include_zero_point=False)
-        assert value == pytest.approx(1.0, rel=1e-14)
+        assert value == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_unit_x_value(self):
         # independent direct evaluation of the two summands
         expected = 1 / (math.e - 1) + 0.5
         value = mean_oscillator_energy(1.0, temperature_for_x(1.0))
-        assert value == pytest.approx(expected, rel=1e-15)
+        assert value == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_domain_validation(self):
         for omega, temperature in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0),
@@ -111,7 +111,7 @@ class TestSpectralDensity:
     def test_unit_point_composition(self):
         point = spectral_density(1.0, temperature_for_x(1.0))
         expected_total = (1 / math.pi ** 2) * (1 / (math.e - 1) + 0.5)
-        assert point.total_density == pytest.approx(expected_total, rel=1e-14)
+        assert point.total_density == pytest.approx(expected_total, rel=1e-14, abs=0)
 
     def test_flag_off_reproduces_textbook_law(self):
         point = spectral_density(1.0, 1.0, include_zero_point=False)
@@ -157,10 +157,10 @@ class TestSpectralDensity:
         states = (omega / c_light) ** 2 / (math.pi ** 2 * c_light)
         point = spectral_density(omega, temperature, units)
         thermal = 0.0 if x > 700 else states * omega / math.expm1(x)
-        assert point.thermal_density == pytest.approx(thermal, rel=1e-14)
-        assert point.zero_point_density == pytest.approx(states * omega / 2, rel=1e-14)
+        assert point.thermal_density == pytest.approx(thermal, rel=1e-14, abs=0)
+        assert point.zero_point_density == pytest.approx(states * omega / 2, rel=1e-14, abs=0)
         assert rayleigh_jeans_density(omega, temperature, units) == pytest.approx(
-            states * temperature, rel=1e-14)
+            states * temperature, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si(), UnitSystem(c_light=0.7371)],
                              ids=["natural", "si", "c=0.7371"])
@@ -200,7 +200,7 @@ class TestSpectralDensity:
         x = dimensionless_x(omega, temperature, units)
         expected_thermal = (omega ** 2 / (math.pi ** 2 * units.c_light ** 3)) \
             * units.hbar * omega / math.expm1(x)
-        assert point.thermal_density == pytest.approx(expected_thermal, rel=1e-12)
+        assert point.thermal_density == pytest.approx(expected_thermal, rel=1e-12, abs=0)
 
 
 class TestLadderSumRoute:
@@ -225,7 +225,7 @@ class TestLadderSumRoute:
         brute_mean = sum(e * w for e, w in zip(energies, weights)) / sum(weights)
         point = spectral_density_ladder_sum(1.0, temperature_for_x(x))
         mean_from_point = (point.total_density * math.pi ** 2)
-        assert mean_from_point == pytest.approx(brute_mean, rel=1e-12)
+        assert mean_from_point == pytest.approx(brute_mean, rel=1e-12, abs=0)
 
     def test_weight_scaling_cancels_in_the_ratio(self):
         # multiplying every Boltzmann weight by a constant leaves the
@@ -238,7 +238,7 @@ class TestLadderSumRoute:
             brute_mean = sum(e * w for e, w in zip(energies, weights)) / sum(weights)
             point = spectral_density_ladder_sum(1.0, temperature_for_x(x), n_max=n_max)
             assert point.total_density * math.pi ** 2 == pytest.approx(
-                brute_mean, rel=1e-12)
+                brute_mean, rel=1e-12, abs=0)
 
     def test_ground_term_only(self):
         point = spectral_density_ladder_sum(1.0, temperature_for_x(1.0), n_max=0)
@@ -262,7 +262,7 @@ class TestLadderSumRoute:
             a = spectral_density_ladder_sum(1.0, temperature_for_x(x), n_max=n_max)
             b = spectral_density_ladder_sum(1.0, temperature_for_x(x),
                                             n_max=2 * n_max + 16)
-            assert a.total_density == pytest.approx(b.total_density, rel=1e-13)
+            assert a.total_density == pytest.approx(b.total_density, rel=1e-13, abs=0)
 
     def test_cap_exceeded_reports_requirement(self):
         with pytest.raises(LadderTermCapExceeded) as info:
@@ -340,12 +340,12 @@ class TestBlockedLadderSum:
         # 65 537 levels is two blocks; x = 1e-4 takes 640 268 levels, 10 blocks
         closed = spectral_density(1.0, temperature).thermal_density
         summed = spectral_density_ladder_sum(1.0, temperature, n_max=n_max).thermal_density
-        assert summed == pytest.approx(closed, rel=1e-14)
+        assert summed == pytest.approx(closed, rel=1e-14, abs=0)
         x = 1.0 / temperature
         energy = ladder_energy(monkeypatch, temperature, n_max=n_max)
         one_shot = one_shot_ladder_energy(x, ladder_terms_for_tolerance(x)
                                           if n_max is None else n_max)
-        assert energy == pytest.approx(one_shot, rel=1e-14)
+        assert energy == pytest.approx(one_shot, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("temperature,n_max", [
         (1024.0, 65_536), (1024.0, 131_071), (1024.0, 131_072), (1e4, None)])
@@ -408,7 +408,7 @@ class TestClassicalLimit:
         point = spectral_density(1e-150, 1e300)
         assert math.isfinite(point.total_density)
         assert point.thermal_density == pytest.approx(
-            rayleigh_jeans_density(1e-150, 1e300), rel=1e-15)
+            rayleigh_jeans_density(1e-150, 1e300), rel=1e-15, abs=0)
         assert mean_oscillator_energy(1e-150, 1e300, include_zero_point=False) == 1e300
 
     def test_overflowing_density_names_omega(self):
@@ -419,7 +419,7 @@ class TestClassicalLimit:
 
     def test_linear_in_temperature(self):
         assert rayleigh_jeans_density(1.0, 6.0) == pytest.approx(
-            3 * rayleigh_jeans_density(1.0, 2.0), rel=1e-15)
+            3 * rayleigh_jeans_density(1.0, 2.0), rel=1e-15, abs=0)
 
 
 class TestWienPeak:
@@ -454,7 +454,7 @@ class TestWienPeak:
         assert wien_x_constant() == pytest.approx(2.821439, abs=1e-6)
 
     def test_linear_scaling_with_temperature(self):
-        assert wien_peak(2.0) == pytest.approx(2 * wien_peak(1.0), rel=1e-15)
+        assert wien_peak(2.0) == pytest.approx(2 * wien_peak(1.0), rel=1e-15, abs=0)
 
     def test_peak_domain(self):
         for temperature in (0.0, -1.0, math.nan, math.inf):
@@ -555,12 +555,12 @@ class TestStefanBoltzmann:
         integral, coefficient = stefan_boltzmann_integral(units)
         exact = Fraction(integral) * Fraction(units.k_boltzmann) ** 4 / (
             Fraction(units.hbar) ** 3 * Fraction(units.c_light) ** 3 * Fraction(math.pi) ** 2)
-        assert coefficient == pytest.approx(float(exact), rel=1e-15)
+        assert coefficient == pytest.approx(float(exact), rel=1e-15, abs=0)
 
     def test_integrand_limit_at_zero(self):
         from phasestar.blackbody import _bose_integrand
         assert _bose_integrand(0.0) == 0.0
-        assert _bose_integrand(1e-8) == pytest.approx(1e-16, rel=1e-6)
+        assert _bose_integrand(1e-8) == pytest.approx(1e-16, rel=1e-6, abs=0)
 
 
 class TestZeroPointCutoff:
@@ -574,11 +574,11 @@ class TestZeroPointCutoff:
 
     def test_natural_unit_value(self):
         assert zero_point_cutoff_energy(1.0) == pytest.approx(
-            1 / (8 * math.pi ** 2), rel=1e-15)
+            1 / (8 * math.pi ** 2), rel=1e-15, abs=0)
 
     def test_general_n_scaling(self):
         assert zero_point_cutoff_energy(1.0, N=4.0) == pytest.approx(
-            0.5 * zero_point_cutoff_energy(1.0, N=2.0), rel=1e-15)
+            0.5 * zero_point_cutoff_energy(1.0, N=2.0), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("omega_cutoff, units", [
         (1e100, NATURAL),                        # wc**4 overflows
@@ -599,7 +599,7 @@ class TestZeroPointCutoff:
         exact = Fraction(units.hbar) * Fraction(omega_cutoff) ** 4 / (
             8 * Fraction(math.pi) ** 2 * Fraction(units.c_light) ** 3)
         assert zero_point_cutoff_energy(omega_cutoff, units) == pytest.approx(
-            float(exact), rel=1e-15)
+            float(exact), rel=1e-15, abs=0)
 
 
 PI_SQUARED = Fraction(math.pi ** 2)  # the double the code uses
@@ -686,12 +686,12 @@ class TestSweep:
         assert len(points) == 25
         omegas = [p.omega for p in points]
         assert omegas == sorted(omegas)
-        assert omegas[0] == pytest.approx(0.1)
-        assert omegas[-1] == pytest.approx(10.0)
+        assert omegas[0] == pytest.approx(0.1, abs=0)
+        assert omegas[-1] == pytest.approx(10.0, abs=0)
 
     def test_linear_spacing(self):
         points = spectrum_sweep(1.0, 1.0, 2.0, 3, spacing="linear")
-        assert [p.omega for p in points] == pytest.approx([1.0, 1.5, 2.0])
+        assert [p.omega for p in points] == pytest.approx([1.0, 1.5, 2.0], abs=0)
 
     def test_determinism(self):
         a = spectrum_sweep(2.0, 0.5, 8.0, 11)
@@ -920,7 +920,7 @@ class TestFrequencyView:
                 assert per_nu.thermal_density == 2 * math.pi * per_omega.thermal_density
                 assert per_nu.zero_point_density == 2 * math.pi * per_omega.zero_point_density
                 assert per_nu.total_density == pytest.approx(
-                    2 * math.pi * per_omega.total_density, rel=1e-15)
+                    2 * math.pi * per_omega.total_density, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("nu", [1e308, 3e307])
     def test_overflowing_angular_frequency_names_nu(self, nu):

@@ -69,7 +69,7 @@ class TestEnumerateModes:
         modes = enumerate_modes(spec, lowest_omega * 1.001)
         assert len(modes) == 1
         assert modes[0].lattice_triple == (1, 1, 1)
-        assert modes[0].omega == pytest.approx(lowest_omega, rel=1e-15)
+        assert modes[0].omega == pytest.approx(lowest_omega, rel=1e-15, abs=0)
         assert modes[0].polarization_count == 2
 
     def test_lowest_shell_is_inclusive(self):
@@ -90,7 +90,7 @@ class TestEnumerateModes:
         triples = {m.lattice_triple for m in modes}
         assert triples == {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                            (0, 0, 1), (0, 0, -1)}
-        assert all(m.omega == pytest.approx(shell_omega) for m in modes)
+        assert all(m.omega == pytest.approx(shell_omega, abs=0) for m in modes)
 
     def test_ordering_and_uniqueness(self):
         spec = CavitySpec(side_length=1.0, boundary_convention=STANDING)
@@ -119,7 +119,7 @@ class TestEnumerateModes:
         assert [m.lattice_triple for m in modes_unit] == \
             [m.lattice_triple for m in modes_double]
         for a, b in zip(modes_unit, modes_double):
-            assert a.omega == pytest.approx(2 * b.omega, rel=1e-15)
+            assert a.omega == pytest.approx(2 * b.omega, rel=1e-15, abs=0)
 
     def test_cap_reports_requirement(self):
         spec = CavitySpec(side_length=1.0)
@@ -154,7 +154,7 @@ class TestEnumerateModes:
         lowest = math.pi * units.c_light * math.sqrt(3)
         modes = enumerate_modes(spec, lowest * 1.001, units)
         assert len(modes) == 1
-        assert modes[0].omega == pytest.approx(lowest, rel=1e-15)
+        assert modes[0].omega == pytest.approx(lowest, rel=1e-15, abs=0)
 
 
 class TestCounting:
@@ -229,7 +229,7 @@ class TestCounting:
         omega_max = 40.0
         report = mode_count_vs_asymptotic(spec, omega_max)
         expected = 27.0 * omega_max ** 3 / (3 * math.pi ** 2)
-        assert report.asymptotic_count == pytest.approx(expected, rel=1e-15)
+        assert report.asymptotic_count == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_error_decreases_over_doubling_sweep(self):
         spec = CavitySpec(boundary_convention=STANDING)
@@ -373,7 +373,7 @@ class TestCounting:
             warnings.simplefilter("ignore")  # the few-modes advisory
             report = mode_count_vs_asymptotic(CavitySpec(side_length=side_length), omega_max)
         assert report.asymptotic_count == pytest.approx(
-            float(ratio ** 3 / (3 * Fraction(math.pi) ** 2)), rel=1e-15)
+            float(ratio ** 3 / (3 * Fraction(math.pi) ** 2)), rel=1e-15, abs=0)
 
     def test_electromagnetic_budget_requires_standing(self):
         with pytest.raises(ValueError):
@@ -516,8 +516,8 @@ class TestFieldEnergy:
     def test_prefactored_zero_point_single_oscillator(self):
         mode = self.one_mode(omega=1.0, polarizations=1)
         result = field_energy([mode], [[ModeAmplitude(0.0, 0.0)]], N=2.0)
-        assert result.zero_point_prefactored == pytest.approx(0.25, rel=1e-15)
-        assert result.zero_point_per_oscillator == pytest.approx(0.5, rel=1e-15)
+        assert result.zero_point_prefactored == pytest.approx(0.25, rel=1e-15, abs=0)
+        assert result.zero_point_per_oscillator == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_kinetic_term_only(self):
         mode = self.one_mode(polarizations=1)
@@ -558,9 +558,9 @@ class TestFieldEnergy:
                 [ModeAmplitude(0.5, 0.5), ModeAmplitude(2.0, 0.0)]]
         forward = field_energy(modes, rows)
         backward = field_energy(modes[::-1], rows[::-1])
-        assert forward.classical == pytest.approx(backward.classical, rel=1e-15)
+        assert forward.classical == pytest.approx(backward.classical, rel=1e-15, abs=0)
         assert forward.zero_point_per_oscillator == pytest.approx(
-            backward.zero_point_per_oscillator, rel=1e-15)
+            backward.zero_point_per_oscillator, rel=1e-15, abs=0)
 
     def test_zero_point_ignores_amplitudes(self):
         mode = self.one_mode()
@@ -603,7 +603,7 @@ class TestFieldEnergy:
         rows = [[ModeAmplitude(0.0, 0.0)] * 2]
         result = field_energy(modes, rows, N=3.0)
         assert result.zero_point_per_oscillator == pytest.approx(
-            2 * result.zero_point_prefactored, rel=1e-15)
+            2 * result.zero_point_prefactored, rel=1e-15, abs=0)
 
 
 class TestSpecValidation:

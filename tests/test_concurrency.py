@@ -12,7 +12,9 @@ from phasestar import cavity
 from phasestar.cavity import (PERIODIC, STANDING, CavitySpec,
                               electromagnetic_standing_mode_count, enumerate_modes,
                               mode_count_vs_asymptotic)
+from phasestar import expressions
 from phasestar.checks import random_phase_polynomial
+from phasestar.expressions import ParseError, format_canonical, parse_expression
 from phasestar.star import DeformationParameter, star_product
 
 
@@ -124,3 +126,46 @@ def test_concurrent_census_and_budget_calls_match_sequential():
     assert len(results) == 8
     for index, result in enumerate(results):
         assert result == sequential[index % 3:] + sequential[:index % 3]
+
+
+def test_concurrent_parses_and_renders_match_sequential():
+    # the threads fill the shared per-dimension table of reserved names together
+    rng = random.Random(3131)
+    param = DeformationParameter(N=2)
+    texts = []
+    for d in (1, 2, 3):
+        for _ in range(6):
+            f, g = (random_phase_polynomial(rng, d, max_degree=4, complex_coefficients=True)
+                    for _ in range(2))
+            text = format_canonical(star_product(f, g, param))
+            texts += [(text, d), (text + " * q" + str(d + 1), d)]
+
+    def round_trip(case):
+        text, d = case
+        try:
+            parsed = parse_expression(text, d)
+        except ParseError as error:
+            return error.message, error.position
+        return parsed, format_canonical(parsed)
+
+    expressions._reserved_names.cache_clear()
+    sequential = list(map(round_trip, texts))
+    expressions._reserved_names.cache_clear()
+    barrier = threading.Barrier(8)
+
+    def round_trips_after_barrier(index):
+        barrier.wait(timeout=30)
+        return [round_trip(case) for case in texts[index:] + texts[:index]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(round_trips_after_barrier, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for index, result in enumerate(results):
+        assert result == sequential[index:] + sequential[:index]
+    # every second text ends in a variable past d and is a ParseError
+    assert [isinstance(outcome[0], str) for outcome in sequential] == [False, True] * 18
