@@ -103,8 +103,8 @@ _FAR_LITERAL = re.compile(r"[.eE](?:(?<=[eE])[+-]?[0-9]{3}|(?<=\.)[0-9]{200}|(?<
 
 
 def _offsets(source: str) -> list:
-    """The offset of every token of ``source``, then of its end."""
-    return [*(match.start(1) for match in _TOKEN_PATTERN.finditer(source)), len(source)]
+    """The offset of every token of ``source``."""
+    return [match.start(1) for match in _TOKEN_PATTERN.finditer(source)]
 
 
 def _check(source: str, texts: list) -> None:
@@ -247,8 +247,8 @@ def _power(re, im, n: int) -> tuple:
 
 @functools.lru_cache(maxsize=8)
 def _reserved_names(dimension: int) -> dict:
-    """What each reserved name stands for at ``dimension``: q1..qd and
-    p1..pd their exponent slots, hbar the grade slot and i its scalar."""
+    """What each reserved name stands for at ``dimension``, read-only as every parse
+    shares it: q1..qd and p1..pd their exponent slots, hbar the grade slot, i its scalar."""
     names = {f"{letter}{k}": first + k - 1 for letter, first in (("q", 0), ("p", dimension))
              for k in range(1, dimension + 1)}
     return {**names, "hbar": 2 * dimension, "i": (0, 1, 1)}
@@ -269,8 +269,8 @@ class _Parser:
         self.depth = 0
 
     def error(self, message: str, at: int) -> ParseError:
-        """The ParseError ``message`` at the offset of token ``at``."""
-        return ParseError(message, _offsets(self.source)[at])
+        """The ParseError ``message`` at the offset of token ``at``, or of the end."""
+        return ParseError(message, [*_offsets(self.source), len(self.source)][at])
 
     def nested(self, opener: int, parse):
         """Run one nested parse step below token ``opener``, within MAX_NESTING."""
