@@ -421,6 +421,57 @@ class TestEnumerationOracle:
         assert len({sum(n * n for n in mode.lattice_triple) for mode in modes}) == shells
         self.assert_matches_oracle(spec, 1e-322, units)
 
+    def test_every_radius_order_matches_the_oracle(self):
+        # Later enumerations of one cavity may be served from the rows of an
+        # earlier, larger one: every result must still be the oracle's, in any
+        # radius order, after refusing caps, and whatever the caller does to
+        # the lists it was given.
+        rng = random.Random(3232)
+        cavities = [(CavitySpec(side_length=side_length, boundary_convention=convention,
+                                polarizations_per_mode=polarizations), units)
+                    for convention in (STANDING, PERIODIC)
+                    for side_length in (1.0, 0.37, 1e-3)
+                    for polarizations in (1, 2, 3)
+                    for units in (NATURAL, UnitSystem(c_light=5e-324))]
+        radii = (0.5, 1.0, 1.8, 2.9, 4.1, 5.5, 7.3)
+        oracle = {}
+
+        def omega_max(spec, units, radius):
+            factor = math.pi if spec.boundary_convention == STANDING else 2 * math.pi
+            return factor * units.c_light / spec.side_length * radius
+
+        def check(spec, units, radius):
+            omega = omega_max(spec, units, radius)
+            key = (spec, units.c_light, radius)
+            if key not in oracle:
+                oracle[key] = oracle_enumerate_modes(spec, omega, units)
+            expected = oracle[key]
+            if expected and rng.random() < 0.2:
+                with pytest.raises(ModeCapExceeded) as refusal:
+                    enumerate_modes(spec, omega, units, cap=len(expected) - 1)
+                assert refusal.value.required_cap == len(expected)
+            modes = enumerate_modes(spec, omega, units)
+            assert type(modes) is list
+            assert_same_modes(modes, expected)
+            mutation = rng.randrange(4)
+            if mutation == 0:
+                modes.append(Mode((0, 0, 0), 0.0, 1))
+            elif mutation == 1:
+                modes.clear()
+            elif mutation == 2:
+                del modes[:rng.randrange(len(modes) + 1)]
+
+        shuffled = list(radii)
+        for spec, units in cavities:
+            rng.shuffle(shuffled)
+            for order in (radii, radii[::-1], shuffled):
+                for radius in order:
+                    check(spec, units, radius)
+        calls = [(spec, units, radius) for spec, units in cavities for radius in radii]
+        rng.shuffle(calls)
+        for call in calls:
+            check(*call)
+
 
 class TestCollectorState:
     """``enumerate_modes`` pauses the cyclic collector for its row build only
