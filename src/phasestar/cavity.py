@@ -31,13 +31,18 @@ fixed size: below 2**52 the truncated float root is already exact.  T and
 P are cached per shell bound, so the count, the budget and the enumeration's
 cap check at one radius share one census pass.  The enumeration expands each
 (n1, n2) row into its n3 range from the same roots and orders the triples with
-one stable sort on omega.  It builds its ``Mode`` rows with the cyclic garbage
-collector paused and then restores the collector state it found; concurrent
-enumerations take the pause in turn under one lock, but another thread that
-switches the collector during the build may find its setting undone.  The
-census is O(m) entries, so a lattice radius omega_max/scale above
-``MAX_LATTICE_RADIUS`` is a ValueError.  The field energy is a sequential
-accumulate over numpy columns of the per-mode terms.
+one stable sort on omega.  Its rows depend only on the convention, the scale
+and the polarizations, and as no omega tie spans a shell bound, the rows inside
+m are the first rows inside any larger bound.  So up to ``_HELD_MODES`` rows
+(about 11 MB) of the last cavity's largest enumeration are held, shared and
+immutable, and a later enumeration inside them returns a new list of their
+prefix.  A build pauses the cyclic garbage collector for its ``Mode`` rows and
+then restores the collector state it found; concurrent enumerations take the
+pause in turn under one lock, but another thread that switches the collector
+during the build may find its setting undone.  The census is O(m) entries, so
+a lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
+The field energy is a sequential accumulate over numpy columns of the per-mode
+terms.
 """
 
 from __future__ import annotations
@@ -62,8 +67,10 @@ PERIODIC = "periodic"
 
 # Enumeration refuses to materialize more modes than this.  A listed mode
 # holds about 170 bytes, 240 at the peak while the list is built (tracemalloc,
-# 98157 modes), so the cap bounds one enumeration near 2.4 GB.
+# 98157 modes), so the cap bounds one enumeration near 2.4 GB, and the rows
+# held for later enumerations, at most _HELD_MODES, near 11 MB.
 MODE_COUNT_CAP = 10_000_000
+_HELD_MODES = 1 << 16
 
 # Largest lattice radius omega_max/scale counted: one census pass there takes
 # about 0.2 s (2-core VM, Python 3.11, numpy 2.4), and every root stays exact.
@@ -73,6 +80,11 @@ MAX_LATTICE_RADIUS = 10_000
 # enumerations pause the collector in turn and leave it as the first found it.
 # Reentrant, so a signal handler that enumerates during a build cannot deadlock.
 _COLLECTOR_LOCK = threading.RLock()
+
+# (key, shell bound, rows) of the largest enumeration of the last cavity
+# enumerated, rebound whole, so no reader sees one cavity's key with another's rows.
+_NOTHING_HELD = (None, -1, [])
+_held = _NOTHING_HELD
 
 # Column order of mode exports (CSV header and JSON keys, token for token).
 MODE_FIELDS = ("n1", "n2", "n3", "omega", "polarizations", "convention")
@@ -218,7 +230,9 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     The list is deterministic and duplicate-free; degenerate frequency
     shells stay as distinct entries, one per lattice triple.  Raises
     ModeCapExceeded (reporting the required cap) rather than materializing
-    more than ``cap`` modes.
+    more than ``cap`` modes.  The list belongs to the caller, but its
+    immutable rows may be shared: up to ``_HELD_MODES`` rows of the cavity's
+    largest enumeration are held, and later ones inside it return a prefix.
 
     The rows are built with the cyclic garbage collector paused, because a
     ``Mode`` is a tuple subclass that the collector keeps tracking; the
@@ -227,21 +241,32 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     thread that switches the collector during the build may find its setting
     undone.
     """
+    global _held
     cap = integer("cap", cap)
-    count = _lattice_point_count(spec, _shell_bound(spec, omega_max, units))
+    m = _shell_bound(spec, omega_max, units)
+    count = _lattice_point_count(spec, m)
     if count > cap:
         raise ModeCapExceeded(count, cap)
+    key = (spec.boundary_convention, _wavenumber_scale(spec, units), spec.polarizations_per_mode)
+    held_key, held_m, rows = _held
+    if held_key == key and m <= held_m:
+        return rows[:count]
+    _held = rows = _NOTHING_HELD  # frees the held rows before the new ones are built
     n1, n2, n3, omega = _mode_columns(spec, omega_max, units)
     with _COLLECTOR_LOCK:
         enabled = gc.isenabled()
         gc.disable()
         try:
             # tuple.__new__ builds each Mode in C; Mode._make is a Python call per row
-            return list(map(tuple.__new__, repeat(Mode), zip(
+            rows = list(map(tuple.__new__, repeat(Mode), zip(
                 zip(n1, n2, n3), omega, repeat(spec.polarizations_per_mode))))
         finally:
             if enabled:
                 gc.enable()
+    if count <= _HELD_MODES:
+        _held = (key, m, rows)
+        return rows[:]
+    return rows
 
 
 def _mode_columns(spec: CavitySpec, omega_max: float, units: UnitSystem) -> tuple:

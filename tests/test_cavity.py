@@ -8,6 +8,7 @@ import gc
 import math
 import random
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -477,6 +478,11 @@ class TestCollectorState:
     """``enumerate_modes`` pauses the cyclic collector for its row build only
     and leaves it as it found it."""
 
+    @pytest.fixture(autouse=True)
+    def nothing_held(self, monkeypatch):
+        # rows held by an earlier test would serve these calls without a build
+        monkeypatch.setattr(cavity, "_held", cavity._NOTHING_HELD)
+
     @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
     def collector(self, request):
         was_enabled = gc.isenabled()
@@ -510,6 +516,17 @@ class TestCollectorState:
         with pytest.raises(RuntimeError, match="column failed"):
             enumerate_modes(CavitySpec(), 20.0)
         assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_state_is_left_as_found_when_served_from_held_rows(self, collector,
+                                                               monkeypatch):
+        enumerate_modes(CavitySpec(), 20.0)
+
+        def no_build(spec, omega_max, units):
+            raise AssertionError("served from the held rows without a build")
+
+        monkeypatch.setattr(cavity, "_mode_columns", no_build)
+        assert enumerate_modes(CavitySpec(), 10.0) == oracle_enumerate_modes(CavitySpec(), 10.0)
         assert gc.isenabled() is collector
 
     def test_a_second_enumeration_cannot_read_the_first_ones_pause(self, monkeypatch):
@@ -549,6 +566,71 @@ class TestCollectorState:
         stand_in.second.join(timeout=30)
         assert not stand_in.second.is_alive()
         assert stand_in.enabled
+
+
+class TestHeldRows:
+    """The rows of one cavity's largest enumeration are held, up to
+    ``_HELD_MODES`` of them, and later enumerations inside them are served
+    as their prefix."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(cavity, "_held", cavity._NOTHING_HELD)
+        calls = []
+        mode_columns = cavity._mode_columns
+
+        def counted(spec, omega_max, units):
+            calls.append(omega_max)
+            return mode_columns(spec, omega_max, units)
+
+        monkeypatch.setattr(cavity, "_mode_columns", counted)
+        return calls
+
+    def test_smaller_enumerations_are_served_without_a_build(self, builds):
+        spec = CavitySpec(boundary_convention=PERIODIC)
+        for omega_max in (30.0, 12.0, 30.0, 7.0):
+            assert_same_modes(enumerate_modes(spec, omega_max),
+                              oracle_enumerate_modes(spec, omega_max))
+        assert builds == [30.0]
+        enumerate_modes(spec, 31.0)
+        # the same scale 2*pi, but the other convention's lattice
+        enumerate_modes(CavitySpec(side_length=0.5), 12.0)
+        assert builds == [30.0, 31.0, 12.0]
+
+    def test_enumerations_above_the_bound_are_not_held(self, builds, monkeypatch):
+        monkeypatch.setattr(cavity, "_HELD_MODES", 10)
+        spec = CavitySpec()
+        # 4 modes at omega <= 10, 20 at omega <= 15
+        for omega_max in (15.0, 15.0, 10.0, 10.0, 15.0):
+            assert_same_modes(enumerate_modes(spec, omega_max),
+                              oracle_enumerate_modes(spec, omega_max))
+        assert builds == [15.0, 15.0, 10.0, 15.0]
+        assert cavity._held is cavity._NOTHING_HELD
+
+    def test_held_rows_are_freed_before_a_rebuild(self, builds, monkeypatch):
+        enumerate_modes(CavitySpec(), 20.0)
+        held = cavity._held[2]
+        references = sys.getrefcount(held)
+        seen = []
+        mode_columns = cavity._mode_columns
+
+        def observed(spec, omega_max, units):
+            # the holder no longer references the rows, nor does the call
+            seen.append((cavity._held is cavity._NOTHING_HELD, sys.getrefcount(held)))
+            return mode_columns(spec, omega_max, units)
+
+        monkeypatch.setattr(cavity, "_mode_columns", observed)
+        enumerate_modes(CavitySpec(boundary_convention=PERIODIC), 20.0)
+        assert seen == [(True, references - 1)]
+
+    def test_the_held_rows_are_never_handed_out(self, builds):
+        spec = CavitySpec()
+        first = enumerate_modes(spec, 20.0)
+        assert first is not cavity._held[2]
+        first.clear()
+        second = enumerate_modes(spec, 20.0)
+        assert second is not cavity._held[2]
+        assert_same_modes(second, oracle_enumerate_modes(spec, 20.0))
 
 
 class TestFieldEnergy:

@@ -94,6 +94,32 @@ def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
     assert gc.isenabled()
 
 
+def test_concurrent_enumerations_of_mixed_cavities_match_sequential():
+    # each call may replace the held rows of one cavity while others read them
+    calls = [(CavitySpec(side_length=side_length, boundary_convention=convention),
+              omega_max / side_length)
+             for convention in (STANDING, PERIODIC) for side_length in (1.0, 0.37)
+             for omega_max in (9.0, 40.0, 17.0, 25.0)]
+    sequential = [enumerate_modes(*call) for call in calls]
+    barrier = threading.Barrier(8)
+
+    def enumerate_after_barrier(index):
+        barrier.wait(timeout=30)
+        return [enumerate_modes(*call) for call in calls[index:] + calls[:index]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(enumerate_after_barrier, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for index, result in enumerate(results):
+        assert result == sequential[index:] + sequential[:index]
+    assert gc.isenabled()
+
+
 def test_concurrent_census_and_budget_calls_match_sequential():
     # the threads fill the shared shell cache together
     calls = [(mode_count_vs_asymptotic, convention, omega_max)
