@@ -83,7 +83,7 @@ _COLLECTOR_LOCK = threading.RLock()
 
 # (key, shell bound, rows) of the largest enumeration of the last cavity
 # enumerated, rebound whole, so no reader sees one cavity's key with another's rows.
-_NOTHING_HELD = (None, -1, [])
+_NOTHING_HELD = (None, -1, ())
 _held = _NOTHING_HELD
 
 # Column order of mode exports (CSV header and JSON keys, token for token).
