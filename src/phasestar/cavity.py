@@ -41,8 +41,10 @@ then restores the collector state it found; concurrent enumerations take the
 pause in turn under one lock, but another thread that switches the collector
 during the build may find its setting undone.  The census is O(m) entries, so
 a lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a ValueError.
-The field energy is a sequential accumulate over numpy columns of the per-mode
-terms.
+The field energy checks the amplitude pair lengths in one set pass and is a
+sequential accumulate over numpy columns of the per-mode terms, squaring an
+amplitude of at most 26 significant bits by one exact multiply and the rest,
+and omega, by libm pow, so it equals its Python loop bit for bit.
 """
 
 from __future__ import annotations
@@ -377,13 +379,16 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     zero-point parts depend only on the mode frequencies and vanish
     identically in the commutative limit N = inf.  Sums that are not finite
     doubles (an overflow, or a nan or inf input) raise ValueError naming the
-    mode after which they stopped being finite.  A mode whose quantum
+    mode after which they stopped being finite, and an int too large for a
+    double names its own mode.  A mode whose quantum
     ``polarization_count * hbar * omega`` is below 0 raises ``ground_energy``'s
     ValueError; nan and -0.0 pass, as in the loop.  A frequency or amplitude
     given as text is no number, as in the loop, and raises ValueError.  The
-    terms are numpy columns squared by ``np.float_power(x, 2.0)`` (the libm
-    pow of ``x ** 2``) and summed by the sequential ``np.add.accumulate``, so
-    each sum equals the Python loop over modes and polarizations bit for bit.
+    terms are numpy columns summed by the sequential ``np.add.accumulate``.
+    An amplitude x of at most 26 significant bits whose x * x is a normal
+    double, or +-0.0, is squared as x * x, the exact square any pow within
+    1 ulp returns; other amplitudes and omega by ``np.float_power(x, 2.0)``
+    (the libm pow of ``x ** 2``).  So each sum equals the loop bit for bit.
     """
     positive("N", N, finite=False)
     instance("units", units, UnitSystem)
@@ -393,9 +398,10 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
             raise ValueError(
                 f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
         omegas = list(map(attrgetter("omega"), modes))
+        index = _overflow_index(omegas)
+        if index is not None:
+            raise _not_finite(modes[index])
         omega = np.fromiter(omegas, float, len(modes))
-        # fromiter parses text; float addition, as the loop's arithmetic, does not
-        sum(omegas, 0.0)
         # compared as Python values, as the loop does, so "1" is no count of 1
         counts = list(map(attrgetter("polarization_count"), modes))
         lengths = list(map(len, amplitudes))
@@ -408,17 +414,19 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         polarizations = rows.astype(float)
         total = int(rows.sum())
         flat = list(chain.from_iterable(amplitudes))
-        pairs = np.fromiter(map(len, flat), np.intp, total)
-        if (pairs != 2).any():
-            index = int((pairs != 2).argmax())
+        if total and set(map(len, flat)) != {2}:
+            index = next(index for index, pair in enumerate(flat) if len(pair) != 2)
             mode = int(np.searchsorted(np.cumsum(rows), index, side="right"))
             raise ValueError(
                 f"mode {modes[mode].lattice_triple} needs (Q, P) amplitude pairs, got "
                 f"{amplitudes[mode][index - int(rows[:mode].sum())]!r}")
         # Q, P interleaved, in ModeAmplitude's field order
         scalars = list(chain.from_iterable(flat))
+        index = _overflow_index(scalars)
+        if index is not None:
+            raise _not_finite(modes[int(np.searchsorted(np.cumsum(rows), index // 2,
+                                                         side="right"))])
         values = np.fromiter(scalars, float, 2 * total)
-        sum(scalars, 0.0)
     except (AttributeError, TypeError) as error:
         raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
                          f"of (Q, P) pairs per mode: {error}") from None
@@ -433,7 +441,15 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         if (quantum < 0).any():
             # raises the public rule's message for the first negative quantum
             ground_energy(float(quantum[(quantum < 0).argmax()]))
-        squares = np.float_power(values, 2.0)
+        # x * x is exact for x of at most 26 significant bits (low 27 fraction bits 0)
+        # while it is a normal double, and for +-0.0.  It reuses the bit test's
+        # buffer: a fresh one cost as much as the test itself at 35k values.
+        low = values.view(np.uint64) & ((1 << 27) - 1)
+        exact = low == 0
+        squares = np.multiply(values, values, out=low.view(float))
+        exact &= (squares >= 2.0 ** -1022) & (squares < math.inf) | (values == 0)
+        if not exact.all():
+            np.float_power(values, 2.0, out=squares, where=~exact)
         omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
         # hbar*w/(2N) per polarization is the ground energy at 2N.
@@ -443,8 +459,26 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     if not (math.isfinite(classical[-1]) and math.isfinite(zero_point_half[-1])):
         # a sum that is not finite stays so; read both at each mode's end
         after = np.isfinite(classical[np.cumsum(rows)]) & np.isfinite(zero_point_half[1:])
-        mode = modes[int(after.argmin())]
-        raise ValueError(f"field energy of mode {mode.lattice_triple} at omega = "
-                         f"{mode.omega!r} is not a finite double")
+        raise _not_finite(modes[int(after.argmin())])
     return FieldEnergy(float(classical[-1]), float(zero_point_half[-1]),
                        2 * float(zero_point_half[-1]))
+
+
+def _overflow_index(values: list):
+    """Adds ``values`` to 0.0 as the loop does, so text raises TypeError
+    (``np.fromiter`` parses it); returns None, or the index of the first int
+    too large for a double, at which the addition overflows."""
+    try:
+        sum(values, 0.0)
+    except OverflowError:
+        for index, value in enumerate(values):
+            try:
+                0.0 + value
+            except OverflowError:
+                return index
+    return None
+
+
+def _not_finite(mode: Mode) -> ValueError:
+    return ValueError(f"field energy of mode {mode.lattice_triple} at omega = "
+                      f"{mode.omega!r} is not a finite double")

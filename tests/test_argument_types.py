@@ -85,6 +85,13 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
      ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
     (lambda: field_energy([Mode((1, 1, 1), 1.0, 1)], [[ModeAmplitude(0.5, b"2")]]),
      ROWS + "unsupported operand type(s) for +: 'float' and 'bytes'"),
+    # unparseable text gets the same message as parseable text, not numpy's
+    (lambda: field_energy([Mode((1, 1, 1), "x", 1)], [[(1.0, 2.0)]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
+    (lambda: field_energy([Mode((1, 1, 1), 1.0, 1)], [[("x", 2.0)]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
+    (lambda: field_energy([Mode((1, 1, 1), 1.0, 1)], [["ab"]]),
+     ROWS + "unsupported operand type(s) for +: 'float' and 'str'"),
     (lambda: spectral_density(1.0, 1.0, "si"), UNITS + "'si'"),
     (lambda: spectrum_sweep(1.0, 1.0, 2.0, 5, units=None), UNITS + "None"),
     (lambda: wien_peak(1.0, None), UNITS + "None"),
@@ -130,7 +137,9 @@ ROWS = ("modes must be a sequence of Mode rows and amplitudes one sequence of (Q
         "evaluate-complex", "evaluate-int", "enumerate-spec", "count-spec", "budget-spec", "field-modes-int",
         "field-modes-generator", "field-amplitudes-int", "field-row-none",
         "field-amplitude-none", "field-plain-tuples", "field-omega-text",
-        "field-amplitude-text", "field-amplitude-bytes", "density-units", "sweep-units",
+        "field-amplitude-text", "field-amplitude-bytes", "field-omega-unparseable",
+        "field-amplitude-unparseable", "field-amplitude-two-letters", "density-units",
+        "sweep-units",
         "wien-units", "integral-units", "cutoff-units", "cutoff-free-limit-units",
         "enumerate-units", "count-units", "field-units", "checks-units",
         "random-polynomial-rng",

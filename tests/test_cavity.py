@@ -19,8 +19,8 @@ import pytest
 
 from cavity_oracle import oracle_enumerate_modes
 from phasestar import cavity
-from phasestar.cavity import (MAX_LATTICE_RADIUS, MODE_COUNT_CAP, CavitySpec, Mode,
-                              ModeAmplitude, ModeCapExceeded, PERIODIC, STANDING,
+from phasestar.cavity import (MAX_LATTICE_RADIUS, MODE_COUNT_CAP, CavitySpec, FieldEnergy,
+                              Mode, ModeAmplitude, ModeCapExceeded, PERIODIC, STANDING,
                               electromagnetic_standing_mode_count,
                               enumerate_modes, field_energy,
                               mode_count_vs_asymptotic)
@@ -660,6 +660,19 @@ class TestFieldEnergy:
         with pytest.raises(ValueError, match=re.escape(
                 "mode (1, 1, 2) needs (Q, P) amplitude pairs, got (4.0,)")):
             field_energy(modes, [((1.0, 2.0), (1.0, 2.0)), ((1.0, 2.0), (4.0,))])
+        pair = (1.0, 2.0)
+        for rows, mode, got in [
+                ([((), pair), (pair, pair)], (1, 1, 1), ()),
+                ([(pair, pair), (pair, ())], (1, 1, 2), ()),
+                ([((5.0,), pair), (pair, (1.0, 2.0, 3.0))], (1, 1, 1), (5.0,)),  # the first of two
+                ([(pair, (1.0, 2.0, 3.0)), (pair, pair)], (1, 1, 1), (1.0, 2.0, 3.0))]:
+            message = f"mode {mode} needs (Q, P) amplitude pairs, got {got!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                field_energy(modes, rows)
+        # no modes, or modes without polarizations: the pair check has nothing to read
+        assert field_energy([], []) == FieldEnergy(0.0, 0.0, 0.0)
+        result = field_energy([Mode((1, 1, 1), 2.0, 0), Mode((1, 1, 2), 3.0, 0)], [[], ()])
+        assert result == FieldEnergy(0.0, 0.0, 0.0)
 
     def test_row_length_is_checked_before_the_pairs(self):
         with pytest.raises(ValueError, match="needs 2 polarization amplitudes, got 1"):

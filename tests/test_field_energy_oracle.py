@@ -1,5 +1,7 @@
 """The columnar ``field_energy`` against the Python loop it replaced, and
-the premise both routes rest on: ``np.float_power(x, 2.0)`` is ``x ** 2``.
+the premises its squares rest on: ``np.float_power(x, 2.0)`` is ``x ** 2``,
+and so is ``x * x`` for an x of at most 26 significant bits whose ``x * x``
+is a normal double.
 
 Results are compared bit for bit (``struct``-packed doubles), errors by
 their message.
@@ -8,12 +10,13 @@ their message.
 import math
 import random
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from field_energy_oracle import oracle_field_energy
-from phasestar.cavity import Mode, ModeAmplitude, field_energy
+from phasestar.cavity import CavitySpec, Mode, ModeAmplitude, enumerate_modes, field_energy
 from phasestar.units import NATURAL, UnitSystem
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
@@ -52,21 +55,64 @@ def magnitude(rng: random.Random) -> float:
     return -value if rng.random() < 0.5 else value
 
 
-def seeded_system(seed: int, count: int = 300, wide: bool = True):
+def seeded_system(seed: int, count: int = 300, wide: bool = True, value=None):
     """Modes with 1-3 polarizations and their amplitudes, signs mixed.
 
     ``wide`` draws frequencies and amplitudes from 1e-40 to 1e40, subnormals
     among them; otherwise from -10 to 10, where every addition rounds and a
-    different summation order would change the low bits.
+    different summation order would change the low bits.  A ``value(rng)``
+    given draws them in place of both.
     """
     rng = random.Random(seed)
-    draw = (lambda: magnitude(rng)) if wide else (lambda: rng.uniform(-10, 10))
+    if value is None:
+        value = magnitude if wide else (lambda rng: rng.uniform(-10, 10))
     modes, amplitudes = [], []
     for index in range(count):
         polarizations = rng.randint(1, 3)
-        modes.append(Mode((index, rng.randint(-9, 9), 1), abs(draw()), polarizations))
-        amplitudes.append([ModeAmplitude(draw(), draw()) for _ in range(polarizations)])
+        modes.append(Mode((index, rng.randint(-9, 9), 1), abs(value(rng)), polarizations))
+        amplitudes.append([ModeAmplitude(value(rng), value(rng))
+                           for _ in range(polarizations)])
     return modes, amplitudes
+
+
+def short_double(rng: random.Random, exponent: int) -> float:
+    """A double of random sign with at most 26 significant bits, the top one
+    at 2**exponent; at least a quarter of them have exactly 26."""
+    width = 26 if rng.random() < 0.25 else rng.randint(1, 26)
+    significand = rng.randrange(1 << (width - 1), 1 << width) | 1
+    value = math.ldexp(significand, exponent - width + 1)
+    return -value if rng.random() < 0.5 else value
+
+
+def mixed_value(rng: random.Random) -> float:
+    """A k/16 from -4 to 4, an integer up to 2**26 or a long double from
+    1e-40 to 1e40: the exact-square route and pow in one system."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(-64, 64) / 16
+    if roll < 0.7:
+        return float(rng.randint(-(1 << 26), 1 << 26))
+    return magnitude(rng)
+
+
+def squared_by_pow(values, monkeypatch) -> list:
+    """The amplitudes of one mode holding ``values`` as (Q, P) pairs that
+    ``field_energy`` squares by ``np.float_power`` rather than by x * x."""
+    routed = []
+    float_power = np.float_power
+
+    def spy(x, y, *args, **kwargs):
+        if np.shape(x) == (len(values),):
+            routed.extend(np.asarray(x)[kwargs.get("where", True)].tolist())
+        return float_power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "float_power", spy)
+    pairs = [ModeAmplitude(*values[i:i + 2]) for i in range(0, len(values), 2)]
+    try:
+        field_energy([Mode((1, 1, 1), 0.5, len(pairs))], [pairs])
+    except ValueError:
+        pass  # an overflowing square leaves the doubles
+    return routed
 
 
 def assert_same_energy(modes, amplitudes, N=2.0, units=NATURAL):
@@ -101,6 +147,34 @@ class TestSquarePremise:
                       and not (math.isnan(square) and math.isnan(python_square(x)))]
         assert mismatched == []
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_short_square_is_exact(self, seed):
+        """x * x, ``np.float_power(x, 2.0)`` and ``x ** 2`` agree bit for bit
+        for x of at most 26 significant bits whose square is a normal double."""
+        rng = random.Random(seed)
+        values = [short_double(rng, rng.randint(-511, 511)) for _ in range(100_000)]
+        values += [math.ldexp(1.0, -511), -math.ldexp(1.0, -511), math.ldexp(1.0, 511),
+                   math.ldexp((1 << 26) - 1, 511 - 25), -math.ldexp((1 << 26) - 1, -511 - 25),
+                   float((1 << 26) - 1), 1.0, 0.5, -4.0, 0.0, -0.0]
+        values += [short_double(rng, exponent) for exponent in (-511, 511) for _ in range(1000)]
+        assert all(sys.float_info.min <= x * x <= sys.float_info.max for x in values if x)
+        squares = np.float_power(np.array(values), 2.0).tolist()
+        mismatched = [x for x, square in zip(values, squares)
+                      if not bits(x * x) == bits(square) == bits(x ** 2)]
+        assert mismatched == []
+
+    def test_only_short_normal_squares_skip_pow(self, monkeypatch):
+        exact = [0.0, -0.0, 0.5, -1.0, 2.0 ** -511, 2.0 ** 511, 67108863.0,
+                 math.ldexp((1 << 26) - 1, 511 - 25), -3.0625, 2.0 ** -100]
+        # short values whose square underflows or overflows, short subnormals
+        # and short non-finite values, and long ones
+        routed = [2.0 ** -512, -1.5 * 2.0 ** -520, 2.0 ** -1040, 2.0 ** 512,
+                  -math.ldexp((1 << 26) - 1, 512 - 25), math.nan, math.inf, -math.inf,
+                  5e-324, 0.1, 67108865.0, 1.7976931348623157e308]
+        assert squared_by_pow(exact, monkeypatch) == []
+        assert list(map(bits, squared_by_pow(exact[:1] + routed + exact[1:], monkeypatch))) \
+            == list(map(bits, routed))
+
 
 class TestFieldEnergyMatchesLoop:
     @pytest.mark.parametrize("N", [2.0, 3.0, 0.7, math.inf])
@@ -109,6 +183,35 @@ class TestFieldEnergyMatchesLoop:
     def test_seeded_modes(self, seed, wide, N):
         modes, amplitudes = seeded_system(seed, wide=wide)
         assert_same_energy(modes, amplitudes, N)
+
+    @pytest.mark.parametrize("N", [2.0, 0.7, math.inf])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_short_and_long_values_in_one_call(self, seed, N):
+        modes, amplitudes = seeded_system(seed, value=mixed_value)
+        assert_same_energy(modes, amplitudes, N)
+
+    def test_short_subnormal_values(self):
+        # a short subnormal squares to 0.0 by either route; 5e-324 is long
+        modes, amplitudes = seeded_system(44, count=60, value=mixed_value)
+        for value in (2.0 ** -1040, -(2.0 ** -1050), 5e-324, 2.0 ** -600, -0.0):
+            amplitudes[30][0] = ModeAmplitude(value, -value)
+            assert_same_energy(modes, amplitudes)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.0 ** 512])
+    @pytest.mark.parametrize("field", ["Q", "P"])
+    def test_non_finite_among_short_values(self, value, field):
+        modes, amplitudes = seeded_system(45, count=60, value=mixed_value)
+        amplitudes[25][0] = amplitudes[25][0]._replace(**{field: value})
+        assert_same_error(modes, amplitudes)
+
+    def test_benchmark_sized_system(self):
+        modes = enumerate_modes(CavitySpec(), math.pi * 33)
+        assert len(modes) == 17566
+        rng = random.Random(46)
+        amplitudes = [[ModeAmplitude(rng.randint(-64, 64) / 16, rng.randint(-64, 64) / 16)
+                       for _ in range(mode.polarization_count)] for mode in modes]
+        assert_same_energy(modes, amplitudes)
+        assert_same_energy(modes, amplitudes, N=3.0)
 
     @pytest.mark.parametrize("units", [NATURAL, UnitSystem.si()])
     def test_units(self, units):
@@ -182,6 +285,21 @@ class TestFieldEnergyMatchesLoop:
         modes = [Mode((1, 1, 1), 1.0, 1), Mode((1, 1, 2), 2.0, 2)]
         amplitudes = [[ModeAmplitude(math.nan, 0.0)], [ModeAmplitude(0.5, 0.5)]]
         assert_same_error(modes, amplitudes)
+
+    @pytest.mark.parametrize("field", ["omega", "Q", "P"])
+    @pytest.mark.parametrize("mode", [0, 2, 4])
+    @pytest.mark.parametrize("huge", [10 ** 400, -(10 ** 400), 2 ** 1024],
+                             ids=["10**400", "-10**400", "2**1024"])
+    def test_int_too_large_for_a_double(self, field, mode, huge):
+        modes = [Mode((1, 1, n), 1.5, 2) for n in range(1, 6)]
+        amplitudes = [[ModeAmplitude(0.5, -0.25)] * 2 for _ in modes]
+        if field == "omega":
+            modes[mode] = modes[mode]._replace(omega=huge)
+        else:
+            amplitudes[mode][1] = amplitudes[mode][1]._replace(**{field: huge})
+        assert_same_error(modes, amplitudes)
+        with pytest.raises(ValueError, match=rf"^field energy of mode \(1, 1, {mode + 1}\) "):
+            field_energy(modes, amplitudes)
 
     def test_mode_count_mismatch(self):
         modes, amplitudes = seeded_system(31, count=5)
