@@ -386,18 +386,13 @@ class QuadratureError(RuntimeError):
 
 
 def _bose_integrand(x):
-    """x**3/(exp(x) - 1), continued by its limit 0 at x = 0.
+    """x**3/(exp(x) - 1) at x > 0, the interior nodes ``_bose_quadrature`` maps.
 
     Evaluated as x**3 * exp(-x) / (1 - exp(-x)), which neither overflows at
     large x nor loses accuracy near 0 (where it behaves as x**2).
     """
     import numpy as np
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    positive = x > 0
-    xp = x[positive]
-    out[positive] = xp ** 3 * np.exp(-xp) / (-np.expm1(-xp))
-    return out
+    return x ** 3 * np.exp(-x) / -np.expm1(-x)
 
 
 @functools.cache

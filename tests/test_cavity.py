@@ -527,9 +527,9 @@ class TestCollectorState:
         assert gc.isenabled() is collector
 
     def test_a_second_enumeration_cannot_read_the_first_ones_pause(self, monkeypatch):
-        # Without the lock, the second call reads the paused collector as its
-        # entry state, pauses again after the first restores it, and never
-        # turns it back on.
+        # Only a call that finds the collector on pauses it: the second call
+        # finds the first one's pause, so it neither pauses nor resumes, and
+        # the first turns the collector back on.
         class Collector:
             enabled = True
             second = None
@@ -563,6 +563,24 @@ class TestCollectorState:
         stand_in.second.join(timeout=30)
         assert not stand_in.second.is_alive()
         assert stand_in.enabled
+
+    def test_a_collector_found_off_is_never_switched(self, monkeypatch):
+        calls = []
+
+        class Collector:
+            def isenabled(self):
+                calls.append("isenabled")
+                return False
+
+            def disable(self):
+                calls.append("disable")
+
+            def enable(self):
+                calls.append("enable")
+
+        monkeypatch.setattr(cavity, "gc", Collector())
+        assert enumerate_modes(CavitySpec(), 20.0) == oracle_enumerate_modes(CavitySpec(), 20.0)
+        assert calls == ["isenabled"]
 
 
 class TestHeldRows:

@@ -70,8 +70,10 @@ def test_concurrent_ladder_sums_match_sequential():
     assert concurrent == sequential * 2
 
 
-def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
-    # each enumeration pauses and restores the shared collector state
+def race_enumerations():
+    """Eight threads enumerate two cavities at once, so rows are built while
+    other calls replace the held ones; returns the (spec, modes) results and
+    the sequential lists."""
     specs = [CavitySpec(boundary_convention=convention) for convention in (STANDING, PERIODIC)]
     sequential = {spec: enumerate_modes(spec, 60.0) for spec in specs}
     barrier = threading.Barrier(8)
@@ -81,7 +83,6 @@ def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
         barrier.wait(timeout=30)
         return spec, enumerate_modes(spec, 60.0)
 
-    assert gc.isenabled()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -89,9 +90,28 @@ def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
             results = list(pool.map(enumerate_after_barrier, range(8), timeout=60))
     finally:
         sys.setswitchinterval(interval)
+    return results, sequential
+
+
+def test_concurrent_enumerations_match_sequential_and_leave_the_collector_on():
+    # each enumeration pauses and turns back on the shared collector it found on
+    assert gc.isenabled()
+    results, sequential = race_enumerations()
     assert len(results) == 8
     assert all(modes == sequential[spec] for spec, modes in results)
     assert gc.isenabled()
+
+
+def test_concurrent_enumerations_leave_a_collector_found_off_off():
+    # no enumeration pauses or turns on a collector it found off
+    gc.disable()
+    try:
+        results, sequential = race_enumerations()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert len(results) == 8
+    assert all(modes == sequential[spec] for spec, modes in results)
 
 
 def test_concurrent_enumerations_of_mixed_cavities_match_sequential():

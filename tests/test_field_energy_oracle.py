@@ -204,6 +204,18 @@ class TestFieldEnergyMatchesLoop:
         amplitudes[25][0] = amplitudes[25][0]._replace(**{field: value})
         assert_same_error(modes, amplitudes)
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_one_square_where_multiply_and_pow_differ(self, seed):
+        # The classical energy of one (0.0, P) pair at omega 0.0 is exactly
+        # 0.5 * P**2, so no sum absorbs a square that is 1 ulp off, as larger
+        # systems can.  P * P and libm's P ** 2 differ on some doubles (164 of
+        # 200 000 uniform draws from -10 to 10 with glibc 2.36); P = -9.7151...
+        # is one of them there.
+        rng = random.Random(seed)
+        drawn = [P for P in (rng.uniform(-10, 10) for _ in range(20_000)) if P * P != P ** 2]
+        for P in [-9.715141236877889] + drawn[:20]:
+            assert_same_energy([Mode((1, 1, 1), 0.0, 1)], [[ModeAmplitude(0.0, P)]])
+
     def test_benchmark_sized_system(self):
         modes = enumerate_modes(CavitySpec(), math.pi * 33)
         assert len(modes) == 17566
