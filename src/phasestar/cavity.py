@@ -35,13 +35,17 @@ one stable sort on omega.  Its rows depend only on the convention, the scale
 and the polarizations, and as no omega tie spans a shell bound, the rows inside
 m are the first rows inside any larger bound.  So up to ``_HELD_MODES`` rows
 (about 11 MB) of the last cavity's largest enumeration are held, shared and
-immutable, and a later enumeration inside them returns a new list of their
-prefix.  A build that finds the cyclic garbage collector on pauses it for its
-``Mode`` rows and turns it back on; one that finds it off leaves it off, so
-concurrent enumerations cannot leave it off.  Another thread that switches the
-collector during a build may find its setting undone.  The census is O(m)
-entries, so a lattice radius omega_max/scale above ``MAX_LATTICE_RADIUS`` is a
-ValueError.  The field energy checks the amplitude pair lengths in one set
+immutable, with read-only float64 columns of their omega and omega**2 (1 MiB
+more at ``_HELD_MODES``), and a later enumeration inside them returns a new
+list of their prefix.  A build that finds the cyclic garbage collector on
+pauses it for its ``Mode`` rows and turns it back on; one that finds it off
+leaves it off, so concurrent enumerations cannot leave it off.  Another
+thread that switches the collector during a build may find its setting undone.
+The census is O(m) entries, so a lattice radius omega_max/scale above
+``MAX_LATTICE_RADIUS`` is a ValueError.  The field energy takes omega and
+omega**2 as prefixes of the held columns when its modes are, by identity, the
+first held rows and every amplitude row has the held polarization count, and
+reads each ``Mode`` otherwise.  It checks the amplitude pair lengths in one set
 pass and is a sequential accumulate over numpy columns of the per-mode terms,
 squaring an amplitude of at most 26 significant bits by one exact multiply and
 the rest, and omega, by libm pow, so it equals its Python loop bit for bit.
@@ -56,7 +60,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import attrgetter, ne
+from operator import attrgetter, is_, ne
 from typing import NamedTuple, Sequence
 
 from .algebra import exact_fraction
@@ -69,7 +73,8 @@ PERIODIC = "periodic"
 # Enumeration refuses to materialize more modes than this.  A listed mode
 # holds about 170 bytes, 240 at the peak while the list is built (tracemalloc,
 # 98157 modes), so the cap bounds one enumeration near 2.4 GB, and the rows
-# held for later enumerations, at most _HELD_MODES, near 11 MB.
+# held for later enumerations, at most _HELD_MODES, near 11 MB, plus 1 MiB for
+# their omega and omega**2 columns.
 MODE_COUNT_CAP = 10_000_000
 _HELD_MODES = 1 << 16
 
@@ -77,9 +82,10 @@ _HELD_MODES = 1 << 16
 # about 0.2 s (2-core VM, Python 3.11, numpy 2.4), and every root stays exact.
 MAX_LATTICE_RADIUS = 10_000
 
-# (key, shell bound, rows) of the largest enumeration of the last cavity
-# enumerated, rebound whole, so no reader sees one cavity's key with another's rows.
-_NOTHING_HELD = (None, -1, ())
+# (key, shell bound, rows, omega, omega**2) of the largest enumeration of the last
+# cavity enumerated, the columns read-only float64 arrays, rebound whole, so no
+# reader sees one cavity's key or columns with another's rows.
+_NOTHING_HELD = (None, -1, (), None, None)
 _held = _NOTHING_HELD
 
 # Column order of mode exports (CSV header and JSON keys, token for token).
@@ -228,7 +234,9 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     ModeCapExceeded (reporting the required cap) rather than materializing
     more than ``cap`` modes.  The list belongs to the caller, but its
     immutable rows may be shared: up to ``_HELD_MODES`` rows of the cavity's
-    largest enumeration are held, and later ones inside it return a prefix.
+    largest enumeration are held, with read-only float64 columns of their
+    omega and omega**2 (16 bytes a row) for ``field_energy``, and later
+    enumerations inside it return a prefix.
 
     The rows are built with the cyclic garbage collector paused, because a
     ``Mode`` is a tuple subclass that the collector keeps tracking.  A build
@@ -243,7 +251,7 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
     if count > cap:
         raise ModeCapExceeded(count, cap)
     key = (spec.boundary_convention, _wavenumber_scale(spec, units), spec.polarizations_per_mode)
-    held_key, held_m, rows = _held
+    held_key, held_m, rows = _held[:3]
     if held_key == key and m <= held_m:
         return rows[:count]
     _held = rows = _NOTHING_HELD  # frees the held rows before the new ones are built
@@ -262,7 +270,13 @@ def enumerate_modes(spec: CavitySpec, omega_max: float,
         if enabled:
             gc.enable()
     if count <= _HELD_MODES:
-        _held = (key, m, rows)
+        import numpy as np
+        omega = np.fromiter(omega, float, count)  # the rows' own omega floats
+        with np.errstate(over="ignore"):
+            columns = omega, np.float_power(omega, 2.0)
+        for column in columns:  # shared by every thread's field_energy: no writes
+            column.flags.writeable = False
+        _held = (key, m, rows, *columns)
         return rows[:]
     return rows
 
@@ -385,6 +399,10 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     double, or +-0.0, is squared as x * x, the exact square any pow within
     1 ulp returns; other amplitudes and omega by ``np.float_power(x, 2.0)``
     (the libm pow of ``x ** 2``).  So each sum equals the loop bit for bit.
+    Modes that are, by identity and not by ``==``, a prefix of the rows
+    ``enumerate_modes`` holds, with every amplitude row of the held
+    polarization count, take omega and omega**2 from its held columns; other
+    modes are read row by row, to the same result and the same errors.
     """
     positive("N", N, finite=False)
     instance("units", units, UnitSystem)
@@ -393,20 +411,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         if len(amplitudes) != len(modes):
             raise ValueError(
                 f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
-        omegas = list(map(attrgetter("omega"), modes))
-        index = _overflow_index(omegas)
-        if index is not None:
-            raise _not_finite(modes[index])
-        omega = np.fromiter(omegas, float, len(modes))
-        # compared as Python values, as the loop does, so "1" is no count of 1
-        counts = list(map(attrgetter("polarization_count"), modes))
-        lengths = list(map(len, amplitudes))
-        if counts != lengths:
-            index = list(map(ne, counts, lengths)).index(True)
-            raise ValueError(
-                f"mode {modes[index].lattice_triple} needs {counts[index]} "
-                f"polarization amplitudes, got {lengths[index]}")
-        rows = np.array(lengths, np.intp)
+        omega, omega_squared, rows = _mode_reads(modes, amplitudes)
         polarizations = rows.astype(float)
         total = int(rows.sum())
         flat = list(chain.from_iterable(amplitudes))
@@ -426,9 +431,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     except (AttributeError, TypeError) as error:
         raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
                          f"of (Q, P) pairs per mode: {error}") from None
-    # freed before the arrays below, so the lists (about 1 MB at 17 566 modes)
+    # freed before the arrays below, so the lists (about 0.85 MB at 17 566 modes)
     # do not raise the call's peak
-    del omegas, flat, scalars
+    del flat, scalars
     # Each running sum starts at 0.0, as the loop's does.
     classical = np.zeros(total + 1)
     zero_point_half = np.zeros(len(modes) + 1)
@@ -446,7 +451,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         exact &= (squares >= 2.0 ** -1022) & (squares < math.inf) | (values == 0)
         if not exact.all():
             np.float_power(values, 2.0, out=squares, where=~exact)
-        omega_squared = np.repeat(np.float_power(omega, 2.0), rows)
+        omega_squared = np.repeat(omega_squared, rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
         # hbar*w/(2N) per polarization is the ground energy at 2N.
         zero_point_half[1:] = _ground_energy(quantum, 2 * N)
@@ -458,6 +463,37 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         raise _not_finite(modes[int(after.argmin())])
     return FieldEnergy(float(classical[-1]), float(zero_point_half[-1]),
                        2 * float(zero_point_half[-1]))
+
+
+def _mode_reads(modes, amplitudes) -> tuple:
+    """The float64 columns omega and omega**2 of ``modes`` and the intp column
+    of their amplitude row lengths, checked as the loop checks them.
+
+    Modes that are, by identity, a prefix of the held rows, with every row
+    length the held polarization count, are served from the held columns.
+    """
+    import numpy as np
+    key, _, held, held_omega, held_omega_squared = _held
+    if held and len(modes) <= len(held) and all(map(is_, modes, held)):
+        lengths = list(map(len, amplitudes))
+        if lengths.count(key[2]) == len(lengths):
+            return (held_omega[:len(modes)], held_omega_squared[:len(modes)],
+                    np.full(len(modes), key[2], np.intp))
+    omegas = list(map(attrgetter("omega"), modes))
+    index = _overflow_index(omegas)
+    if index is not None:
+        raise _not_finite(modes[index])
+    omega = np.fromiter(omegas, float, len(modes))
+    # compared as Python values, as the loop does, so "1" is no count of 1
+    counts = list(map(attrgetter("polarization_count"), modes))
+    lengths = list(map(len, amplitudes))
+    if counts != lengths:
+        index = list(map(ne, counts, lengths)).index(True)
+        raise ValueError(
+            f"mode {modes[index].lattice_triple} needs {counts[index]} "
+            f"polarization amplitudes, got {lengths[index]}")
+    with np.errstate(all="ignore"):
+        return omega, np.float_power(omega, 2.0), np.array(lengths, np.intp)
 
 
 def _overflow_index(values: list):

@@ -8,6 +8,7 @@ import gc
 import math
 import random
 import re
+import struct
 import sys
 import threading
 import tracemalloc
@@ -615,28 +616,44 @@ class TestHeldRows:
     def test_enumerations_above_the_bound_are_not_held(self, builds, monkeypatch):
         monkeypatch.setattr(cavity, "_HELD_MODES", 10)
         spec = CavitySpec()
-        # 4 modes at omega <= 10, 20 at omega <= 15
+        # 7 modes at omega <= 10, 35 at omega <= 15
+        held_columns = []
         for omega_max in (15.0, 15.0, 10.0, 10.0, 15.0):
             assert_same_modes(enumerate_modes(spec, omega_max),
                               oracle_enumerate_modes(spec, omega_max))
+            held_columns.append([None if column is None else len(column)
+                                 for column in cavity._held[3:]])
         assert builds == [15.0, 15.0, 10.0, 15.0]
+        assert held_columns == [[None, None]] * 2 + [[7, 7]] * 2 + [[None, None]]
         assert cavity._held is cavity._NOTHING_HELD
 
     def test_held_rows_are_freed_before_a_rebuild(self, builds, monkeypatch):
         enumerate_modes(CavitySpec(), 20.0)
-        held = cavity._held[2]
-        references = sys.getrefcount(held)
+        held = cavity._held[2:]  # the rows and their omega and omega**2 columns
+        references = list(map(sys.getrefcount, held))
         seen = []
         mode_columns = cavity._mode_columns
 
         def observed(spec, omega_max, units):
-            # the holder no longer references the rows, nor does the call
-            seen.append((cavity._held is cavity._NOTHING_HELD, sys.getrefcount(held)))
+            # the holder no longer references the rows or columns, nor does the call
+            seen.append((cavity._held is cavity._NOTHING_HELD,
+                         list(map(sys.getrefcount, held))))
             return mode_columns(spec, omega_max, units)
 
         monkeypatch.setattr(cavity, "_mode_columns", observed)
         enumerate_modes(CavitySpec(boundary_convention=PERIODIC), 20.0)
-        assert seen == [(True, references - 1)]
+        assert seen == [(True, [count - 1 for count in references])]
+
+    @pytest.mark.parametrize("spec", [CavitySpec(), CavitySpec(0.3, PERIODIC, 3)])
+    def test_held_columns_are_the_rows_omega_and_its_square(self, builds, spec):
+        modes = enumerate_modes(spec, 40.0)
+        _, _, rows, omega, omega_squared = cavity._held
+        assert rows == modes
+        assert omega.dtype == omega_squared.dtype == np.float64
+        assert not (omega.flags.writeable or omega_squared.flags.writeable)
+        assert omega.tobytes() == struct.pack(f"<{len(modes)}d", *(mode.omega for mode in modes))
+        assert omega_squared.tobytes() == struct.pack(f"<{len(modes)}d",
+                                                      *(mode.omega ** 2 for mode in modes))
 
 
 class TestFieldEnergy:

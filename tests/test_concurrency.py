@@ -9,9 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from phasestar.blackbody import spectral_density, spectral_density_ladder_sum
 from phasestar import cavity
-from phasestar.cavity import (PERIODIC, STANDING, CavitySpec,
+from phasestar.cavity import (PERIODIC, STANDING, CavitySpec, ModeAmplitude,
                               electromagnetic_standing_mode_count, enumerate_modes,
-                              mode_count_vs_asymptotic)
+                              field_energy, mode_count_vs_asymptotic)
 from phasestar import expressions
 from phasestar.checks import random_phase_polynomial
 from phasestar.expressions import ParseError, format_canonical, parse_expression
@@ -138,6 +138,39 @@ def test_concurrent_enumerations_of_mixed_cavities_match_sequential():
     for index, result in enumerate(results):
         assert result == sequential[index:] + sequential[:index]
     assert gc.isenabled()
+
+
+def test_concurrent_field_energies_match_sequential():
+    # Each enumeration may replace the held rows and columns while other
+    # threads read them; one cavity's rows read with the other's omega columns
+    # would change the energy, as the two scales differ.
+    specs = [CavitySpec(), CavitySpec(side_length=0.7)]
+    rng = random.Random(61)
+    amplitudes = [[ModeAmplitude(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                   for _ in range(2)] for _ in range(2000)]
+
+    def energy(spec):
+        modes = enumerate_modes(spec, 45.0)
+        return field_energy(modes, amplitudes[:len(modes)])
+
+    sequential = {spec: energy(spec) for spec in specs}
+    assert sequential[specs[0]] != sequential[specs[1]]
+    barrier = threading.Barrier(8)
+
+    def alternate_after_barrier(index):
+        barrier.wait(timeout=30)
+        return [(spec, energy(spec))
+                for spec in (specs[(index + turn) % 2] for turn in range(8))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(alternate_after_barrier, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    assert all(result == sequential[spec] for calls in results for spec, result in calls)
 
 
 def test_concurrent_census_and_budget_calls_match_sequential():

@@ -11,12 +11,15 @@ import math
 import random
 import struct
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from field_energy_oracle import oracle_field_energy
-from phasestar.cavity import CavitySpec, Mode, ModeAmplitude, enumerate_modes, field_energy
+from phasestar import cavity
+from phasestar.cavity import (PERIODIC, STANDING, CavitySpec, Mode, ModeAmplitude,
+                              enumerate_modes, field_energy)
 from phasestar.units import NATURAL, UnitSystem
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
@@ -325,3 +328,136 @@ class TestFieldEnergyMatchesLoop:
                       [ModeAmplitude(0.0, 1e200)]]
         with pytest.raises(ValueError, match=r"mode \(1, 1, 2\) .* not a finite"):
             field_energy(modes, amplitudes)
+
+
+def held_system(spec, omega_max, amplitude, seed=51):
+    """An enumeration whose rows are held, and seeded amplitudes for it."""
+    modes = enumerate_modes(spec, omega_max)
+    assert cavity._held[2] == modes and cavity._held[2] is not modes
+    rng = random.Random(seed)
+    amplitudes = [[ModeAmplitude(amplitude(rng), amplitude(rng))
+                   for _ in range(mode.polarization_count)] for mode in modes]
+    return modes, amplitudes
+
+
+def sixteenths(rng: random.Random) -> float:
+    return rng.randint(-64, 64) / 16
+
+
+def uniform(rng: random.Random) -> float:
+    return rng.uniform(-10, 10)
+
+
+class TestHeldColumns:
+    """Modes that are a prefix of ``enumerate_modes``' held rows take omega
+    and omega**2 from the held columns; every other input reads its rows.
+    Both give the loop's result bit for bit, and the same errors."""
+
+    @pytest.fixture(autouse=True)
+    def reads(self, monkeypatch):
+        """The lengths of the lists ``_overflow_index`` checks: the omegas
+        and then the amplitudes when the rows are read, only the amplitudes
+        when the held columns serve them."""
+        monkeypatch.setattr(cavity, "_held", cavity._NOTHING_HELD)
+        checked = []
+        overflow_index = cavity._overflow_index
+
+        def spy(values):
+            checked.append(len(values))
+            return overflow_index(values)
+
+        monkeypatch.setattr(cavity, "_overflow_index", spy)
+        return checked
+
+    @staticmethod
+    def assert_read(reads, modes, amplitudes, held):
+        """The loop's result bit for bit, by the held columns or by reading the rows."""
+        reads.clear()
+        assert_same_energy(modes, amplitudes)
+        total = 2 * sum(map(len, amplitudes))
+        assert reads == ([total] if held else [len(modes), total])
+
+    @pytest.mark.parametrize("amplitude", [sixteenths, uniform])
+    @pytest.mark.parametrize("polarizations", [1, 2, 3])
+    @pytest.mark.parametrize("convention,omega_max", [(STANDING, math.pi * 14),
+                                                      (PERIODIC, 2 * math.pi * 6)])
+    def test_held_rows_and_their_copies(self, reads, convention, omega_max, polarizations,
+                                        amplitude):
+        spec = CavitySpec(boundary_convention=convention, polarizations_per_mode=polarizations)
+        modes, amplitudes = held_system(spec, omega_max, amplitude)
+        for length in (0, 1, len(modes) // 2, len(modes)):
+            prefix, rows = modes[:length], amplitudes[:length]
+            self.assert_read(reads, prefix, rows, held=True)
+            # no modes are a prefix of any held rows
+            self.assert_read(reads, [Mode(*mode) for mode in prefix], rows, held=not length)
+        # a smaller enumeration of the cavity is a prefix of the held rows
+        smaller = enumerate_modes(spec, omega_max / 2)
+        self.assert_read(reads, smaller, amplitudes[:len(smaller)], held=True)
+
+    def test_an_enumeration_of_exactly_the_held_bound(self, reads, monkeypatch):
+        spec = CavitySpec()
+        monkeypatch.setattr(cavity, "_HELD_MODES", len(enumerate_modes(spec, math.pi * 12)))
+        monkeypatch.setattr(cavity, "_held", cavity._NOTHING_HELD)
+        modes, amplitudes = held_system(spec, math.pi * 12, uniform)
+        assert len(modes) == cavity._HELD_MODES
+        for length in (0, 1, len(modes) // 2, len(modes)):
+            self.assert_read(reads, modes[:length], amplitudes[:length], held=True)
+            self.assert_read(reads, [Mode(*mode) for mode in modes[:length]],
+                             amplitudes[:length], held=not length)
+
+    def test_rows_of_a_cavity_no_longer_held(self, reads):
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, uniform)
+        # another scale and convention: its omegas differ from the first cavity's
+        enumerate_modes(CavitySpec(side_length=0.8, boundary_convention=PERIODIC), 60.0)
+        assert len(cavity._held[2]) > len(modes)
+        self.assert_read(reads, modes, amplitudes, held=False)
+
+    @pytest.mark.parametrize("change", ["equal copy", "appended", "reversed"])
+    def test_rows_that_are_no_prefix_of_the_held_ones(self, reads, change):
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, uniform)
+        if change == "equal copy":
+            modes[len(modes) // 3] = Mode(*modes[len(modes) // 3])
+        elif change == "appended":
+            modes.append(Mode((99, 1, 1), 310.0, 2))
+            amplitudes.append([ModeAmplitude(0.5, -1.5)] * 2)
+        else:
+            modes.reverse()
+            amplitudes.reverse()
+        self.assert_read(reads, modes, amplitudes, held=False)
+
+    def test_an_equal_row_of_other_types_is_read(self):
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, uniform)
+        mode = modes[3]
+        modes[3] = Mode(mode.lattice_triple, Decimal(mode.omega), float(mode.polarization_count))
+        assert modes == cavity._held[2]
+        # a Decimal frequency is no number to the loop's float sum
+        with pytest.raises(ValueError, match=r"^modes must be a sequence of Mode rows .*"
+                                             r"'float' and 'decimal\.Decimal'"):
+            field_energy(modes, amplitudes)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("defect", ["short row", "long row", "3-tuple", "text", "nan",
+                                        "inf", "huge int"])
+    def test_errors_name_the_same_mode(self, where, defect):
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, sixteenths)
+        index = {"first": 0, "middle": len(modes) // 2, "last": len(modes) - 1}[where]
+        row = amplitudes[index]
+        if defect == "short row":
+            del row[1]
+        elif defect == "long row":
+            row.append(ModeAmplitude(0.25, 0.5))
+        elif defect == "3-tuple":
+            row[1] = (0.25, 0.5, 0.75)
+        else:
+            row[1] = row[1]._replace(Q={"text": "1.5", "nan": math.nan, "inf": -math.inf,
+                                        "huge int": 10 ** 400}[defect])
+        copies = [Mode(*mode) for mode in modes]
+        with pytest.raises(ValueError) as on_copies:
+            field_energy(copies, amplitudes)
+        with pytest.raises(ValueError) as on_held:
+            field_energy(modes, amplitudes)
+        assert str(on_held.value) == str(on_copies.value)
+        if defect not in ("3-tuple", "text"):  # the loop has no message for these
+            assert_same_error(modes, amplitudes)
+        if defect != "text":
+            assert f"{modes[index].lattice_triple}" in str(on_held.value)
