@@ -22,7 +22,10 @@ helper of its own and the constructor that summed coefficients as
 ComplexFraction values.  The last ``spectrum`` argv (``--oracle`` from
 omega = 0.001 at T = 1, ``--precision 17``: n_max = 57004, the largest
 ladder sum that fits one 2**16-level block) was recorded from the ladder
-sum that allocated every level at once.  The ``demo_*.txt`` files hold the stdout of the
+sum that allocated every level at once.  The last three argv (``star``,
+``star --first-order`` and ``commutator --poisson`` on 40th powers of
+``q1 + p1`` and ``q1 - p1``) were recorded from the kernel that read every
+layer, layers 0 and 1 too, from the split tables.  The ``demo_*.txt`` files hold the stdout of the
 deterministic demos 01 to 04.  Any change of rendered output fails here.
 """
 
