@@ -34,6 +34,7 @@ import math
 import numbers
 import sys
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -96,6 +97,14 @@ class ComplexFraction:
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexFraction is immutable")
+
+    @classmethod
+    def _of_fractions(cls, real: Fraction, imag: Fraction) -> "ComplexFraction":
+        # the value with these parts, which must already be Fractions
+        value = object.__new__(cls)
+        object.__setattr__(value, "real", real)
+        object.__setattr__(value, "imag", imag)
+        return value
 
     @classmethod
     def from_value(cls, value: Scalar) -> "ComplexFraction":
@@ -186,6 +195,9 @@ class MultiIndex(NamedTuple):
         q, p, hbar_power = self
         exps = q + p
         return (hbar_power, sum(exps), tuple(-e for e in exps))
+
+
+_ZERO = Fraction(0)
 
 
 def _checked_dimension(dimension) -> int:
@@ -316,12 +328,14 @@ class PhasePolynomial:
     @property
     def terms(self) -> Mapping:
         """Read-only mapping MultiIndex -> ComplexFraction, cached on first
-        access (threads racing on it build equal mappings; one is kept)."""
+        access (threads racing on it build equal mappings; one is kept).
+        Every zero part is the one shared ``Fraction(0)``."""
         view = self._view
         if view is None:
-            den = self._den
+            den, zero, make = self._den, _ZERO, ComplexFraction._of_fractions
             view = MappingProxyType({
-                MultiIndex._make(key): ComplexFraction(Fraction(x, den), Fraction(y, den))
+                MultiIndex._make(key): make(Fraction(x, den) if x else zero,
+                                            Fraction(y, den) if y else zero)
                 for key, (x, y) in self._terms.items()})
             object.__setattr__(self, "_view", view)
         return view
@@ -555,10 +569,55 @@ def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
     layer = [(factor * (-1) ** ((k - lower) // 2) * sn ** (k - lower) * sd ** (top - k),
               k - lower if graded else 0, (k - lower) & 1)
              if k in layers else None for k in range(top + 1)]
+    if top <= 1:
+        acc = _low_layers(f._terms, g._terms, layer)
+    else:
+        acc = _split_layers(f._terms, g._terms, layer, top)
+    return _reduced(f._dimension, f._den * g._den * sd ** (top - lower), acc)
+
+
+def _low_layers(f_rows: dict, g_rows: dict, layer: list) -> dict:
+    """The integer sums of the selected layers 0 and 1 from their closed
+    forms, with no split tables.  For q^a p^b on the left and q^c p^d on the
+    right in each dimension, layer 0 is the pointwise product, exponents
+    added with weight 1, and layer 1 the sum over dimensions i of
+    a_i d_i - b_i c_i with dimension i's q and p exponents each lowered by
+    one.  Keys enter in the tables' order: layer 0, then layer 1 from the
+    last dimension to the first."""
+    zero, one = layer[0], layer[1] if len(layer) > 1 else None
     acc = {}
     get = acc.get
-    for (q1, p1, h1), (x1, y1) in f._terms.items():
-        for (q2, p2, h2), (x2, y2) in g._terms.items():
+    for (q1, p1, h1), (x1, y1) in f_rows.items():
+        for (q2, p2, h2), (x2, y2) in g_rows.items():
+            re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+            q, p, grade = tuple(map(add, q1, q2)), tuple(map(add, p1, p2)), h1 + h2
+            if zero:
+                scale, shift, odd = zero
+                key = (q, p, grade + shift)
+                u, v = get(key, (0, 0))
+                acc[key] = ((u - im * scale, v + re * scale) if odd
+                            else (u + re * scale, v + im * scale))
+            if one:
+                scale, shift, odd = one
+                for i in range(len(q) - 1, -1, -1):
+                    w = q1[i] * p2[i] - p1[i] * q2[i]
+                    if w:
+                        w *= scale
+                        key = (q[:i] + (q[i] - 1,) + q[i + 1:],
+                               p[:i] + (p[i] - 1,) + p[i + 1:], grade + shift)
+                        u, v = get(key, (0, 0))
+                        acc[key] = ((u - im * w, v + re * w) if odd
+                                    else (u + re * w, v + im * w))
+    return acc
+
+
+def _split_layers(f_rows: dict, g_rows: dict, layer: list, top: int) -> dict:
+    """The integer sums of the selected layers up to ``top``, read from the
+    ``_moyal_splits`` tables of each dimension of every term pair."""
+    acc = {}
+    get = acc.get
+    for (q1, p1, h1), (x1, y1) in f_rows.items():
+        for (q2, p2, h2), (x2, y2) in g_rows.items():
             dims = zip(q1, p1, q2, p2)
             splits = _moyal_splits(*next(dims))
             for a, b, c, d in dims:
@@ -582,4 +641,4 @@ def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
                     acc[key] = (u - im * w, v + re * w)
                 else:
                     acc[key] = (u + re * w, v + im * w)
-    return _reduced(f._dimension, f._den * g._den * sd ** (top - lower), acc)
+    return acc
