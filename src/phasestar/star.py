@@ -27,6 +27,7 @@ below a stop, by default the lower total degree plus one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,9 +59,10 @@ class DeformationParameter:
     def symbolic_hbar(self) -> bool:
         return self.hbar_value is None
 
-    @property
+    @functools.cached_property
     def inverse_n(self) -> Fraction:
-        """Exact 1/N; exactly zero in the commutative limit."""
+        """Exact 1/N; exactly zero in the commutative limit.  Computed once
+        per parameter, outside the fields that equality, hash and repr read."""
         if math.isinf(self.N):
             return Fraction(0)
         return Fraction(1) / exact_fraction(self.N)
