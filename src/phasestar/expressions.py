@@ -45,10 +45,10 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from operator import neg
 from typing import Mapping, NamedTuple, Optional, Union
 
-from .algebra import (MultiIndex, PhasePolynomial, _checked_dimension, _gaussian, _reduced, _sum,
-                      exact_fraction)
+from .algebra import PhasePolynomial, _checked_dimension, _gaussian, _reduced, _sum, exact_fraction
 from .units import instance
 
 GRAMMAR_VERSION = "1.0"
@@ -393,7 +393,13 @@ def _value_text(x: int, den: int) -> str:
                          "and cannot be rendered") from None
 
 
-def _monomial_text(key) -> str:
+@functools.lru_cache(maxsize=1024)
+def _monomial(key) -> tuple:
+    """(order, text) of the monomial with key (q, p, hbar power).  ``order``
+    is the flat tuple (hbar power, degree, -e for each q then p exponent
+    e), which sorts as ``MultiIndex.sort_key``; ``text`` is the monomial as
+    rendered, empty for the constant.  Renders read both from this bounded
+    memo, since successive polynomials share most of their monomials."""
     q, p, hbar_power = key
     parts = []
     for prefix, exponents in (("q", q), ("p", p)):
@@ -406,7 +412,8 @@ def _monomial_text(key) -> str:
         parts.append("hbar")
     elif hbar_power > 1:
         parts.append(f"hbar^{hbar_power}")
-    return "*".join(parts)
+    exponents = q + p
+    return (hbar_power, sum(exponents), *map(neg, exponents)), "*".join(parts)
 
 
 def _term_text(x: int, y: int, den: int, monomial: str):
@@ -441,9 +448,11 @@ def format_canonical(poly: PhasePolynomial) -> str:
     if poly.is_zero:
         return "0"
     pieces = []
-    rows, den = poly._terms, poly._den
-    for key in sorted(rows, key=MultiIndex.sort_key):
-        negative, body = _term_text(*rows[key], den, _monomial_text(key))
+    den = poly._den
+    # the orders are distinct, so the sort never compares texts or pairs
+    for _, monomial, pair in sorted([(*_monomial(key), pair)
+                                     for key, pair in poly._terms.items()]):
+        negative, body = _term_text(*pair, den, monomial)
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

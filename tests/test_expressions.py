@@ -1,12 +1,15 @@
 """Tokenizer, parser and canonical-rendering tests."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phasestar.algebra import ComplexFraction, PhasePolynomial
+from phasestar import expressions
+from phasestar.algebra import ComplexFraction, MultiIndex, PhasePolynomial
+from phasestar.checks import random_phase_polynomial
 from phasestar.expressions import (MAX_NESTING, ParseError, format_canonical,
                                    parse_expression, tokenize,
                                    validate_bindings)
@@ -310,6 +313,38 @@ class TestFormatCanonical:
     def test_str_dunder_matches(self):
         poly = q() + p() * 2
         assert str(poly) == format_canonical(poly)
+
+    def test_memoised_text_equals_a_fresh_render(self):
+        # more distinct monomials than the memo holds, so it evicts; every
+        # render, before and after eviction, equals one built afresh
+        rng = random.Random("render-memo")
+        polys = [random_phase_polynomial(rng, d, max_degree=12, max_terms=40,
+                                         complex_coefficients=True) * Fraction(1, 4)
+                 + PhasePolynomial.hbar(d, rng.randint(1, 3), Fraction(3, 8))
+                 for d in (1, 2, 3) for _ in range(50)]
+        expressions._monomial.cache_clear()
+        first = [format_canonical(poly) for poly in polys]
+        info = expressions._monomial.cache_info()
+        assert info.misses > info.maxsize == info.currsize
+        assert len({key for poly in polys for key in poly.terms}) > info.maxsize
+        assert first == [format_canonical(poly) for poly in polys]
+        assert first == [_reference_render(poly) for poly in polys]
+
+
+def _reference_render(poly) -> str:
+    """The render with terms sorted by ``MultiIndex.sort_key`` and each
+    monomial's text built afresh."""
+    d = poly.dimension
+    names = [f"q{k}" for k in range(1, d + 1)] + [f"p{k}" for k in range(1, d + 1)]
+    text = ""
+    for index in sorted(poly.terms, key=MultiIndex.sort_key):
+        parts = [name if e == 1 else f"{name}^{e}"
+                 for name, e in zip(names, index.q_exponents + index.p_exponents) if e]
+        if index.hbar_power:
+            parts.append("hbar" if index.hbar_power == 1 else f"hbar^{index.hbar_power}")
+        negative, body = expressions._term_text(*poly._terms[index], poly._den, "*".join(parts))
+        text += (" - " if negative else " + ") + body if text else ("-" if negative else "") + body
+    return text or "0"
 
 
 class TestRoundTrip:
