@@ -47,8 +47,10 @@ omega**2 as prefixes of the held columns when its modes are, by identity, the
 first held rows and every amplitude row has the held polarization count, and
 reads each ``Mode`` otherwise.  It checks the amplitude pair lengths in one set
 pass and is a sequential accumulate over numpy columns of the per-mode terms,
-squaring an amplitude of at most 26 significant bits by one exact multiply and
-the rest, and omega, by libm pow, so it equals its Python loop bit for bit.
+squaring an amplitude of at most 26 significant bits by one exact multiply, an
+int one exactly and rounded once, and the rest, and omega, by libm pow.  The
+terms of a mode whose omega is an int are the loop's own expression.  So it
+equals its Python loop bit for bit.
 """
 
 from __future__ import annotations
@@ -397,8 +399,13 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     terms are numpy columns summed by the sequential ``np.add.accumulate``.
     An amplitude x of at most 26 significant bits whose x * x is a normal
     double, or +-0.0, is squared as x * x, the exact square any pow within
-    1 ulp returns; other amplitudes and omega by ``np.float_power(x, 2.0)``
-    (the libm pow of ``x ** 2``).  So each sum equals the loop bit for bit.
+    1 ulp returns.  Another int amplitude is squared as ``float(x * x)``,
+    the exact square rounded once, as the loop's int ``x ** 2`` is when
+    added to a double; other amplitudes and omega by
+    ``np.float_power(x, 2.0)`` (the libm pow of ``x ** 2``).  The terms of
+    a mode whose omega is an int, read row by row, are the loop's own
+    ``0.5 * (P ** 2 + omega ** 2 * Q ** 2)``, which is exact up to its one
+    rounding where Q is an int too.  So each sum equals the loop bit for bit.
     Modes that are, by identity and not by ``==``, a prefix of the rows
     ``enumerate_modes`` holds, with every amplitude row of the held
     polarization count, take omega and omega**2 from its held columns; other
@@ -411,7 +418,7 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         if len(amplitudes) != len(modes):
             raise ValueError(
                 f"amplitudes for {len(amplitudes)} modes supplied, need {len(modes)}")
-        omega, omega_squared, rows = _mode_reads(modes, amplitudes)
+        omega, omega_squared, rows, int_omegas = _mode_reads(modes, amplitudes)
         polarizations = rows.astype(float)
         total = int(rows.sum())
         flat = list(chain.from_iterable(amplitudes))
@@ -433,7 +440,10 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
                          f"of (Q, P) pairs per mode: {error}") from None
     # freed before the arrays below, so the lists (about 0.85 MB at 17 566 modes)
     # do not raise the call's peak
-    del flat, scalars
+    del flat
+    with np.errstate(all="ignore"):
+        squares = _squares(values, scalars)
+    del scalars
     # Each running sum starts at 0.0, as the loop's does.
     classical = np.zeros(total + 1)
     zero_point_half = np.zeros(len(modes) + 1)
@@ -442,17 +452,14 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
         if (quantum < 0).any():
             # raises the public rule's message for the first negative quantum
             ground_energy(float(quantum[(quantum < 0).argmax()]))
-        # x * x is exact for x of at most 26 significant bits (low 27 fraction bits 0)
-        # while it is a normal double, and for +-0.0.  It reuses the bit test's
-        # buffer: a fresh one cost as much as the test itself at 35k values.
-        low = values.view(np.uint64) & ((1 << 27) - 1)
-        exact = low == 0
-        squares = np.multiply(values, values, out=low.view(float))
-        exact &= (squares >= 2.0 ** -1022) & (squares < math.inf) | (values == 0)
-        if not exact.all():
-            np.float_power(values, 2.0, out=squares, where=~exact)
         omega_squared = np.repeat(omega_squared, rows)
         classical[1:] = 0.5 * (squares[1::2] + omega_squared * squares[0::2])
+        if int_omegas:
+            ends = np.cumsum(rows).tolist()
+            for mode in int_omegas:
+                w = modes[mode].omega
+                classical[ends[mode] - rows[mode] + 1:ends[mode] + 1] = [
+                    _rounded(lambda: 0.5 * (P ** 2 + w ** 2 * Q ** 2)) for Q, P in amplitudes[mode]]
         # hbar*w/(2N) per polarization is the ground energy at 2N.
         zero_point_half[1:] = _ground_energy(quantum, 2 * N)
         classical = np.add.accumulate(classical)
@@ -466,8 +473,9 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
 
 
 def _mode_reads(modes, amplitudes) -> tuple:
-    """The float64 columns omega and omega**2 of ``modes`` and the intp column
-    of their amplitude row lengths, checked as the loop checks them.
+    """The float64 columns omega and omega**2 of ``modes``, the intp column
+    of their amplitude row lengths, checked as the loop checks them, and the
+    list of the modes whose omega is an int.
 
     Modes that are, by identity, a prefix of the held rows, with every row
     length the held polarization count, are served from the held columns.
@@ -478,7 +486,7 @@ def _mode_reads(modes, amplitudes) -> tuple:
         lengths = list(map(len, amplitudes))
         if lengths.count(key[2]) == len(lengths):
             return (held_omega[:len(modes)], held_omega_squared[:len(modes)],
-                    np.full(len(modes), key[2], np.intp))
+                    np.full(len(modes), key[2], np.intp), [])
     omegas = list(map(attrgetter("omega"), modes))
     index = _overflow_index(omegas)
     if index is not None:
@@ -492,8 +500,39 @@ def _mode_reads(modes, amplitudes) -> tuple:
         raise ValueError(
             f"mode {modes[index].lattice_triple} needs {counts[index]} "
             f"polarization amplitudes, got {lengths[index]}")
+    # only an integral double can have been read from an int
+    int_omegas = [index for index in np.flatnonzero(np.trunc(omega) == omega).tolist()
+                  if isinstance(omegas[index], int)]
     with np.errstate(all="ignore"):
-        return omega, np.float_power(omega, 2.0), np.array(lengths, np.intp)
+        return omega, np.float_power(omega, 2.0), np.array(lengths, np.intp), int_omegas
+
+
+def _squares(values, scalars: list):
+    """The loop's square of every value of ``values``, read from ``scalars``."""
+    import numpy as np
+    # x * x is exact for x of at most 26 significant bits (low 27 fraction bits 0)
+    # while it is a normal double, and for +-0.0.  It reuses the bit test's
+    # buffer: a fresh one cost as much as the test itself at 35k values.
+    low = values.view(np.uint64) & ((1 << 27) - 1)
+    exact = low == 0
+    squares = np.multiply(values, values, out=low.view(float))
+    exact &= (squares >= 2.0 ** -1022) & (squares < math.inf) | (values == 0)
+    if not exact.all():
+        np.float_power(values, 2.0, out=squares, where=~exact)
+        # only an integral double can have been read from an int
+        for index in np.flatnonzero(~exact & (np.trunc(values) == values)).tolist():
+            x = scalars[index]
+            if isinstance(x, int):
+                squares[index] = _rounded(lambda: x * x)
+    return squares
+
+
+def _rounded(exact) -> float:
+    """The float of ``exact()``, or inf where it overflows a double."""
+    try:
+        return float(exact())
+    except OverflowError:
+        return math.inf
 
 
 def _overflow_index(values: list):

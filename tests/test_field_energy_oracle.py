@@ -340,6 +340,15 @@ def held_system(spec, omega_max, amplitude, seed=51):
     return modes, amplitudes
 
 
+def squared_apart(rng: random.Random, low: int, high: int, factor: int = 1) -> int:
+    """A seeded int x in [low, high) for which (x * factor) ** 2 rounded once
+    differs from the product of the squared doubles of x and factor."""
+    while True:
+        x = rng.randrange(low, high)
+        if float(x * x * factor * factor) != float(x) ** 2 * float(factor) ** 2:
+            return x
+
+
 def sixteenths(rng: random.Random) -> float:
     return rng.randint(-64, 64) / 16
 
@@ -434,6 +443,40 @@ class TestHeldColumns:
         with pytest.raises(ValueError, match=r"^modes must be a sequence of Mode rows .*"
                                              r"'float' and 'decimal\.Decimal'"):
             field_energy(modes, amplitudes)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("field,value", [
+        ("Q", lambda rng: squared_apart(rng, 2 ** 53, 2 ** 64)),
+        ("P", lambda rng: squared_apart(rng, 2 ** 53, 2 ** 64)),
+        # exact as a double, but libm pow rounds its square the other way
+        ("P", lambda rng: 1558990310978629)], ids=["Q above 2**53", "P above 2**53", "P below"])
+    def test_int_amplitudes(self, reads, where, field, value):
+        # the loop squares an int exactly and rounds the square once
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, sixteenths)
+        index = {"first": 0, "middle": len(modes) // 2, "last": len(modes) - 1}[where]
+        rng = random.Random(f"int-amplitude-{where}-{field}")
+        amplitudes[index][0] = ModeAmplitude(1.0, -1.5)._replace(**{field: value(rng)})
+        self.assert_read(reads, modes, amplitudes, held=True)
+        self.assert_read(reads, [Mode(*mode) for mode in modes], amplitudes, held=False)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("ints", ["omega", "omega and Q", "omega, Q and P"])
+    def test_int_omega(self, reads, where, ints):
+        # an int omega is squared exactly, and with an int Q the loop's
+        # omega ** 2 * Q ** 2 is one exact product, rounded once
+        modes, amplitudes = held_system(CavitySpec(), math.pi * 12, sixteenths)
+        modes = [Mode(*mode) for mode in modes]
+        index = {"first": 0, "middle": len(modes) // 2, "last": len(modes) - 1}[where]
+        rng = random.Random(f"int-omega-{where}-{ints}")
+        if ints == "omega":
+            omega, amplitude = squared_apart(rng, 2 ** 53, 2 ** 64), ModeAmplitude(1.0, -1.5)
+        else:
+            omega = rng.randrange(2 ** 20, 2 ** 40)
+            amplitude = ModeAmplitude(squared_apart(rng, 2 ** 20, 2 ** 40, omega),
+                                      rng.randrange(2 ** 20, 2 ** 40) if "P" in ints else -1.5)
+        modes[index] = modes[index]._replace(omega=omega)
+        amplitudes[index][0] = amplitude
+        self.assert_read(reads, modes, amplitudes, held=False)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("defect", ["short row", "long row", "3-tuple", "text", "nan",
