@@ -80,11 +80,12 @@ def _series(f: PhasePolynomial, g: PhasePolynomial, param: DeformationParameter,
     f (star) g; no layer above the lower total degree can be nonzero."""
     _check_operands(f, g)
     instance("param", param, DeformationParameter)
-    if stop is None:
-        stop = min(f.total_degree(), g.total_degree()) + 1
     step = param.inverse_n
     if not param.symbolic_hbar:
         step *= exact_fraction(param.hbar_value)
+    if stop is None:
+        # a zero step leaves only layer 0, whatever the stop above it
+        stop = min(f.total_degree(), g.total_degree()) + 1 if step else 1
     return _moyal_product(f, g, step, range(start, stop, stride), param.symbolic_hbar,
                           **selection)
 
