@@ -19,11 +19,15 @@ for ``hbar`` is exact too: every nonzero term is kept.
 Pointwise multiplication and every star-product route are one kernel,
 ``_moyal_product``: the closed-form product of two monomials with integer
 weights from ``_moyal_weights``, summed on integers and made canonical by
-one gcd pass.  The weights factor by dimension, so the kernel reads each
-dimension's split table (layer, exponents, weight) from one bounded cache,
-``_moyal_splits``, and combines the tables of a term pair.  A range of
-layers selects what it computes: layer 0 is pointwise multiplication, the
-odd layers doubled the star commutator and layer 1 the Poisson bracket.
+one gcd pass.  A range of layers selects what it computes: layer 0 is
+pointwise multiplication, the odd layers doubled the star commutator and
+layer 1 the Poisson bracket.  Layers 0 and 1 are the first two terms of the
+Moyal series (Bayen et al., Ann. Phys. 111 (1978) 61), so a pass whose top
+layer is at most 1 (``*``, ``**``, the star product at N = inf, first order,
+the Poisson bracket) computes them from their closed forms and reads no
+table.  Above that the weights factor by dimension, so the kernel reads
+each dimension's split table (layer, exponents, weight) from one bounded
+cache, ``_moyal_splits``, and combines the tables of a term pair.
 """
 
 from __future__ import annotations
@@ -550,9 +554,11 @@ def _moyal_product(f: PhasePolynomial, g: PhasePolynomial,
     one-dimensional layers k_1 + ... + k_d = k.  ``graded`` raises layer k by
     k - lower steps of the hbar grade.  ``star`` lists the selections.
 
-    Each dimension of a term pair contributes its cached ``_moyal_splits``
-    table.  In one dimension that table is the pair's split list, read up to
-    the top layer; in more, the tables are combined, keeping the splits with
+    A top layer of at most 1 is computed from the closed forms of layers 0
+    and 1 (``_low_layers``).  Above it each dimension of a term pair
+    contributes its cached ``_moyal_splits`` table (``_split_layers``).  In
+    one dimension that table is the pair's split list, read up to the top
+    layer; in more, the tables are combined, keeping the splits with
     k <= top.  With step = sn/sd and e = k - lower, layer k is weighted by
     the integer factor * w * sn**e * sd**(top - k), top the last layer, its
     factor i**e applied by swapping and negating the pair; the integer sums

@@ -438,8 +438,8 @@ def field_energy(modes: Sequence[Mode], amplitudes: Sequence[Sequence[ModeAmplit
     except (AttributeError, TypeError) as error:
         raise ValueError("modes must be a sequence of Mode rows and amplitudes one sequence "
                          f"of (Q, P) pairs per mode: {error}") from None
-    # freed before the arrays below, so the lists (about 0.85 MB at 17 566 modes)
-    # do not raise the call's peak
+    # freed before the arrays below, the scalars once the squares have read their
+    # ints, so the lists (about 0.85 MB at 17 566 modes) do not raise the call's peak
     del flat
     with np.errstate(all="ignore"):
         squares = _squares(values, scalars)

@@ -34,8 +34,10 @@ parenthesised single term folds in like an atom.
 ``format_canonical`` renders a polynomial deterministically (terms sorted by
 hbar grade, then total degree, then descending exponent order) using the
 shortest float representation that round-trips, at most 17 significant
-digits.  ``parse_expression(format_canonical(f)) == f`` whenever every
-coefficient of ``f`` is exactly representable as a float or an integer.
+digits.  Each monomial's text and flat sort key come from a memo bounded
+at 1024 monomials.  ``parse_expression(format_canonical(f)) == f``
+whenever every coefficient of ``f`` is exactly representable as a float or
+an integer.
 """
 
 from __future__ import annotations

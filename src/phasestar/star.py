@@ -22,7 +22,8 @@ all layers for the star product, the odd layers doubled for the commutator
 ones cancel), that pass over 2i*hbar/N for the classical-limit bracket, and
 layer 1 without its factor i*hbar/N for the Poisson bracket.  ``_series``
 checks the operands once and passes the layers start, start + stride, ...
-below a stop, by default the lower total degree plus one.
+below a stop, by default the lower total degree plus one (1 for a zero
+step, which leaves only layer 0).
 """
 
 from __future__ import annotations
