@@ -589,7 +589,8 @@ def _low_layers(f_rows: dict, g_rows: dict, layer: list) -> dict:
     added with weight 1, and layer 1 the sum over dimensions i of
     a_i d_i - b_i c_i with dimension i's q and p exponents each lowered by
     one.  Keys enter in the tables' order: layer 0, then layer 1 from the
-    last dimension to the first."""
+    last dimension to the first.  Layer 0 is selected only with lower = 0,
+    so it carries no grade shift and no factor i."""
     zero, one = layer[0], layer[1] if len(layer) > 1 else None
     acc = {}
     get = acc.get
@@ -598,11 +599,9 @@ def _low_layers(f_rows: dict, g_rows: dict, layer: list) -> dict:
             re, im = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
             q, p, grade = tuple(map(add, q1, q2)), tuple(map(add, p1, p2)), h1 + h2
             if zero:
-                scale, shift, odd = zero
-                key = (q, p, grade + shift)
+                key, scale = (q, p, grade), zero[0]
                 u, v = get(key, (0, 0))
-                acc[key] = ((u - im * scale, v + re * scale) if odd
-                            else (u + re * scale, v + im * scale))
+                acc[key] = (u + re * scale, v + im * scale)
             if one:
                 scale, shift, odd = one
                 for i in range(len(q) - 1, -1, -1):
