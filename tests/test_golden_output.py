@@ -25,7 +25,11 @@ ladder sum that fits one 2**16-level block) was recorded from the ladder
 sum that allocated every level at once.  The last three argv (``star``,
 ``star --first-order`` and ``commutator --poisson`` on 40th powers of
 ``q1 + p1`` and ``q1 - p1``) were recorded from the kernel that read every
-layer, layers 0 and 1 too, from the split tables.  The ``demo_*.txt`` files hold the stdout of the
+layer, layers 0 and 1 too, from the split tables.  The last ``spectrum``
+argv (``--oracle`` from omega = 0.0001 at T = 1, CSV, ``--precision 17``:
+its first row sums 640 267 levels in 10 blocks) was recorded from the
+ladder sum whose least length came from a doubling-and-bisect search and
+whose blocks were added through ``np.sum``.  The ``demo_*.txt`` files hold the stdout of the
 deterministic demos 01 to 04.  Any change of rendered output fails here.
 """
 
