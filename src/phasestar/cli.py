@@ -235,7 +235,8 @@ def _cmd_spectrum(args, out, err) -> int:
     omega, *densities, x = _sweep_columns(
         args.temperature, args.omega_min, args.omega_max, args.points, args.spacing,
         units, args.zero_point)
-    columns = dict(zip(SPECTRUM_FIELDS, (omega, [args.temperature] * len(omega), *densities, x)))
+    columns = dict(zip(SPECTRUM_FIELDS, (omega, [args.temperature] * len(omega), *densities,
+                                         x.tolist())))
     if args.oracle:
         sums = columns["oracle_total_density"] = [spectral_density_ladder_sum(
             w, args.temperature, units, include_zero_point=args.zero_point).total_density
