@@ -2,6 +2,7 @@
 peak location and integral checks.  Oracles are computed independently in
 the tests (direct sums, bisection, closed-form constants)."""
 
+import bisect
 import math
 import pickle
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from phasestar import blackbody
-from phasestar.blackbody import (MAX_QUADRATURE_POINTS, MAX_SWEEP_POINTS,
+from phasestar.blackbody import (LADDER_TERM_CAP, MAX_QUADRATURE_POINTS, MAX_SWEEP_POINTS,
                                  LadderTermCapExceeded,
                                  SPECTRUM_FIELDS, SpectrumPoint, dimensionless_x,
                                  ladder_terms_for_tolerance,
@@ -24,7 +25,7 @@ from phasestar.blackbody import (MAX_QUADRATURE_POINTS, MAX_SWEEP_POINTS,
                                  spectral_density_per_frequency, spectrum_sweep,
                                  stefan_boltzmann_integral, wien_peak,
                                  wien_x_constant, zero_point_cutoff_energy)
-from phasestar.units import NATURAL, UnitSystem
+from phasestar.units import NATURAL, UnitSystem, positive
 
 X_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
@@ -323,6 +324,105 @@ class TestLadderSumRoute:
                 == spectral_density_ladder_sum(1.0, 1.0, n_max=np.int64(5)))
         with pytest.raises(ValueError, match="^n_max 6 exceeds the limit of 5$"):
             spectral_density_ladder_sum(1.0, 1.0, n_max=6)
+
+
+def doubling_and_bisect_terms(x: float, rel_tol: float = 1e-14) -> int:
+    """``ladder_terms_for_tolerance`` as it searched before its fixed-point
+    estimate: double to a bracket, then ``bisect`` the criterion in it."""
+    positive("x", x)
+    if positive("rel_tol", rel_tol) >= 1:
+        raise ValueError(f"rel_tol must be positive and below 1, got {rel_tol!r}")
+    target = math.log(rel_tol) + 2 * math.log(-math.expm1(-x))
+
+    def satisfied(n: int) -> bool:
+        return math.log(n + 2) - n * x <= target
+
+    high = 1
+    while not satisfied(high):
+        if high > 2 ** 60:
+            raise LadderTermCapExceeded(high + 1, LADDER_TERM_CAP, x)
+        high *= 2
+    low = bisect.bisect_left(range(high), True, key=satisfied)
+    if low > LADDER_TERM_CAP:
+        raise LadderTermCapExceeded(low, LADDER_TERM_CAP, x)
+    return low
+
+
+def ladder_length(search, x, rel_tol):
+    """The length ``search`` returns, or the type, length and message it raises."""
+    try:
+        return search(x, rel_tol)
+    except LadderTermCapExceeded as error:
+        return type(error), error.required_terms, str(error)
+
+
+def fixed_point_estimate(x, rel_tol):
+    """The estimate the docstring of ``ladder_terms_for_tolerance`` describes."""
+    target = math.log(rel_tol) + 2 * math.log(-math.expm1(-x))
+    estimate = -target / x
+    for _ in range(3):
+        estimate = (math.log(estimate + 2) - target) / x
+    return estimate
+
+
+def x_where_estimate_crosses(level, rel_tol):
+    """The least double x whose estimate is at most ``level`` (it falls as x grows)."""
+    low, high = 1e-300, 700.0
+    while (middle := math.sqrt(low) * math.sqrt(high)) not in (low, high):
+        if fixed_point_estimate(middle, rel_tol) > level:
+            low = middle
+        else:
+            high = middle
+    while fixed_point_estimate(math.nextafter(high, 0), rel_tol) <= level:
+        high = math.nextafter(high, 0)
+    return high
+
+
+# rel_tol just below 1 walks furthest; the default walks at most 7 levels
+CROSSING_TOLERANCES = (1e-300, 1e-14, 0.5, 0.99, math.nextafter(1.0, 0.0))
+
+
+class TestLeastLadderLength:
+    """The estimate and walk give the doubling-and-bisect search's results."""
+
+    @staticmethod
+    def inputs():
+        rng = random.Random("ladder-length-estimate")
+        cases = [(5e-300, 1e-14)] + [(math.exp(rng.uniform(math.log(1e-300), math.log(700))),
+                                      math.exp(rng.uniform(math.log(1e-300), math.log(0.99))))
+                                     for _ in range(3000)]
+        for rel_tol in CROSSING_TOLERANCES:
+            for level in (2 ** 60, LADDER_TERM_CAP):
+                x = x_where_estimate_crosses(level, rel_tol)
+                cases += [(math.nextafter(x, 0), rel_tol), (x, rel_tol),
+                          (math.nextafter(x, 1), rel_tol)]
+        return cases
+
+    def test_equals_the_doubling_and_bisect_search(self):
+        for x, rel_tol in self.inputs():
+            assert (ladder_length(ladder_terms_for_tolerance, x, rel_tol)
+                    == ladder_length(doubling_and_bisect_terms, x, rel_tol)), (x, rel_tol)
+
+    def test_walks_up_at_most_74_levels_below_the_cap(self):
+        longest = {}
+        for x, rel_tol in self.inputs():
+            estimate = fixed_point_estimate(x, rel_tol)
+            if estimate <= LADDER_TERM_CAP:
+                length = ladder_length(doubling_and_bisect_terms, x, rel_tol)
+                if isinstance(length, tuple):
+                    length = length[1]
+                walk = length - math.ceil(estimate)
+                assert 0 <= walk <= (7 if rel_tol == 1e-14 else 74), (x, rel_tol)
+                longest[rel_tol] = max(longest.get(rel_tol, 0), walk)
+        assert longest[math.nextafter(1.0, 0.0)] == 74  # at the cap
+        assert longest[1e-14] == 7
+
+    def test_estimates_cross_the_cap_and_2_to_the_60(self):
+        for rel_tol in CROSSING_TOLERANCES:
+            for level in (2 ** 60, LADDER_TERM_CAP):
+                x = x_where_estimate_crosses(level, rel_tol)
+                assert (fixed_point_estimate(math.nextafter(x, 0), rel_tol)
+                        > level >= fixed_point_estimate(x, rel_tol))
 
 
 class TestBlockedLadderSum:
