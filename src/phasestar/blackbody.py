@@ -10,7 +10,8 @@ term is ``oscillator.ground_energy`` at the calibrated N = 2: the ground
 level hbar*w/N that the star product adds to the oscillator energy.  The
 closed form is checked against a direct Boltzmann-weighted average over the
 oscillator ladder W_n = (n + 1/2) hbar w, evaluated as a ratio of truncated
-sums with a documented geometric tail bound.  Classical-limit,
+sums with a documented geometric tail bound, whose least length comes from a
+fixed-point estimate and a short walk.  Classical-limit,
 peak-location and integral checks round out the module.
 
 Numerical policy: x = hbar*w/(k*T) is handled with expm1 so the formulas
@@ -36,8 +37,9 @@ checked rows are then built from the columns by setting each slot, without
 ``__init__``.  Each row equals ``spectral_density`` at that point bit for
 bit.  w**2 and c**3 are ``np.float_power``, the libm pow of ``**``, and a
 row off the float grouping takes the scalar density of states.  Besides
-those rows only expm1 stays per element, through ``math.expm1``:
-``np.expm1`` can differ from it in the last ulp (at x = 0.5231812103833013).
+those rows only expm1 stays per element, through ``math.expm1`` mapped into
+its column by ``np.fromiter``: ``np.expm1`` can differ from it in the last
+ulp (at x = 0.5231812103833013).
 """
 
 from __future__ import annotations
@@ -308,11 +310,12 @@ def spectral_density_ladder_sum(omega: float, temperature: float,
     cancellation.  When n_max is None it comes from the documented tail
     bound; an explicit n_max may be at most ``LADDER_TERM_CAP``.  Both sums
     run over consecutive blocks of at most 2**16 levels, adding each block's
-    ``np.sum`` in block order.  Every block is computed in place in two
-    block buffers, about 1 MB allocated once per call at any n_max: the
-    levels, advanced by one block each step, and the terms.  Up to 2**16
-    levels that is one block, bit for bit the sum over all levels at once;
-    above it the sums associate differently, which can change the last bits.
+    ``ndarray.sum`` (numpy's pairwise ``np.add.reduce``) in block order.
+    Every block is computed in place in two block buffers, about 1 MB
+    allocated once per call at any n_max: the levels, advanced by one block
+    each step, and the terms.  Up to 2**16 levels that is one block, bit for
+    bit the sum over all levels at once; above it the sums associate
+    differently, which can change the last bits.
     The half-quantum the sums inherently contain goes to the zero-point field;
     ``include_zero_point=False`` drops it from the total.
     Past ``X_OVERFLOW`` the thermal part is flushed to 0, as in the closed form.
@@ -500,8 +503,9 @@ def spectrum_sweep(temperature: float, omega_min: float, omega_max: float,
 
 def _sweep_columns(temperature: float, omega_min: float, omega_max: float, points: int,
                    spacing: str, units: UnitSystem, include_zero_point: bool) -> tuple:
-    """``spectrum_sweep``'s checked float lists omega, thermal, zero point, total
-    and x; the first row ``spectral_density`` rejects raises through it."""
+    """``spectrum_sweep``'s checked float lists omega, thermal, zero point and
+    total, and x as a float64 array (only the CLI writes it, as a list); the
+    first row ``spectral_density`` rejects raises through it."""
     positive("omega_min", omega_min)
     if not omega_min < positive("omega_max", omega_max, finite=False):
         raise ValueError("need 0 < omega_min < omega_max")
